@@ -87,13 +87,8 @@ from .models import (
     ModelError,
     ThreeValued,
     check_axioms,
-    coded_add,
     coded_model,
-    coded_mul,
-    coded_succ,
-    decode,
     default_coding,
-    encode,
     eval_bounded,
     limit_table,
     limit_table_csv,

@@ -20,7 +20,6 @@ from .arith import goldbach_sentence
 from .goldbach import partitions, scan
 from .kernel import check_proof, resolve_unknowns
 from .models import (
-    ModelError,
     ThreeValued,
     check_axioms,
     coded_model,
@@ -28,8 +27,8 @@ from .models import (
     limit_table,
     limit_table_csv,
 )
-from .proofio import ProofFileError, format_justification, format_proof, parse_proof_file
-from .syntax import ParseError, lower, parse_wff, print_wff
+from .proofio import format_justification, format_proof, parse_proof_file
+from .syntax import lower, parse_wff, print_wff
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -48,18 +47,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="echo the canonical core form of a formula")
     p.add_argument("wff", nargs="?", help="formula text")
     p.add_argument("--file", help="read the formula from a file instead")
+    p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("check", help="verify an annotated proof file")
     p.add_argument("prooffile")
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("discover", help="fill '?' justifications in a proof file")
     p.add_argument("prooffile")
+    p.set_defaults(func=_cmd_discover)
 
     p = sub.add_parser("sentence", help="print a built-in sentence")
     p.add_argument("name", choices=["goldbach"])
     p.add_argument("--classical", action="store_true",
                    help="quantify over all evens greater than 2 instead of "
                         "the admissible evens")
+    p.set_defaults(func=_cmd_sentence)
 
     g = sub.add_parser("goldbach", help="concrete Goldbach verification")
     gsub = g.add_subparsers(dest="goldbach_command", required=True)
@@ -67,8 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--chunks", type=int, default=1)
     p.add_argument("--csv", action="store_true", help="emit alpha,count CSV")
+    p.set_defaults(func=_cmd_goldbach_scan)
     p = gsub.add_parser("partitions", help="list the prime pairs summing to alpha")
     p.add_argument("alpha", type=int)
+    p.set_defaults(func=_cmd_goldbach_partitions)
 
     m = sub.add_parser("model", help="coded interpretations")
     msub = m.add_subparsers(dest="model_command", required=True)
@@ -78,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--cutoff", action="store_true",
                    help="classical evaluation over the finite segment 0..bound")
+    p.set_defaults(func=_cmd_model_axioms)
     p = msub.add_parser("eval", help="evaluate a formula in a coded model")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--u", required=True)
@@ -87,22 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", default="", help="assignment like x1=3,x2=5")
     p.add_argument("--cutoff", action="store_true",
                    help="classical evaluation over the finite segment 0..bound")
+    p.set_defaults(func=_cmd_model_eval)
     p = msub.add_parser("limits", help="deviation table for u approaching 1")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--steps", type=int, required=True,
                    help="emit u = 1 + 2^-k for k = 1..steps, then u = 1")
+    p.set_defaults(func=_cmd_model_limits)
     return ap
 
 
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
-
-
-def _witness_json(witness: Optional[dict]) -> Optional[dict]:
-    if not witness:
-        return None
-    return {f"x{i}": n for i, n in sorted(witness.items())}
 
 
 def _witness_text(witness: dict) -> str:
@@ -178,41 +180,25 @@ def _cmd_discover(ns) -> int:
     with open(ns.prooffile, encoding="utf-8") as fh:
         proof = parse_proof_file(fh.read())
     result = resolve_unknowns(proof)
-    if result.ok:
-        verdict = check_proof(result.proof)
-        if ns.json:
-            _emit_json({
-                "schema": SCHEMA_VERSION,
-                "command": "discover",
-                "file": ns.prooffile,
-                "accepted": verdict.accepted,
-                "lines": [{"line": k, "wff": print_wff(line.wff),
-                           "justification": format_justification(line.justification)}
-                          for k, line in enumerate(result.proof.lines, 1)],
-                "failures": [{"line": v.line, "reason": v.reason}
-                             for v in verdict.failures],
-            })
-        else:
-            if verdict.accepted:
-                print(format_proof(result.proof), end="")
-            else:
-                for v in verdict.failures:
-                    print(f"line {v.line}: {v.reason}")
-        return 0 if verdict.accepted else 1
+    failures = check_proof(result.proof).failures if result.ok else result.failures
+    lines = result.proof.lines if result.ok else ()
     if ns.json:
         _emit_json({
             "schema": SCHEMA_VERSION,
             "command": "discover",
             "file": ns.prooffile,
-            "accepted": False,
-            "lines": [],
-            "failures": [{"line": f.line, "reason": f.reason}
-                         for f in result.failures],
+            "accepted": not failures,
+            "lines": [{"line": k, "wff": print_wff(line.wff),
+                       "justification": format_justification(line.justification)}
+                      for k, line in enumerate(lines, 1)],
+            "failures": [{"line": f.line, "reason": f.reason} for f in failures],
         })
-    else:
-        for f in result.failures:
+    elif failures:
+        for f in failures:
             print(f"line {f.line}: {f.reason}")
-    return 1
+    else:
+        print(format_proof(result.proof), end="")
+    return 1 if failures else 0
 
 
 def _cmd_sentence(ns) -> int:
@@ -293,7 +279,7 @@ def _cmd_model_eval(ns) -> int:
             "bound": ns.bound,
             "wff": print_wff(wff),
             "verdict": result.truth.value,
-            "witness": _witness_json(result.witness),
+            "witness": result.witness_json(),
         })
     elif result.truth is ThreeValued.TRUE:
         suffix = f", witness {_witness_text(result.witness)}" if result.witness else ""
@@ -334,29 +320,19 @@ def run(argv: Optional[list] = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if ns.command == "parse":
-            return _cmd_parse(ns)
-        if ns.command == "check":
-            return _cmd_check(ns)
-        if ns.command == "discover":
-            return _cmd_discover(ns)
-        if ns.command == "sentence":
-            return _cmd_sentence(ns)
-        if ns.command == "goldbach":
-            if ns.goldbach_command == "scan":
-                return _cmd_goldbach_scan(ns)
-            return _cmd_goldbach_partitions(ns)
-        if ns.command == "model":
-            if ns.model_command == "axioms":
-                return _cmd_model_axioms(ns)
-            if ns.model_command == "eval":
-                return _cmd_model_eval(ns)
-            return _cmd_model_limits(ns)
-        raise ValueError(f"unknown command {ns.command!r}")
-    except (ParseError, ProofFileError, ModelError, ValueError, OSError) as exc:
+        return ns.func(ns)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    # Deep nesting overflows the recursive syntax walkers.  run() lets that
+    # escape, so callers that embed run() (perfbench) see a failed request.
+    try:
+        code = run()
+    except RecursionError:
+        print("error: formula nested too deeply (recursion limit reached)",
+              file=sys.stderr)
+        code = 2
+    sys.exit(code)

@@ -68,8 +68,7 @@ class SchemeId(enum.Enum):
         return self.value
 
 
-_SCHEME_ORDER = (SchemeId.K1, SchemeId.K2, SchemeId.K3, SchemeId.K4,
-                 SchemeId.K5, SchemeId.K6, SchemeId.N7)
+_SCHEME_ORDER = tuple(SchemeId)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +97,6 @@ class Theory:
 
     def axiom(self, name: str) -> Optional[Wff]:
         return self.axioms().get(name)
-
-    def has_scheme(self, scheme: SchemeId) -> bool:
-        return scheme in self.schemes
 
 
 def build_theory_K() -> Theory:
@@ -287,25 +283,25 @@ def _match_n7(w: Wff, relaxed: bool) -> Optional[dict]:
     return {"var": v, "A": body}
 
 
+# scheme -> matcher(w, relaxed_induction); only N7 reads the flag
+_MATCHERS = {
+    SchemeId.K1: lambda w, _: _match_k1(w),
+    SchemeId.K2: lambda w, _: _match_k2(w),
+    SchemeId.K3: lambda w, _: _match_k3(w),
+    SchemeId.K4: lambda w, _: _match_k4(w),
+    SchemeId.K5: lambda w, _: _match_k5(w),
+    SchemeId.K6: lambda w, _: _match_k6(w),
+    SchemeId.N7: _match_n7,
+}
+
+
 def match_scheme(scheme: SchemeId, w: Wff, *,
                  relaxed_induction: bool = False) -> Optional[SchemeMatch]:
     """Check one specific scheme, side conditions included."""
-    if scheme is SchemeId.K1:
-        parts = _match_k1(w)
-    elif scheme is SchemeId.K2:
-        parts = _match_k2(w)
-    elif scheme is SchemeId.K3:
-        parts = _match_k3(w)
-    elif scheme is SchemeId.K4:
-        parts = _match_k4(w)
-    elif scheme is SchemeId.K5:
-        parts = _match_k5(w)
-    elif scheme is SchemeId.K6:
-        parts = _match_k6(w)
-    elif scheme is SchemeId.N7:
-        parts = _match_n7(w, relaxed_induction)
-    else:
+    matcher = _MATCHERS.get(scheme)
+    if matcher is None:
         raise ValueError(f"unknown scheme {scheme!r}")
+    parts = matcher(w, relaxed_induction)
     return SchemeMatch(scheme, parts) if parts is not None else None
 
 
@@ -492,51 +488,31 @@ def _find_justification(theory: Theory, earlier: Sequence,
 
 
 def discover(theory: Theory, wffs: Sequence) -> DiscoveryResult:
-    """Annotate a bare formula sequence, line by line.
-
-    Returns an annotated proof when every line is justifiable, otherwise a
-    report naming each line the search could not justify.
-    """
-    lines = []
-    failures = []
-    earlier = []
-    for number, wff in enumerate(wffs, 1):
-        if not is_core(wff):
-            failures.append(DiscoveryFailure(number, "not a core wff"))
-            earlier.append(wff)
-            continue
-        just = _find_justification(theory, earlier, wff)
-        if just is None:
-            if number == 1:
-                reason = "not an axiom; no earlier lines"
-            else:
-                reason = "not an axiom; no MP or Gen derivation from earlier lines"
-            failures.append(DiscoveryFailure(number, reason))
-        else:
-            lines.append(ProofLine(wff, just))
-        earlier.append(wff)
-    if failures:
-        return DiscoveryResult(None, failures)
-    return DiscoveryResult(Proof(theory, tuple(lines)), [])
+    """Annotate a bare formula sequence: resolution of an all-'?' proof."""
+    return resolve_unknowns(Proof(theory, tuple(ProofLine(w, UNKNOWN) for w in wffs)))
 
 
 def resolve_unknowns(proof: Proof) -> DiscoveryResult:
-    """Fill every Unknown justification by search, keeping the others."""
+    """Fill every Unknown justification by search, keeping the others.
+
+    Returns the annotated proof when every '?' line is justifiable,
+    otherwise a report naming each '?' line that is not a core wff or that
+    the search could not justify.
+    """
     lines = []
     failures = []
     earlier = []
     for number, line in enumerate(proof.lines, 1):
         just = line.justification
         if isinstance(just, Unknown):
-            found = _find_justification(proof.theory, earlier, line.wff)
-            if found is None:
-                if number == 1:
-                    reason = "not an axiom; no earlier lines"
-                else:
-                    reason = "not an axiom; no MP or Gen derivation from earlier lines"
-                failures.append(DiscoveryFailure(number, reason))
+            if not is_core(line.wff):
+                failures.append(DiscoveryFailure(number, "not a core wff"))
             else:
-                just = found
+                just = _find_justification(proof.theory, earlier, line.wff)
+                if just is None:
+                    reason = ("not an axiom; no earlier lines" if number == 1 else
+                              "not an axiom; no MP or Gen derivation from earlier lines")
+                    failures.append(DiscoveryFailure(number, reason))
         lines.append(ProofLine(line.wff, just))
         earlier.append(line.wff)
     if failures:

@@ -48,7 +48,6 @@ from .syntax import (
 __all__ = [
     "ModelError", "CodingFunction", "default_coding",
     "CodedNat", "CodedModel", "coded_model",
-    "encode", "decode", "coded_succ", "coded_add", "coded_mul",
     "ThreeValued", "EvalResult", "eval_bounded",
     "AxiomCheck", "check_axioms",
     "LimitRow", "limit_table", "limit_table_csv",
@@ -62,9 +61,7 @@ class ModelError(ValueError):
 def _to_fraction(u) -> Fraction:
     if isinstance(u, Fraction):
         return u
-    if isinstance(u, (int, str)):
-        return Fraction(u)
-    if isinstance(u, float):
+    if isinstance(u, (int, str, float)):
         return Fraction(u)
     raise ModelError(f"cannot interpret {u!r} as a slope parameter")
 
@@ -224,26 +221,6 @@ def coded_model(alpha: int, u, **op_overrides) -> CodedModel:
     return CodedModel(default_coding(alpha, u), **op_overrides)
 
 
-def encode(model: CodedModel, n: int) -> CodedNat:
-    return model.encode(n)
-
-
-def decode(model: CodedModel, c: CodedNat) -> int:
-    return model.decode(c)
-
-
-def coded_succ(model: CodedModel, x: CodedNat) -> CodedNat:
-    return model.succ(x)
-
-
-def coded_add(model: CodedModel, x: CodedNat, y: CodedNat) -> CodedNat:
-    return model.add(x, y)
-
-
-def coded_mul(model: CodedModel, x: CodedNat, y: CodedNat) -> CodedNat:
-    return model.mul(x, y)
-
-
 # ---------------------------------------------------------------------------
 # bounded evaluation
 
@@ -262,6 +239,12 @@ class EvalResult:
     """Verdict plus, when decisive, the quantifier indices that decided it."""
     truth: ThreeValued
     witness: Optional[dict] = None
+
+    def witness_json(self) -> Optional[dict]:
+        """The witness as {"x<i>": index} in variable order, or None."""
+        if not self.witness:
+            return None
+        return {f"x{i}": n for i, n in sorted(self.witness.items())}
 
 
 _TRUE = EvalResult(ThreeValued.TRUE)
@@ -378,15 +361,8 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
 # axiom reports
 
 
-_AXIOM_NAMES = ("N1", "N2", "N3", "N4", "N5", "N6")
-_AXIOM_TABLE: Optional[dict] = None
-
-
-def _axiom_table() -> dict:
-    global _AXIOM_TABLE
-    if _AXIOM_TABLE is None:
-        _AXIOM_TABLE = kernel.build_theory_N().axioms()
-    return _AXIOM_TABLE
+# N1..N6 in order
+_N_AXIOMS = tuple(kernel.build_theory_N().axioms().items())
 
 
 @dataclass
@@ -395,12 +371,10 @@ class AxiomCheck:
     result: EvalResult
 
     def to_json_dict(self) -> dict:
-        witness = self.result.witness
         return {
             "axiom": self.axiom,
             "verdict": self.result.truth.value,
-            "witness": ({f"x{i}": n for i, n in sorted(witness.items())}
-                        if witness else None),
+            "witness": self.result.witness_json(),
         }
 
 
@@ -412,10 +386,9 @@ def check_axioms(model: CodedModel, bound: int, *,
     up to the bound); any False means the operations do not commute with
     the coding and is a defect worth a counterexample index.
     """
-    table = _axiom_table()
-    return [AxiomCheck(name, eval_bounded(model, table[name], {},
+    return [AxiomCheck(name, eval_bounded(model, wff, {},
                                           bound=bound, domain_cutoff=domain_cutoff))
-            for name in _AXIOM_NAMES]
+            for name, wff in _N_AXIOMS]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
-from foarith.cli import run
+import pytest
+
+from foarith.cli import main, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,6 +43,19 @@ def test_parse_error_exits_2(capsys):
     code, out, err = invoke(capsys, "parse", "(0 = ")
     assert code == 2
     assert "error:" in err
+
+
+def test_parse_too_deep_exits_2(capsys, monkeypatch):
+    depth = 3000
+    text = "(" + "S(" * depth + "0" + ")" * depth + " = 0)"
+    monkeypatch.setattr(sys, "argv", ["foarith", "parse", text])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: formula nested too deeply")
+    assert captured.err.count("\n") == 1
 
 
 def test_parse_requires_exactly_one_source(capsys, tmp_path):

@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from conftest import random_proof_corpus, random_scheme_instance
 from foarith.kernel import (
+    DiscoveryFailure,
     Gen,
     MP,
     Proof,
@@ -21,6 +25,7 @@ from foarith.kernel import (
     recognize_scheme,
     resolve_unknowns,
 )
+from foarith.proofio import format_proof
 from foarith.syntax import (
     And,
     ForAll,
@@ -56,7 +61,7 @@ def test_theory_N_extends_K():
     assert list(N.axioms()) == ["N1", "N2", "N3", "N4", "N5", "N6"]
 
 
-def test_theory_N_axiom_table_matches_parsed_strings():
+def test_theory_N_axioms_match_parsed_strings():
     texts = {
         "N1": "(all x1 ~(S(x1) = 0))",
         "N2": "(all x1 (all x2 ((S(x1) = S(x2)) -> (x1 = x2))))",
@@ -337,6 +342,29 @@ def test_discover_gen_and_mp():
     assert justs[3] == Gen(1, 7)
 
 
+def test_discover_reports_non_core_line():
+    result = discover(N, [And(eq(ZERO, ZERO), eq(ZERO, ZERO))])
+    assert not result.ok
+    assert result.failures == [DiscoveryFailure(1, "not a core wff")]
+
+
+def test_resolve_unknowns_reports_non_core_line():
+    # line 3 follows from lines 1 and 2 by MP, but it is not a core wff, so
+    # it is reported instead of searched
+    w = And(A0, A0)
+    lines = (ProofLine(A0, Scheme(SchemeId.K1)),
+             ProofLine(Implies(A0, w), Scheme(SchemeId.K1)),
+             ProofLine(w, UNKNOWN))
+    result = resolve_unknowns(Proof(K, lines))
+    assert not result.ok
+    assert result.failures == [DiscoveryFailure(3, "not a core wff")]
+
+
+def test_match_scheme_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        match_scheme("K9", AA)
+
+
 def test_resolve_unknowns_keeps_given_annotations():
     lines = list(FIVE_LINES)
     lines[2] = ProofLine(lines[2].wff, UNKNOWN)
@@ -346,3 +374,30 @@ def test_resolve_unknowns_keeps_given_annotations():
     assert result.proof.lines[2].justification == MP(2, 1)
     assert result.proof.lines[4].justification == MP(4, 3)
     assert result.proof.lines[0].justification == Scheme(SchemeId.K2)
+
+
+# SHA-256 of format_proof(discover(...).proof), recorded before discovery
+# was folded into resolve_unknowns.  Any change to the search order or to
+# the justification chosen for a line shows up here.
+GOLDEN_CORPUS_DIGESTS = {
+    0: "b12b8da4d43c3b51d836b353eabbe6b0bf224433db6202b8e6dcd0cbd4bd106a",
+    1: "bbbc198c1102901b3595e423599a9042502ff0620606bf73b4476ca1962a9221",
+    2: "f1bbcf5daa79e006ab964c5e6bbe6b221251396b5662c679c89b4594bec1da1c",
+}
+GOLDEN_FIVE_LINE_DIGEST = "d2d04d61d36d3a1ee3abc21a66cff476a245b9e0ecfe48bfefc8589c52262b7b"
+
+
+def _proof_digest(result):
+    assert result.ok, result.failures
+    return hashlib.sha256(format_proof(result.proof).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CORPUS_DIGESTS))
+def test_discover_golden_corpus(seed):
+    wffs = random_proof_corpus(random.Random(seed), N, 200)
+    assert _proof_digest(discover(N, wffs)) == GOLDEN_CORPUS_DIGESTS[seed]
+
+
+def test_discover_golden_five_lines():
+    wffs = [line.wff for line in FIVE_LINES]
+    assert _proof_digest(discover(K, wffs)) == GOLDEN_FIVE_LINE_DIGEST

@@ -9,13 +9,8 @@ from foarith.models import (
     ModelError,
     ThreeValued,
     check_axioms,
-    coded_add,
     coded_model,
-    coded_mul,
-    coded_succ,
-    decode,
     default_coding,
-    encode,
     eval_bounded,
     limit_table,
     limit_table_csv,
@@ -81,11 +76,11 @@ def test_slope_counts_sum_to_index():
 
 def test_encode_goldens():
     m = coded_model(18, 2)
-    zero = encode(m, 0)
+    zero = m.encode(0)
     assert (zero.index, zero.value) == (0, 0)
-    two = encode(m, 2)
+    two = m.encode(2)
     assert two.value == 2
-    three = encode(m, 3)
+    three = m.encode(3)
     assert (three.units, three.uslopes) == (2, 1)
     assert three.value == 4
 
@@ -93,26 +88,26 @@ def test_encode_goldens():
 def test_encode_identity_at_u_1():
     m = coded_model(24, 1)
     for n in range(101):
-        c = encode(m, n)
+        c = m.encode(n)
         assert c.index == n and c.value == n
 
 
 def test_decode_inverse():
     m = coded_model(18, Fraction(3, 2))
     for n in range(200):
-        assert decode(m, encode(m, n)) == n
+        assert m.decode(m.encode(n)) == n
 
 
 def test_index_order_is_value_order():
     m = coded_model(18, Fraction(3, 2))
-    values = [encode(m, n).value for n in range(100)]
+    values = [m.encode(n).value for n in range(100)]
     assert values == sorted(values)
     assert len(set(values)) == len(values)
 
 
 def test_value_is_exact_linear_form():
     m = coded_model(18, Fraction(3, 2))
-    c = encode(m, 10)
+    c = m.encode(10)
     assert isinstance(c.value, Fraction)
     assert c.value == c.units + c.uslopes * Fraction(3, 2)
     assert c.units + c.uslopes == 10
@@ -120,24 +115,24 @@ def test_value_is_exact_linear_form():
 
 def test_transported_ops_sample():
     m = coded_model(18, 2)
-    assert decode(m, coded_add(m, encode(m, 2), encode(m, 3))) == 5
-    assert decode(m, coded_mul(m, encode(m, 6), encode(m, 7))) == 42
-    assert coded_succ(m, m.zero) == m.one
+    assert m.decode(m.add(m.encode(2), m.encode(3))) == 5
+    assert m.decode(m.mul(m.encode(6), m.encode(7))) == 42
+    assert m.succ(m.zero) == m.one
 
 
 def test_mul_by_zero():
     m = coded_model(18, 2)
     rng = random.Random(7)
     for _ in range(20):
-        x = encode(m, rng.randrange(500))
-        assert coded_mul(m, x, m.zero) == m.zero
+        x = m.encode(rng.randrange(500))
+        assert m.mul(x, m.zero) == m.zero
 
 
 def test_model_mismatch_rejected():
     m1 = coded_model(18, 2)
     m2 = coded_model(18, 2)
     with pytest.raises(ModelError, match="different model"):
-        coded_add(m1, encode(m1, 1), encode(m2, 1))
+        m1.add(m1.encode(1), m2.encode(1))
 
 
 def test_uninterpreted_symbols_rejected():
