@@ -132,7 +132,7 @@ def _parse_env(spec: str) -> dict:
         name = name.strip()
         value = value.strip()
         if not sep or not name.startswith("x") or not name[1:].isdigit() \
-                or not value.isdigit():
+                or int(name[1:]) < 1 or not value.isdigit():
             raise ValueError(f"bad assignment {part!r}; expected x<i>=<n>")
         env[int(name[1:])] = int(value)
     return env
@@ -321,18 +321,15 @@ def run(argv: Optional[list] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return ns.func(ns)
+    except RecursionError:
+        # successor chains are read and printed in loops; other nesting
+        # still recurses
+        message = "formula nested too deeply (recursion limit reached)"
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:
-    # Deep nesting overflows the recursive syntax walkers.  run() lets that
-    # escape, so callers that embed run() (perfbench) see a failed request.
-    try:
-        code = run()
-    except RecursionError:
-        print("error: formula nested too deeply (recursion limit reached)",
-              file=sys.stderr)
-        code = 2
-    sys.exit(code)
+    sys.exit(run())

@@ -82,13 +82,18 @@ def _pair_counts(flags: np.ndarray) -> np.ndarray:
 
     conv[s] = #{(p, q) : p + q = s, both prime, order significant}.  The
     values stay far below 2**53, so rounding the float convolution back to
-    integers is exact.
+    integers is exact as long as every value lies within 0.25 of an
+    integer; a larger residual raises ValueError instead of miscounting.
     """
     n = flags.size
     size = 1 << (2 * n - 1).bit_length()
     spectrum = np.fft.rfft(flags.astype(np.float64), size)
     conv = np.fft.irfft(spectrum * spectrum, size)[:n]
-    return np.rint(conv).astype(np.int64)
+    counts = np.rint(conv)
+    residual = float(np.abs(conv - counts).max())
+    if residual >= 0.25:
+        raise ValueError(f"FFT rounding residual {residual:.3g} is too large for exact counts")
+    return counts.astype(np.int64)
 
 
 @dataclass

@@ -61,32 +61,42 @@ class CaptureError(ValueError):
 # abstract syntax
 
 
+class _Term:
+    """Base of the term nodes; ``str`` is the canonical text."""
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return print_term(self)
+
+
+class _Formula:
+    """Base of the formula nodes; ``str`` is the canonical text."""
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return print_wff(self)
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Term):
     index: int
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable index must be >= 1")
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Term):
     index: int
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("constant index must be >= 1")
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 @dataclass(frozen=True)
-class FuncApp:
+class FuncApp(_Term):
     letter: int
     arity: int
     args: tuple
@@ -99,15 +109,12 @@ class FuncApp:
             raise ValueError(
                 f"f{{{self.letter},{self.arity}}} applied to {len(self.args)} arguments")
 
-    def __str__(self) -> str:
-        return print_term(self)
-
 
 Term = Union[Var, Const, FuncApp]
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Formula):
     letter: int
     arity: int
     terms: tuple
@@ -120,29 +127,20 @@ class Atom:
             raise ValueError(
                 f"A{{{self.letter},{self.arity}}} applied to {len(self.terms)} terms")
 
-    def __str__(self) -> str:
-        return print_wff(self)
-
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Formula):
     body: "SurfaceWff"
 
-    def __str__(self) -> str:
-        return print_wff(self)
-
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Formula):
     antecedent: "SurfaceWff"
     consequent: "SurfaceWff"
 
-    def __str__(self) -> str:
-        return print_wff(self)
-
 
 @dataclass(frozen=True)
-class ForAll:
+class ForAll(_Formula):
     var: int
     body: "SurfaceWff"
 
@@ -150,12 +148,9 @@ class ForAll:
         if self.var < 1:
             raise ValueError("variable index must be >= 1")
 
-    def __str__(self) -> str:
-        return print_wff(self)
-
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Formula):
     var: int
     body: "SurfaceWff"
 
@@ -163,35 +158,23 @@ class Exists:
         if self.var < 1:
             raise ValueError("variable index must be >= 1")
 
-    def __str__(self) -> str:
-        return print_wff(self)
-
 
 @dataclass(frozen=True)
-class And:
+class And(_Formula):
     left: "SurfaceWff"
     right: "SurfaceWff"
 
-    def __str__(self) -> str:
-        return print_wff(self)
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Formula):
     left: "SurfaceWff"
     right: "SurfaceWff"
 
-    def __str__(self) -> str:
-        return print_wff(self)
-
 
 @dataclass(frozen=True)
-class Iff:
+class Iff(_Formula):
     left: "SurfaceWff"
     right: "SurfaceWff"
-
-    def __str__(self) -> str:
-        return print_wff(self)
 
 
 Wff = Union[Atom, Not, Implies, ForAll]
@@ -458,8 +441,8 @@ def match_substitution_result(a: Wff, x: int, a_prime: Wff) -> MatchResult:
 # lexer
 
 
-_TOKEN_RE = re.compile(r"<->|->|[A-Za-z]+[0-9]*|[0-9]+|[(){},=+*~&|]")
-_WS_RE = re.compile(r"\s*")
+# A token, or else the first character no token starts with.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[A-Za-z]+[0-9]*|[0-9]+|[(){},=+*~&|])|(\S))")
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _CONST_RE = re.compile(r"a([0-9]+)\Z")
 _INT_RE = re.compile(r"[0-9]+\Z")
@@ -467,25 +450,13 @@ _INT_RE = re.compile(r"[0-9]+\Z")
 _TERM_STARTERS = ("S", "f", "(")
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    pos: int
-
-
 def _lex(text: str) -> list:
+    """The ``(text, pos)`` tokens of ``text``."""
     tokens = []
-    i = 0
-    n = len(text)
-    while True:
-        i = _WS_RE.match(text, i).end()
-        if i >= n:
-            break
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        tokens.append(_Token(m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
     return tokens
 
 
@@ -507,69 +478,69 @@ class _Parser:
         self.i = 0
         self.end = end
 
-    def peek(self) -> Optional[_Token]:
+    def peek(self) -> Optional[tuple]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self) -> _Token:
+    def take(self) -> tuple:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.end)
         self.i += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.take()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return tok
+    def expect(self, text: str) -> None:
+        found, pos = self.take()
+        if found != text:
+            raise ParseError(f"expected {text!r}, found {found!r}", pos)
 
     # terms ------------------------------------------------------------
 
     def term(self) -> Term:
+        # A successor chain S(S(...t...)) is read in a loop, so numerals
+        # of any depth parse.
+        tokens, depth = self.tokens, 0
+        while self.i < len(tokens) and tokens[self.i][0] == "S":
+            self.i += 1
+            self.expect("(")
+            depth += 1
+        t = self._base_term()
+        for _ in range(depth):
+            self.expect(")")
+            t = succ(t)
+        return t
+
+    def _base_term(self) -> Term:
+        """A term that does not start with ``S``."""
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a term", self.end)
-        text = tok.text
-        if text == "S":
-            self.i += 1
-            self.expect("(")
-            arg = self.term()
-            self.expect(")")
-            return succ(arg)
+        text, pos = tok
         if text == "f":
-            self.i += 1
-            k, n = self._brace_indices(tok.pos)
-            args = self._term_list()
-            if len(args) != n:
-                raise ParseError(
-                    f"arity mismatch: f{{{k},{n}}} applied to {len(args)} arguments",
-                    tok.pos)
-            return FuncApp(k, n, args)
+            return FuncApp(*self._application(tok, "arguments"))
         if text == "(":
             self.i += 1
             left = self.term()
-            op = self.take()
-            if op.text not in ("+", "*"):
-                raise ParseError(f"expected '+' or '*', found {op.text!r}", op.pos)
+            op, op_pos = self.take()
+            if op not in ("+", "*"):
+                raise ParseError(f"expected '+' or '*', found {op!r}", op_pos)
             right = self.term()
             self.expect(")")
-            return plus(left, right) if op.text == "+" else times(left, right)
+            return plus(left, right) if op == "+" else times(left, right)
         m = _VAR_RE.match(text)
         if m is not None:
             self.i += 1
-            return Var(self._index(m.group(1), tok.pos))
+            return Var(self._index(m.group(1), pos))
         m = _CONST_RE.match(text)
         if m is not None:
             self.i += 1
-            return Const(self._index(m.group(1), tok.pos))
+            return Const(self._index(m.group(1), pos))
         if _INT_RE.match(text) is not None:
             if text != "0":
                 raise ParseError(
-                    f"bare numeral {text!r} is not a term; only '0' abbreviates a1",
-                    tok.pos)
+                    f"bare numeral {text!r} is not a term; only '0' abbreviates a1", pos)
             self.i += 1
             return ZERO
-        raise ParseError(f"expected a term, found {text!r}", tok.pos)
+        raise ParseError(f"expected a term, found {text!r}", pos)
 
     def _index(self, digits: str, pos: int) -> int:
         value = int(digits)
@@ -577,98 +548,95 @@ class _Parser:
             raise ParseError("index must be >= 1", pos)
         return value
 
-    def _brace_indices(self, pos: int) -> tuple:
+    def _application(self, letter_tok: tuple, what: str) -> tuple:
+        """``k, n, terms`` of ``f{k,n}(...)`` or ``A{k,n}(...)``."""
+        self.i += 1
         self.expect("{")
-        k_tok = self.take()
-        if _INT_RE.match(k_tok.text) is None:
-            raise ParseError(f"expected a letter index, found {k_tok.text!r}", k_tok.pos)
+        k_text, k_pos = self.take()
+        if _INT_RE.match(k_text) is None:
+            raise ParseError(f"expected a letter index, found {k_text!r}", k_pos)
         self.expect(",")
-        n_tok = self.take()
-        if _INT_RE.match(n_tok.text) is None:
-            raise ParseError(f"expected an arity, found {n_tok.text!r}", n_tok.pos)
+        n_text, n_pos = self.take()
+        if _INT_RE.match(n_text) is None:
+            raise ParseError(f"expected an arity, found {n_text!r}", n_pos)
         self.expect("}")
-        return self._index(k_tok.text, k_tok.pos), self._index(n_tok.text, n_tok.pos)
-
-    def _term_list(self) -> tuple:
+        k, n = self._index(k_text, k_pos), self._index(n_text, n_pos)
         self.expect("(")
-        args = [self.term()]
-        while self.peek() is not None and self.peek().text == ",":
+        terms = [self.term()]
+        while self.peek() is not None and self.peek()[0] == ",":
             self.i += 1
-            args.append(self.term())
+            terms.append(self.term())
         self.expect(")")
-        return tuple(args)
+        if len(terms) != n:
+            letter, pos = letter_tok
+            raise ParseError(
+                f"arity mismatch: {letter}{{{k},{n}}} applied to {len(terms)} {what}", pos)
+        return k, n, tuple(terms)
 
     # formulas -----------------------------------------------------------
+
+    def _equality(self) -> Atom:
+        left = self.term()
+        self.expect("=")
+        return eq(left, self.term())
 
     def wff(self) -> SurfaceWff:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a formula", self.end)
-        if tok.text == "~":
+        text, pos = tok
+        if text == "~":
             self.i += 1
             return Not(self.wff())
-        if tok.text == "A":
-            self.i += 1
-            k, n = self._brace_indices(tok.pos)
-            terms = self._term_list()
-            if len(terms) != n:
-                raise ParseError(
-                    f"arity mismatch: A{{{k},{n}}} applied to {len(terms)} terms",
-                    tok.pos)
-            return Atom(k, n, terms)
-        if _starts_term(tok.text):
+        if text == "A":
+            return Atom(*self._application(tok, "terms"))
+        if _starts_term(text):
             # bare equality atom, possibly with a parenthesized sum or
             # product as its left term
             mark = self.i
             try:
-                left_t = self.term()
-                self.expect("=")
-                right_t = self.term()
-                return eq(left_t, right_t)
+                return self._equality()
             except ParseError:
-                if tok.text != "(":
+                if text != "(":
                     raise
                 self.i = mark
-        if tok.text == "(":
+        if text == "(":
             self.i += 1
             nxt = self.peek()
-            if nxt is not None and nxt.text in ("all", "ex"):
+            if nxt is not None and nxt[0] in ("all", "ex"):
                 self.i += 1
                 v = self._variable()
                 body = self.wff()
                 self.expect(")")
-                return ForAll(v, body) if nxt.text == "all" else Exists(v, body)
+                return ForAll(v, body) if nxt[0] == "all" else Exists(v, body)
             mark = self.i
             try:
-                left_t = self.term()
-                self.expect("=")
-                right_t = self.term()
+                atom = self._equality()
                 self.expect(")")
-                return eq(left_t, right_t)
+                return atom
             except ParseError:
                 self.i = mark
             left = self.wff()
-            op = self.take()
-            node = _BIN_NODES.get(op.text)
+            op, op_pos = self.take()
+            node = _BIN_NODES.get(op)
             if node is None:
-                raise ParseError(
-                    f"expected a binary connective, found {op.text!r}", op.pos)
+                raise ParseError(f"expected a binary connective, found {op!r}", op_pos)
             right = self.wff()
             self.expect(")")
             return node(left, right)
-        raise ParseError(f"expected a formula, found {tok.text!r}", tok.pos)
+        raise ParseError(f"expected a formula, found {text!r}", pos)
 
     def _variable(self) -> int:
-        tok = self.take()
-        m = _VAR_RE.match(tok.text)
+        text, pos = self.take()
+        m = _VAR_RE.match(text)
         if m is None:
-            raise ParseError(f"expected a variable, found {tok.text!r}", tok.pos)
-        return self._index(m.group(1), tok.pos)
+            raise ParseError(f"expected a variable, found {text!r}", pos)
+        return self._index(m.group(1), pos)
 
     def finish(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+            raise ParseError(f"unexpected trailing input {tok[0]!r}", tok[1])
 
 
 def parse_wff(text: str) -> SurfaceWff:
@@ -695,22 +663,26 @@ def parse_core(text: str) -> Wff:
 # printer
 
 
+_INFIX = {(1, 2): " + ", (2, 2): " * "}
+
+
 def print_term(t: Term) -> str:
+    # A successor chain is printed in a loop, so numerals of any depth print.
+    depth = 0
+    while isinstance(t, FuncApp) and t.letter == 1 and t.arity == 1:
+        t = t.args[0]
+        depth += 1
     if isinstance(t, Var):
-        return f"x{t.index}"
-    if isinstance(t, Const):
-        return "0" if t.index == 1 else f"a{t.index}"
-    if isinstance(t, FuncApp):
-        sig = (t.letter, t.arity)
-        if sig == (1, 1):
-            return f"S({print_term(t.args[0])})"
-        if sig == (1, 2):
-            return f"({print_term(t.args[0])} + {print_term(t.args[1])})"
-        if sig == (2, 2):
-            return f"({print_term(t.args[0])} * {print_term(t.args[1])})"
-        inner = ", ".join(print_term(a) for a in t.args)
-        return f"f{{{t.letter},{t.arity}}}({inner})"
-    raise TypeError(f"not a term: {t!r}")
+        inner = f"x{t.index}"
+    elif isinstance(t, Const):
+        inner = "0" if t.index == 1 else f"a{t.index}"
+    elif isinstance(t, FuncApp):
+        args = [print_term(a) for a in t.args]
+        op = _INFIX.get((t.letter, t.arity))
+        inner = f"({op.join(args)})" if op else f"f{{{t.letter},{t.arity}}}({', '.join(args)})"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return "S(" * depth + inner + ")" * depth
 
 
 def print_wff(w: SurfaceWff, resugar: bool = False) -> str:

@@ -18,6 +18,7 @@ from foarith.syntax import (
     Const,
     Exists,
     ForAll,
+    FuncApp,
     Iff,
     Implies,
     Not,
@@ -117,6 +118,34 @@ def random_core_wff(rng, depth=2, vars_=(1, 2)):
                        random_core_wff(rng, depth - 1, vars_))
     v = rng.choice(vars_)
     return ForAll(v, random_core_wff(rng, depth - 1, vars_))
+
+
+def random_generic_term(rng, depth=2, vars_=(1, 2)):
+    """Terms over any constant a_i and any function letter f{k,n}."""
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice([Const(1), Const(rng.randrange(2, 12)), Var(rng.choice(vars_))])
+    letter, arity = rng.randrange(1, 4), rng.randrange(1, 4)
+    return FuncApp(letter, arity,
+                   tuple(random_generic_term(rng, depth - 1, vars_) for _ in range(arity)))
+
+
+def random_surface_wff(rng, depth=2, vars_=(1, 2)):
+    """Formulas with abbreviation nodes and generic predicate letters."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.25:
+            letter, arity = rng.randrange(1, 4), rng.randrange(1, 4)
+            return Atom(letter, arity,
+                        tuple(random_generic_term(rng, 1, vars_) for _ in range(arity)))
+        return eq(random_generic_term(rng, 2, vars_), random_generic_term(rng, 2, vars_))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Not(random_surface_wff(rng, depth - 1, vars_))
+    if kind == 1:
+        node = rng.choice((Implies, And, Or, Iff))
+        return node(random_surface_wff(rng, depth - 1, vars_),
+                    random_surface_wff(rng, depth - 1, vars_))
+    node = rng.choice((ForAll, Exists))
+    return node(rng.choice(vars_), random_surface_wff(rng, depth - 1, vars_))
 
 
 # ---------------------------------------------------------------------------

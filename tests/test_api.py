@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -35,3 +36,22 @@ def test_package_reexports_resolve():
         module = importlib.import_module(f"foarith.{module_name}")
         assert name in module.__all__, f"{name} is not public in foarith.{module_name}"
         assert getattr(foarith, name) is getattr(module, name)
+
+
+def _load_benchmark_tracing():
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_span_targets_resolve():
+    # A renamed attribute would silently zero the benchmark's per-layer metric.
+    for name, targets, _, _ in _load_benchmark_tracing().SPANS:
+        for target in targets:
+            module_name, path = target.split(":")
+            owner = importlib.import_module(module_name)
+            for part in path.split("."):
+                owner = getattr(owner, part, None)
+            assert callable(owner), f"span {name}: {target} does not resolve"

@@ -2,6 +2,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from foarith.cli import main, run
@@ -45,17 +46,26 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
-def test_parse_too_deep_exits_2(capsys, monkeypatch):
+def test_parse_deep_numeral_equation(capsys):
     depth = 3000
-    text = "(" + "S(" * depth + "0" + ")" * depth + " = 0)"
+    numeral = "S(" * depth + "0" + ")" * depth
+    code, out, err = invoke(capsys, "parse", f"{numeral} = {numeral}")
+    assert code == 0 and err == ""
+    assert out == f"({numeral} = {numeral})\n"
+
+
+def test_parse_too_deep_exits_2(capsys, monkeypatch):
+    text = "~" * 3000 + "(0 = 0)"
+    code, out, err = invoke(capsys, "parse", text)
+    assert code == 2 and out == ""
+    assert err == "error: formula nested too deeply (recursion limit reached)\n"
     monkeypatch.setattr(sys, "argv", ["foarith", "parse", text])
     with pytest.raises(SystemExit) as exc:
         main()
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: formula nested too deeply")
-    assert captured.err.count("\n") == 1
+    assert captured.err == err
 
 
 def test_parse_requires_exactly_one_source(capsys, tmp_path):
@@ -189,6 +199,14 @@ def test_goldbach_scan_json(capsys):
     assert doc["first_failure"] is None
 
 
+def test_goldbach_scan_fft_residual_exits_2(capsys, monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.4)
+    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "2000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: FFT rounding residual")
+
+
 def test_goldbach_scan_csv(capsys):
     code, out, _ = invoke(capsys, "goldbach", "scan", "--limit", "60", "--csv")
     lines = out.strip().splitlines()
@@ -237,6 +255,12 @@ def test_model_eval_bad_env(capsys):
     code, _, err = invoke(capsys, "model", "eval", "--alpha", "18", "--u", "1",
                           "--bound", "5", "--wff", "(x1 = 0)", "--env", "y1=2")
     assert code == 2 and "bad assignment" in err
+
+
+def test_model_eval_rejects_index_zero(capsys):
+    code, _, err = invoke(capsys, "model", "eval", "--alpha", "18", "--u", "1",
+                          "--bound", "5", "--wff", "(x1 = 0)", "--env", "x0=3,x1=2")
+    assert code == 2 and "bad assignment 'x0=3'" in err
 
 
 def test_model_axioms_unknown_report(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from foarith.goldbach import (
@@ -100,6 +101,13 @@ def test_scan_counts_match_partition_oracle():
     report = scan(2000)
     for alpha in report.members:
         assert report.partition_counts[alpha] == len(partitions(alpha)), alpha
+
+
+def test_scan_rejects_inexact_fft_rounding(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.4)
+    with pytest.raises(ValueError, match="rounding residual 0.4"):
+        scan(2000)
 
 
 def test_scan_chunking_invariance():

@@ -1,7 +1,18 @@
+import hashlib
+import random
+import re
+
 import pytest
 from hypothesis import given
 
-from conftest import core_wffs, surface_wffs
+from conftest import (
+    core_wffs,
+    random_core_wff,
+    random_generic_term,
+    random_surface_wff,
+    surface_wffs,
+)
+from foarith.arith import decode_numeral, numeral
 from foarith.syntax import (
     ANY_TERM,
     And,
@@ -30,6 +41,7 @@ from foarith.syntax import (
     parse_term,
     parse_wff,
     plus,
+    print_term,
     print_wff,
     substitute,
     succ,
@@ -80,9 +92,10 @@ def test_parse_term_aliases():
 
 
 def test_parse_error_reports_position():
-    with pytest.raises(ParseError) as exc:
-        parse_wff("(all x1 (x1 = ))")
-    assert exc.value.pos == 14
+    for text, pos in [("(all x1 (x1 = ))", 14), ("(0 = 0) $", 8), ("   ", 3)]:
+        with pytest.raises(ParseError) as exc:
+            parse_wff(text)
+        assert exc.value.pos == pos
 
 
 def test_parse_error_arity_mismatch():
@@ -144,6 +157,74 @@ def test_round_trip_surface(w):
 @given(core_wffs)
 def test_round_trip_resugared(w):
     assert lower(parse_wff(print_wff(w, resugar=True))) == w
+
+
+def test_deep_numeral_round_trip():
+    n = 10 ** 5
+    text = "S(" * n + "0" + ")" * n
+    assert print_term(numeral(n)) == text
+    t = parse_term(text)
+    assert decode_numeral(t) == n
+    assert print_term(t) == text
+
+
+# ---------------------------------------------------------------------------
+# golden front-end digests
+#
+# SHA-256 of the front end's output over seeded corpora.  They pin every
+# printed byte and every parse error message and position, so a digest that
+# changes is a change in behaviour, not a refactoring.
+
+
+GOLDEN_FRONT_END_DIGESTS = {
+    "print": "10c51f787e1c7f5efb7313655390c4fc8bcefebf64d1496800d548f12e3a570d",
+    "resugar": "f099d32b53a36f51802751f78d375dab118ae3710ee12fd629db3e83aa91b264",
+    "str": "02774a3ae537bbc49bd5a9f0fe1792e4671ef6340f84b73f318bd9b7dc4e1b99",
+    "errors": "34385da6e78db768be01125f9a4aa45b69081c76e0bfcaeaab69c70cc49c6f1c",
+}
+
+_MUTATION_CHARS = "()=~-><&|{},+*SAfxa019 $\n"
+
+
+def _respace(rng, text):
+    return re.sub(r"[(),]", lambda m: m.group() + rng.choice(["", " ", "\t\n "]), text)
+
+
+def _mutate(rng, text):
+    i = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:i] + text[i + 1:]
+    if kind == 1:
+        return text[:i] + rng.choice(_MUTATION_CHARS) + text[i:]
+    return text[:i]
+
+
+def _parse_outcome(text):
+    try:
+        return "ok " + print_wff(parse_wff(text))
+    except ParseError as exc:
+        return f"{exc} @{exc.pos}"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_front_end_golden_digests():
+    rng = random.Random(3)
+    formulas = ([random_surface_wff(rng, 4, (1, 2, 3)) for _ in range(600)]
+                + [random_core_wff(rng, 4, (1, 2, 3)) for _ in range(600)])
+    terms = [random_generic_term(rng, 3, (1, 2, 3)) for _ in range(300)]
+    texts = [print_wff(w) for w in formulas]
+    outputs = {
+        "print": [print_wff(parse_wff(_respace(rng, t))) for t in texts]
+                 + [print_term(parse_term(_respace(rng, print_term(t)))) for t in terms],
+        "resugar": [print_wff(lower(w), resugar=True) for w in formulas],
+        "str": [f"{x}\t{x!r}" for x in formulas + terms],
+        "errors": [_parse_outcome(_mutate(rng, t)) for t in texts for _ in range(3)],
+    }
+    assert {k: _digest(v) for k, v in outputs.items()} == GOLDEN_FRONT_END_DIGESTS
 
 
 # ---------------------------------------------------------------------------
