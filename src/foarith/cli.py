@@ -131,8 +131,8 @@ def _parse_env(spec: str) -> dict:
         name, sep, value = part.partition("=")
         name = name.strip()
         value = value.strip()
-        if not sep or not name.startswith("x") or not name[1:].isdigit() \
-                or int(name[1:]) < 1 or not value.isdigit():
+        if not sep or not name.startswith("x") or not name[1:].isdecimal() \
+                or int(name[1:]) < 1 or not value.isdecimal():
             raise ValueError(f"bad assignment {part!r}; expected x<i>=<n>")
         env[int(name[1:])] = int(value)
     return env

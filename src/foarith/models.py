@@ -166,7 +166,8 @@ class CodedModel:
     """Interpretation with domain {psi(n)} and transported arithmetic.
 
     a1 denotes psi(0) = 0 and a2 denotes psi(1).  The three index
-    functions may be overridden to inject faults; the default transported
+    functions may be overridden to inject faults (an override that
+    returns a negative index raises ModelError); the default transported
     operations mirror successor, sum and product on indices, which makes
     the arithmetic axioms hold by construction.
     """
@@ -174,9 +175,9 @@ class CodedModel:
     def __init__(self, coding: CodingFunction, *,
                  succ_index=None, add_index=None, mul_index=None):
         self.coding = coding
-        self._succ = succ_index if succ_index is not None else lambda n: n + 1
-        self._add = add_index if add_index is not None else lambda m, n: m + n
-        self._mul = mul_index if mul_index is not None else lambda m, n: m * n
+        self._succ = _checked(succ_index) if succ_index is not None else lambda n: n + 1
+        self._add = _checked(add_index) if add_index is not None else lambda m, n: m + n
+        self._mul = _checked(mul_index) if mul_index is not None else lambda m, n: m * n
         self.zero = self.encode(0)
         self.one = self.encode(1)
 
@@ -215,6 +216,20 @@ class CodedModel:
     def _own(self, c: CodedNat) -> None:
         if not isinstance(c, CodedNat) or c.model is not self:
             raise ModelError("operand belongs to a different model")
+
+
+def _checked(index_fn):
+    """An overriding index function that may not leave the naturals.
+
+    The default operations cannot produce a negative index; an override
+    can, and its result is rejected as ``encode`` would reject it.
+    """
+    def fn(*indices):
+        n = index_fn(*indices)
+        if n < 0:
+            raise ModelError("index must be >= 0")
+        return n
+    return fn
 
 
 def coded_model(alpha: int, u, **op_overrides) -> CodedModel:
@@ -264,97 +279,131 @@ def _merge(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
     return out
 
 
+def _raising(message: str):
+    """A closure that raises when evaluated, so uninterpretable symbols
+    fail only where evaluation reaches them."""
+    def fail():
+        raise ModelError(message)
+    return fail
+
+
 def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
                  bound: int, domain_cutoff: bool = False) -> EvalResult:
     """Evaluate a core formula in the model, scanning indices 0..bound.
 
-    ``env`` maps variable indices to CodedNat elements (plain naturals are
-    encoded on the way in) and must cover the free variables.  Negation
-    and implication follow the strong Kleene tables.  A universal
-    quantifier returns False with the counterexample's index as witness,
-    or Unknown once indices 0..bound are exhausted; it never returns True
-    because the domain is infinite.  The derived existential returns True
-    with a witness or Unknown.  Under ``domain_cutoff`` quantifiers range
-    over the finite segment {0..bound} only and every verdict is
-    classical True or False.
+    ``env`` maps variable indices to CodedNat elements of this model
+    (plain naturals are encoded on the way in) and must cover the free
+    variables; it is decoded once on entry, so an element of another
+    model raises ModelError whether or not the formula uses it.
+    Negation and implication follow the strong Kleene tables.  A
+    universal quantifier returns False with the counterexample's index
+    as witness, or Unknown once indices 0..bound are exhausted; it never
+    returns True because the domain is infinite.  The derived existential
+    returns True with a witness or Unknown.  Under ``domain_cutoff``
+    quantifiers range over the finite segment {0..bound} only and every
+    verdict is classical True or False.
+
+    The formula is compiled once per call into nested closures over a
+    scope of plain element indices.  Terms call the model's successor,
+    sum and product index functions directly; CodedNat appears only at
+    the API boundary, in ``env``, and witnesses are indices.
+    Uninterpretable symbols compile to closures that raise, so they fail
+    only when evaluation reaches them.
     """
     if not is_core(w):
         raise ModelError("eval_bounded takes core wffs; apply lower() first")
     if bound < 0:
         raise ModelError("bound must be >= 0")
-    scope: dict = {}
-    for name, value in (env or {}).items():
-        scope[name] = value if isinstance(value, CodedNat) else model.encode(value)
+    scope = {name: model.decode(value if isinstance(value, CodedNat) else model.encode(value))
+             for name, value in (env or {}).items()}
     missing = free_vars(w) - scope.keys()
     if missing:
         names = ", ".join(f"x{i}" for i in sorted(missing))
         raise ModelError(f"unbound free variables: {names}")
 
-    domain = [model.encode(n) for n in range(bound + 1)]
+    domain = range(bound + 1)
+    exhausted = _TRUE if domain_cutoff else _UNKNOWN
+    ops = {(1, 1): model._succ, (1, 2): model._add, (2, 2): model._mul}
     true_ = ThreeValued.TRUE
     false_ = ThreeValued.FALSE
 
-    def ev_term(t) -> CodedNat:
+    def term(t):
         if isinstance(t, Var):
-            return scope[t.index]
+            i = t.index
+            return lambda: scope[i]
         if isinstance(t, Const):
-            return model.constant(t.index)
+            try:
+                value = model.constant(t.index).index
+            except ModelError as exc:
+                return _raising(str(exc))
+            return lambda: value
         if isinstance(t, FuncApp):
-            sig = (t.letter, t.arity)
-            if sig == (1, 1):
-                return model.succ(ev_term(t.args[0]))
-            if sig == (1, 2):
-                return model.add(ev_term(t.args[0]), ev_term(t.args[1]))
-            if sig == (2, 2):
-                return model.mul(ev_term(t.args[0]), ev_term(t.args[1]))
-            raise ModelError(
-                f"function letter f{{{t.letter},{t.arity}}} has no interpretation")
-        raise ModelError(f"not a term: {t!r}")
+            op = ops.get((t.letter, t.arity))
+            if op is None:
+                return _raising(
+                    f"function letter f{{{t.letter},{t.arity}}} has no interpretation")
+            if t.arity == 1:
+                arg = term(t.args[0])
+                return lambda: op(arg())
+            left, right = term(t.args[0]), term(t.args[1])
+            return lambda: op(left(), right())
+        return _raising(f"not a term: {t!r}")
 
-    def ev(w: Wff) -> EvalResult:
+    def formula(w: Wff):
         if isinstance(w, Atom):
             if (w.letter, w.arity) != (1, 2):
-                raise ModelError(
+                return _raising(
                     f"predicate letter A{{{w.letter},{w.arity}}} has no interpretation")
-            left = ev_term(w.terms[0])
-            right = ev_term(w.terms[1])
-            return _TRUE if left.index == right.index else _FALSE
+            left, right = term(w.terms[0]), term(w.terms[1])
+            return lambda: _TRUE if left() == right() else _FALSE
         if isinstance(w, Not):
-            r = ev(w.body)
-            if r.truth is true_:
-                return EvalResult(false_, r.witness) if r.witness else _FALSE
-            if r.truth is false_:
-                return EvalResult(true_, r.witness) if r.witness else _TRUE
-            return _UNKNOWN
+            body = formula(w.body)
+
+            def negation() -> EvalResult:
+                r = body()
+                if r.truth is true_:
+                    return EvalResult(false_, r.witness) if r.witness else _FALSE
+                if r.truth is false_:
+                    return EvalResult(true_, r.witness) if r.witness else _TRUE
+                return _UNKNOWN
+            return negation
         if isinstance(w, Implies):
-            a = ev(w.antecedent)
-            if a.truth is false_:
-                return EvalResult(true_, a.witness) if a.witness else _TRUE
-            b = ev(w.consequent)
-            if b.truth is true_:
-                return EvalResult(true_, b.witness) if b.witness else _TRUE
-            if a.truth is true_ and b.truth is false_:
-                merged = _merge(a.witness, b.witness)
-                return EvalResult(false_, merged) if merged else _FALSE
-            return _UNKNOWN
+            antecedent, consequent = formula(w.antecedent), formula(w.consequent)
+
+            def implication() -> EvalResult:
+                a = antecedent()
+                if a.truth is false_:
+                    return EvalResult(true_, a.witness) if a.witness else _TRUE
+                b = consequent()
+                if b.truth is true_:
+                    return EvalResult(true_, b.witness) if b.witness else _TRUE
+                if a.truth is true_ and b.truth is false_:
+                    merged = _merge(a.witness, b.witness)
+                    return EvalResult(false_, merged) if merged else _FALSE
+                return _UNKNOWN
+            return implication
         if isinstance(w, ForAll):
             v = w.var
-            saved = scope.get(v, _MISSING)
-            try:
-                for element in domain:
-                    scope[v] = element
-                    r = ev(w.body)
+            body = formula(w.body)
+
+            def universal() -> EvalResult:
+                saved = scope.get(v, _MISSING)
+                result = exhausted
+                for n in domain:
+                    scope[v] = n
+                    r = body()
                     if r.truth is false_:
-                        return EvalResult(false_, _merge({v: element.index}, r.witness))
-                return _TRUE if domain_cutoff else _UNKNOWN
-            finally:
+                        result = EvalResult(false_, _merge({v: n}, r.witness))
+                        break
                 if saved is _MISSING:
-                    scope.pop(v, None)
+                    del scope[v]
                 else:
                     scope[v] = saved
-        raise ModelError(f"not a core formula: {w!r}")
+                return result
+            return universal
+        return _raising(f"not a core formula: {w!r}")
 
-    return ev(w)
+    return formula(w)()
 
 
 # ---------------------------------------------------------------------------

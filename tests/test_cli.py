@@ -263,6 +263,14 @@ def test_model_eval_rejects_index_zero(capsys):
     assert code == 2 and "bad assignment 'x0=3'" in err
 
 
+@pytest.mark.parametrize("env", ["x1=\u00b2", "x\u00b2=1"])
+def test_model_eval_rejects_non_decimal_digits(capsys, env):
+    # superscript two is a digit to str.isdigit but not to int()
+    code, _, err = invoke(capsys, "model", "eval", "--alpha", "18", "--u", "1",
+                          "--bound", "5", "--wff", "(x1 = 0)", "--env", env)
+    assert code == 2 and f"bad assignment {env!r}" in err
+
+
 def test_model_axioms_unknown_report(capsys):
     code, out, _ = invoke(capsys, "model", "axioms", "--alpha", "18", "--u", "2",
                           "--bound", "30")

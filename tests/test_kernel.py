@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_proof_corpus, random_scheme_instance
+from conftest import random_core_wff, random_proof_corpus, random_scheme_instance
 from foarith.kernel import (
     DiscoveryFailure,
     Gen,
@@ -25,6 +28,7 @@ from foarith.kernel import (
     recognize_scheme,
     resolve_unknowns,
 )
+from foarith.models import ThreeValued, coded_model, eval_bounded
 from foarith.proofio import format_proof
 from foarith.syntax import (
     And,
@@ -401,3 +405,70 @@ def test_discover_golden_corpus(seed):
 def test_discover_golden_five_lines():
     wffs = [line.wff for line in FIVE_LINES]
     assert _proof_digest(discover(K, wffs)) == GOLDEN_FIVE_LINE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# soundness oracle: the finite structure Z_m
+#
+# With successor, sum and product taken mod m and quantifiers cut off at
+# m - 1, a coded model is the finite structure Z_m.  Every instance of
+# K1..K6 is valid there, and so is every N7 instance, because every
+# element is reached from 0 by successor; MP and Gen preserve validity.
+# N1 fails there (S(m - 1) = 0), so the corpus below has no proper-axiom
+# lines.  Each accepted line must then be True under every assignment.
+
+Z_M = 5
+Z_MODEL = coded_model(18, 1, succ_index=lambda n: (n + 1) % Z_M,
+                      add_index=lambda m, n: (m + n) % Z_M,
+                      mul_index=lambda m, n: (m * n) % Z_M)
+_SCHEMES = ("K1", "K2", "K3", "K4", "K5", "K6", "N7")
+
+
+def _counterexample_in_z_m(w):
+    names = sorted(free_vars(w))
+    for values in itertools.product(range(Z_M), repeat=len(names)):
+        env = dict(zip(names, values))
+        r = eval_bounded(Z_MODEL, w, env, bound=Z_M - 1, domain_cutoff=True)
+        if r.truth is not ThreeValued.TRUE:
+            return env
+    return None
+
+
+def _mutate(rng, lines):
+    """One random edit of a proof; some keep it accepted, most do not."""
+    lines = list(lines)
+    k = rng.randrange(1, len(lines))
+    wff, just = lines[k].wff, lines[k].justification
+    kind = rng.randrange(5)
+    if kind == 0:      # another formula under the same justification
+        lines[k] = ProofLine(random_core_wff(rng, 2, (1, 2, 3)), just)
+    elif kind == 1:    # cite other earlier lines
+        lines[k] = ProofLine(wff, MP(rng.randint(1, k), rng.randint(1, k)))
+    elif kind == 2:    # generalize an earlier line
+        i, v = rng.randint(1, k), rng.choice((1, 2, 3))
+        lines[k] = ProofLine(ForAll(v, lines[i - 1].wff), Gen(i, v))
+    elif kind == 3:    # a fresh scheme instance
+        name = rng.choice(_SCHEMES)
+        lines[k] = ProofLine(random_scheme_instance(rng, name), Scheme(SchemeId[name]))
+    else:              # swap two lines
+        j = rng.randrange(len(lines))
+        lines[k], lines[j] = lines[j], lines[k]
+    return lines
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_accepted_lines_hold_in_z_m(seed, edits):
+    rng = random.Random(seed)
+    found = discover(N, random_proof_corpus(rng, K, rng.randrange(8, 25)))
+    assert found.ok, found.failures
+    lines = found.proof.lines
+    for _ in range(edits):
+        lines = _mutate(rng, lines)
+    verdict = check_proof(Proof(N, lines))
+    for line, checked in zip(lines, verdict.per_line):
+        if not checked.ok:
+            break          # later lines may cite this one
+        assert not isinstance(line.justification, ProperAxiom)
+        env = _counterexample_in_z_m(line.wff)
+        assert env is None, (checked.line, print_wff(line.wff), env)

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_core_wff, std_eval
+from conftest import random_core_wff, random_surface_wff, std_eval
+from foarith.arith import goldbach_sentence, numeral
 from foarith.kernel import build_theory_N
 from foarith.models import (
     ModelError,
@@ -15,7 +17,7 @@ from foarith.models import (
     limit_table,
     limit_table_csv,
 )
-from foarith.syntax import And, parse_core
+from foarith.syntax import And, lower, parse_core, substitute
 
 N = build_theory_N()
 HALF = Fraction(1, 2)
@@ -145,6 +147,30 @@ def test_uninterpreted_symbols_rejected():
         eval_bounded(m, parse_core("A{2,1}(0)"), {}, bound=2)
 
 
+def test_uninterpretable_symbols_fail_only_when_reached():
+    m = coded_model(18, 2)
+    r = eval_bounded(m, parse_core("((0 = S(0)) -> A{2,1}(0))"), {}, bound=2)
+    assert r.truth is ThreeValued.TRUE
+    with pytest.raises(ModelError, match=r"A\{2,1\}"):
+        eval_bounded(m, parse_core("((0 = 0) -> A{2,1}(0))"), {}, bound=2)
+
+
+def test_env_from_another_model_rejected():
+    m1 = coded_model(18, 2)
+    m2 = coded_model(18, 2)
+    for text in ("(x1 = 0)", "(S(x1) = 0)"):
+        with pytest.raises(ModelError, match="different model"):
+            eval_bounded(m1, parse_core(text), {1: m2.zero}, bound=0)
+
+
+def test_override_leaving_the_naturals_rejected():
+    m = coded_model(18, 2, succ_index=lambda n: n - 1)
+    with pytest.raises(ModelError, match="index must be >= 0"):
+        eval_bounded(m, parse_core("(S(0) = 0)"), {}, bound=0)
+    with pytest.raises(ModelError, match="index must be >= 0"):
+        m.succ(m.zero)
+
+
 def test_constant_a2_is_one():
     m = coded_model(18, 2)
     r = eval_bounded(m, parse_core("(a2 = S(0))"), {}, bound=0)
@@ -222,6 +248,83 @@ def test_coded_evaluator_matches_standard_oracle(rng):
             got = eval_bounded(m, w, env, bound=6, domain_cutoff=cutoff)
             want = std_eval(w, env, 6, cutoff=cutoff)
             assert got.truth.value == want, (w, env, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# golden evaluator outcomes
+#
+# SHA-256 over every (verdict, witness dict in insertion order) or
+# ModelError text, recorded before the evaluator was compiled to closures
+# over plain indices; any change in verdicts, witnesses, their merge order
+# or the error raised first shows here.
+
+
+def _outcome(model, w, env, bound, cutoff):
+    try:
+        r = eval_bounded(model, w, env, bound=bound, domain_cutoff=cutoff)
+    except ModelError as exc:
+        return type(exc).__name__ + str(exc)
+    return f"{r.truth.value} {r.witness!r}"
+
+
+def _digest(cases):
+    text = "\n".join(_outcome(*case) for case in cases)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _random_cases():
+    rng = random.Random(4242)
+    models = [coded_model(18, 1), coded_model(18, Fraction(3, 2)),
+              coded_model(24, 2), coded_model(28, Fraction(5, 4))]
+    for k in range(400):
+        model = models[k % len(models)]
+        if k % 4 == 3:
+            # generic letters and constants: uninterpretable ones raise lazily
+            w = lower(random_surface_wff(rng, 3, (1, 2, 3)))
+        else:
+            w = random_core_wff(rng, 3, (1, 2, 3))
+        env = {}
+        if k % 10:
+            for v in (1, 2, 3):
+                n = rng.randrange(7)
+                env[v] = model.encode(n) if rng.random() < 0.3 else n
+        for bound in range(9):
+            for cutoff in (False, True):
+                yield model, w, env, bound, cutoff
+
+
+def _faulty_cases():
+    rng = random.Random(77)
+    bad = coded_model(18, 2, succ_index=lambda n: 2 if n == 0 else n + 1)
+    wffs = list(N.axioms().values())
+    wffs += [random_core_wff(rng, 3, (1, 2)) for _ in range(40)]
+    for w in wffs:
+        env = {1: rng.randrange(5), 2: rng.randrange(5)}
+        for bound in range(9):
+            for cutoff in (False, True):
+                yield bad, w, env, bound, cutoff
+
+
+def _goldbach_cases():
+    model = coded_model(18, 1)
+    for classical in (False, True):
+        body = goldbach_sentence(classical).body
+        for n in range(18, 25):
+            yield model, substitute(body, 1, numeral(n)), {}, n + 2, True
+
+
+GOLDEN_EVAL_DIGESTS = {
+    "random": "e62af34e8e8efc449bc4e547c98b049beb48456a44789063adcbb6d4727f8a34",
+    "faulty": "f2ce23780afa0064239f00f3460042e1ce4c8e032e3f120c3f830124312d89d8",
+    "goldbach": "39b2bccf0fbbabd2e6c470e4353b22da38bec179d49eb99974c90cfc06b95737",
+}
+_GOLDEN_CASES = {"random": _random_cases, "faulty": _faulty_cases,
+                 "goldbach": _goldbach_cases}
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN_EVAL_DIGESTS))
+def test_eval_golden_outcomes(group):
+    assert _digest(_GOLDEN_CASES[group]()) == GOLDEN_EVAL_DIGESTS[group]
 
 
 # ---------------------------------------------------------------------------
