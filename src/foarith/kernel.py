@@ -89,14 +89,18 @@ class Theory:
     own_axioms: tuple
     relaxed_induction: bool = False
 
+    def __post_init__(self):
+        # the full proper-axiom table, parent entries first, built once
+        table = dict(self.parent._axioms) if self.parent is not None else {}
+        table.update(self.own_axioms)
+        object.__setattr__(self, "_axioms", table)
+
     def axioms(self) -> dict:
-        """Full proper-axiom table, parent entries first."""
-        out = self.parent.axioms() if self.parent is not None else {}
-        out.update(dict(self.own_axioms))
-        return out
+        """Full proper-axiom table, parent entries first (a fresh copy)."""
+        return dict(self._axioms)
 
     def axiom(self, name: str) -> Optional[Wff]:
-        return self.axioms().get(name)
+        return self._axioms.get(name)
 
 
 def build_theory_K() -> Theory:
@@ -460,30 +464,30 @@ class DiscoveryResult:
         return self.proof is not None
 
 
-def _find_justification(theory: Theory, earlier: Sequence,
-                        wff: Wff) -> Optional[Justification]:
+def _find_justification(theory: Theory, axiom_names: Mapping, first: Mapping,
+                        majors: Mapping, wff: Wff) -> Optional[Justification]:
     """Deterministic search: axiom table, schemes K1..K6 and N7, MP, Gen.
 
-    First hit wins.  MP pairs are scanned with the minor premise index
-    ascending in the outer loop, which is quadratic in the number of
-    earlier lines; fine at desk scale.
+    First hit wins.  ``axiom_names`` maps each proper axiom to its first
+    name; ``first`` maps each earlier formula to the first line holding
+    it; ``majors`` maps the consequent of each earlier implication to its
+    ``(line, antecedent)`` pairs.  MP takes the least minor premise line,
+    then the least major premise line; Gen cites the first earlier copy
+    of the body.  Each step is a lookup, not a scan of the earlier lines.
     """
-    for name, axiom in theory.axioms().items():
-        if wff == axiom:
-            return ProperAxiom(name)
+    name = axiom_names.get(wff)
+    if name is not None:
+        return ProperAxiom(name)
     m = recognize_scheme(theory, wff)
     if m is not None:
         return Scheme(m.scheme)
-    n = len(earlier)
-    for i in range(1, n + 1):
-        wanted = Implies(earlier[i - 1], wff)
-        for j in range(1, n + 1):
-            if earlier[j - 1] == wanted:
-                return MP(i, j)
+    premises = [(i, j) for j, a in majors.get(wff, ()) if (i := first.get(a)) is not None]
+    if premises:
+        return MP(*min(premises))
     if isinstance(wff, ForAll):
-        for i in range(1, n + 1):
-            if earlier[i - 1] == wff.body:
-                return Gen(i, wff.var)
+        i = first.get(wff.body)
+        if i is not None:
+            return Gen(i, wff.var)
     return None
 
 
@@ -499,22 +503,29 @@ def resolve_unknowns(proof: Proof) -> DiscoveryResult:
     otherwise a report naming each '?' line that is not a core wff or that
     the search could not justify.
     """
+    theory = proof.theory
+    axiom_names = {}
+    for name, axiom in theory.axioms().items():
+        axiom_names.setdefault(axiom, name)
     lines = []
     failures = []
-    earlier = []
+    first = {}      # formula -> first line holding it
+    majors = {}     # consequent -> [(line, antecedent), ...] of implications
     for number, line in enumerate(proof.lines, 1):
-        just = line.justification
+        wff, just = line.wff, line.justification
         if isinstance(just, Unknown):
-            if not is_core(line.wff):
+            if not is_core(wff):
                 failures.append(DiscoveryFailure(number, "not a core wff"))
             else:
-                just = _find_justification(proof.theory, earlier, line.wff)
+                just = _find_justification(theory, axiom_names, first, majors, wff)
                 if just is None:
                     reason = ("not an axiom; no earlier lines" if number == 1 else
                               "not an axiom; no MP or Gen derivation from earlier lines")
                     failures.append(DiscoveryFailure(number, reason))
-        lines.append(ProofLine(line.wff, just))
-        earlier.append(line.wff)
+        lines.append(ProofLine(wff, just))
+        first.setdefault(wff, number)
+        if isinstance(wff, Implies):
+            majors.setdefault(wff.consequent, []).append((number, wff.antecedent))
     if failures:
         return DiscoveryResult(None, failures)
     return DiscoveryResult(Proof(proof.theory, tuple(lines)), [])

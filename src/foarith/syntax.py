@@ -441,8 +441,8 @@ def match_substitution_result(a: Wff, x: int, a_prime: Wff) -> MatchResult:
 # lexer
 
 
-# A token, or else the first character no token starts with.
-_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[A-Za-z]+[0-9]*|[0-9]+|[(){},=+*~&|])|(\S))")
+_TOKEN_RE = re.compile(r"[(){},=+*~&|]|[A-Za-z]+[0-9]*|[0-9]+|<->|->")
+_NON_SPACE_RE = re.compile(r"\S")
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _CONST_RE = re.compile(r"a([0-9]+)\Z")
 _INT_RE = re.compile(r"[0-9]+\Z")
@@ -451,13 +451,22 @@ _TERM_STARTERS = ("S", "f", "(")
 
 
 def _lex(text: str) -> list:
-    """The ``(text, pos)`` tokens of ``text``."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex == 2:
-            raise ParseError(f"unexpected character {m[2]!r}", m.start(2))
-        tokens.append((m[1], m.start(1)))
+    """The token texts of ``text``, closed by the end-of-input sentinel ``""``."""
+    tokens = _TOKEN_RE.findall(text)
+    # Tokens hold no whitespace, so they cover every other character exactly
+    # when their lengths add up to the length of the text without whitespace.
+    if len("".join(tokens)) != len("".join(text.split())):
+        uncovered = _TOKEN_RE.sub(lambda m: " " * len(m[0]), text)
+        pos = _NON_SPACE_RE.search(uncovered).start()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append("")
     return tokens
+
+
+def _token_start(text: str, k: int) -> int:
+    """Character offset of token ``k``; the sentinel sits at the end of the text."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
 
 
 def _starts_term(text: str) -> bool:
@@ -472,105 +481,137 @@ def _starts_term(text: str) -> bool:
 _BIN_NODES = {"->": Implies, "&": And, "|": Or, "<->": Iff}
 
 
+class _Fail(Exception):
+    """A parse failure; ``args`` are the message and the token index."""
+
+
+def _pairs(tokens: list) -> tuple:
+    """Each matched '(' mapped to its ')', and the '(' whose pair directly
+    holds an '=' (not inside a nested pair); both by token index."""
+    close, holds_eq, open_ = {}, set(), []
+    for k, text in enumerate(tokens):
+        if text == "(":
+            open_.append(k)
+        elif text == ")":
+            if open_:
+                close[open_.pop()] = k
+        elif text == "=" and open_:
+            holds_eq.add(open_[-1])
+    return close, holds_eq
+
+
 class _Parser:
-    def __init__(self, tokens: list, end: int):
+    """Recursive descent over the token texts; ``i`` is the cursor.
+
+    The tokens end in the sentinel ``""``, so reading the current token
+    needs no bounds check.  A failure raises :class:`_Fail` with a token
+    index; the caller turns it into a :class:`ParseError` with a position.
+    """
+
+    def __init__(self, tokens: list):
         self.tokens = tokens
         self.i = 0
-        self.end = end
+        self.close = self.holds_eq = None     # built at the first '(' formula
 
-    def peek(self) -> Optional[tuple]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> tuple:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end)
-        self.i += 1
-        return tok
+    def _unexpected(self, k: int, wanted: str) -> _Fail:
+        found = self.tokens[k]
+        if not found:
+            return _Fail("unexpected end of input", k)
+        return _Fail(f"expected {wanted}, found {found!r}", k)
 
     def expect(self, text: str) -> None:
-        found, pos = self.take()
-        if found != text:
-            raise ParseError(f"expected {text!r}, found {found!r}", pos)
+        i = self.i
+        if self.tokens[i] != text:
+            raise self._unexpected(i, repr(text))
+        self.i = i + 1
 
     # terms ------------------------------------------------------------
 
     def term(self) -> Term:
         # A successor chain S(S(...t...)) is read in a loop, so numerals
         # of any depth parse.
-        tokens, depth = self.tokens, 0
-        while self.i < len(tokens) and tokens[self.i][0] == "S":
-            self.i += 1
-            self.expect("(")
-            depth += 1
+        tokens = self.tokens
+        i = start = self.i
+        while tokens[i] == "S":
+            if tokens[i + 1] != "(":
+                raise self._unexpected(i + 1, "'('")
+            i += 2
+        self.i = i
+        depth = (i - start) // 2
         t = self._base_term()
-        for _ in range(depth):
-            self.expect(")")
+        i = self.i
+        for k in range(i, i + depth):
+            if tokens[k] != ")":
+                raise self._unexpected(k, "')'")
             t = succ(t)
+        self.i = i + depth
         return t
 
     def _base_term(self) -> Term:
         """A term that does not start with ``S``."""
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a term", self.end)
-        text, pos = tok
-        if text == "f":
-            return FuncApp(*self._application(tok, "arguments"))
+        tokens, i = self.tokens, self.i
+        text = tokens[i]
         if text == "(":
-            self.i += 1
+            self.i = i + 1
             left = self.term()
-            op, op_pos = self.take()
-            if op not in ("+", "*"):
-                raise ParseError(f"expected '+' or '*', found {op!r}", op_pos)
+            k = self.i
+            op = tokens[k]
+            if op != "+" and op != "*":
+                raise self._unexpected(k, "'+' or '*'")
+            self.i = k + 1
             right = self.term()
             self.expect(")")
             return plus(left, right) if op == "+" else times(left, right)
+        if text == "f":
+            return FuncApp(*self._application("arguments"))
         m = _VAR_RE.match(text)
         if m is not None:
-            self.i += 1
-            return Var(self._index(m.group(1), pos))
+            self.i = i + 1
+            return Var(self._index(m.group(1), i))
         m = _CONST_RE.match(text)
         if m is not None:
-            self.i += 1
-            return Const(self._index(m.group(1), pos))
-        if _INT_RE.match(text) is not None:
-            if text != "0":
-                raise ParseError(
-                    f"bare numeral {text!r} is not a term; only '0' abbreviates a1", pos)
-            self.i += 1
+            self.i = i + 1
+            return Const(self._index(m.group(1), i))
+        if text == "0":
+            self.i = i + 1
             return ZERO
-        raise ParseError(f"expected a term, found {text!r}", pos)
+        if _INT_RE.match(text) is not None:
+            raise _Fail(f"bare numeral {text!r} is not a term; only '0' abbreviates a1", i)
+        if not text:
+            raise _Fail("expected a term", i)
+        raise _Fail(f"expected a term, found {text!r}", i)
 
-    def _index(self, digits: str, pos: int) -> int:
+    def _index(self, digits: str, k: int) -> int:
         value = int(digits)
         if value < 1:
-            raise ParseError("index must be >= 1", pos)
+            raise _Fail("index must be >= 1", k)
         return value
 
-    def _application(self, letter_tok: tuple, what: str) -> tuple:
+    def _application(self, what: str) -> tuple:
         """``k, n, terms`` of ``f{k,n}(...)`` or ``A{k,n}(...)``."""
-        self.i += 1
+        tokens, start = self.tokens, self.i
+        self.i = start + 1
         self.expect("{")
-        k_text, k_pos = self.take()
-        if _INT_RE.match(k_text) is None:
-            raise ParseError(f"expected a letter index, found {k_text!r}", k_pos)
+        k_at = self.i
+        if _INT_RE.match(tokens[k_at]) is None:
+            raise self._unexpected(k_at, "a letter index")
+        self.i = k_at + 1
         self.expect(",")
-        n_text, n_pos = self.take()
-        if _INT_RE.match(n_text) is None:
-            raise ParseError(f"expected an arity, found {n_text!r}", n_pos)
+        n_at = self.i
+        if _INT_RE.match(tokens[n_at]) is None:
+            raise self._unexpected(n_at, "an arity")
+        self.i = n_at + 1
         self.expect("}")
-        k, n = self._index(k_text, k_pos), self._index(n_text, n_pos)
+        k, n = self._index(tokens[k_at], k_at), self._index(tokens[n_at], n_at)
         self.expect("(")
         terms = [self.term()]
-        while self.peek() is not None and self.peek()[0] == ",":
+        while tokens[self.i] == ",":
             self.i += 1
             terms.append(self.term())
         self.expect(")")
         if len(terms) != n:
-            letter, pos = letter_tok
-            raise ParseError(
-                f"arity mismatch: {letter}{{{k},{n}}} applied to {len(terms)} {what}", pos)
+            raise _Fail(f"arity mismatch: {tokens[start]}{{{k},{n}}} applied to "
+                        f"{len(terms)} {what}", start)
         return k, n, tuple(terms)
 
     # formulas -----------------------------------------------------------
@@ -581,77 +622,95 @@ class _Parser:
         return eq(left, self.term())
 
     def wff(self) -> SurfaceWff:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a formula", self.end)
-        text, pos = tok
+        tokens, i = self.tokens, self.i
+        text = tokens[i]
+        if text == "(":
+            return self._parenthesized()
         if text == "~":
-            self.i += 1
+            self.i = i + 1
             return Not(self.wff())
         if text == "A":
-            return Atom(*self._application(tok, "terms"))
+            return Atom(*self._application("terms"))
         if _starts_term(text):
-            # bare equality atom, possibly with a parenthesized sum or
-            # product as its left term
-            mark = self.i
+            return self._equality()
+        if not text:
+            raise _Fail("expected a formula", i)
+        raise _Fail(f"expected a formula, found {text!r}", i)
+
+    def _parenthesized(self) -> SurfaceWff:
+        """A formula at a '(': an equality, a quantifier or a binary node.
+
+        An equality attempt is made only where it can succeed.  A term that
+        starts at this '(' ends at its matching ')', so a bare equality
+        needs an '=' right after that; ``( term = term )`` holds its '='
+        directly inside the pair.  Without a matching ')' both are tried.
+        """
+        tokens, i = self.tokens, self.i
+        if self.close is None:
+            self.close, self.holds_eq = _pairs(tokens)
+        close = self.close.get(i)
+        if close is None or tokens[close + 1] == "=":
             try:
                 return self._equality()
-            except ParseError:
-                if text != "(":
-                    raise
-                self.i = mark
-        if text == "(":
-            self.i += 1
-            nxt = self.peek()
-            if nxt is not None and nxt[0] in ("all", "ex"):
-                self.i += 1
-                v = self._variable()
-                body = self.wff()
-                self.expect(")")
-                return ForAll(v, body) if nxt[0] == "all" else Exists(v, body)
-            mark = self.i
+            except _Fail:
+                self.i = i
+        nxt = tokens[i + 1]
+        if nxt == "all" or nxt == "ex":
+            self.i = i + 2
+            v = self._variable()
+            body = self.wff()
+            self.expect(")")
+            return ForAll(v, body) if nxt == "all" else Exists(v, body)
+        self.i = i + 1
+        if close is None or i in self.holds_eq:
             try:
                 atom = self._equality()
                 self.expect(")")
                 return atom
-            except ParseError:
-                self.i = mark
-            left = self.wff()
-            op, op_pos = self.take()
-            node = _BIN_NODES.get(op)
-            if node is None:
-                raise ParseError(f"expected a binary connective, found {op!r}", op_pos)
-            right = self.wff()
-            self.expect(")")
-            return node(left, right)
-        raise ParseError(f"expected a formula, found {text!r}", pos)
+            except _Fail:
+                self.i = i + 1
+        left = self.wff()
+        k = self.i
+        node = _BIN_NODES.get(tokens[k])
+        if node is None:
+            raise self._unexpected(k, "a binary connective")
+        self.i = k + 1
+        right = self.wff()
+        self.expect(")")
+        return node(left, right)
 
     def _variable(self) -> int:
-        text, pos = self.take()
-        m = _VAR_RE.match(text)
+        i = self.i
+        m = _VAR_RE.match(self.tokens[i])
         if m is None:
-            raise ParseError(f"expected a variable, found {text!r}", pos)
-        return self._index(m.group(1), pos)
+            raise self._unexpected(i, "a variable")
+        self.i = i + 1
+        return self._index(m.group(1), i)
 
     def finish(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing input {tok[0]!r}", tok[1])
+        i = self.i
+        if self.tokens[i]:
+            raise _Fail(f"unexpected trailing input {self.tokens[i]!r}", i)
+
+
+def _parse(text: str, rule: Callable):
+    p = _Parser(_lex(text))
+    try:
+        out = rule(p)
+        p.finish()
+    except _Fail as exc:
+        message, k = exc.args
+        raise ParseError(message, _token_start(text, k)) from None
+    return out
 
 
 def parse_wff(text: str) -> SurfaceWff:
     """Parse a formula; abbreviations are kept as surface nodes."""
-    p = _Parser(_lex(text), len(text))
-    w = p.wff()
-    p.finish()
-    return w
+    return _parse(text, _Parser.wff)
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(_lex(text), len(text))
-    t = p.term()
-    p.finish()
-    return t
+    return _parse(text, _Parser.term)
 
 
 def parse_core(text: str) -> Wff:

@@ -12,6 +12,8 @@ from conftest import (
     random_surface_wff,
     surface_wffs,
 )
+from parse_edge_cases import PARSE_EDGE_CASES, parse_outcome
+from foarith import syntax
 from foarith.arith import decode_numeral, numeral
 from foarith.syntax import (
     ANY_TERM,
@@ -115,6 +117,12 @@ def test_parse_error_bad_numeral_and_index():
         parse_wff("(2 = 2)")
     with pytest.raises(ParseError, match=">= 1"):
         parse_wff("(x0 = 0)")
+
+
+@pytest.mark.parametrize("kind, text, expected", PARSE_EDGE_CASES,
+                         ids=[ascii(text[:30]) for _, text, _ in PARSE_EDGE_CASES])
+def test_parse_edge_cases(kind, text, expected):
+    assert parse_outcome(syntax, kind, text) == expected
 
 
 # ---------------------------------------------------------------------------
