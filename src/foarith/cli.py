@@ -4,13 +4,14 @@ Subcommands: parse, check, discover, sentence, goldbach scan, goldbach
 partitions, model axioms, model eval, model limits.  The global ``--json``
 flag switches every subcommand to a single JSON document on stdout with a
 top-level ``"schema": 1`` field.  Exit codes: 0 success, 1 domain failure
-(rejected proof, false axiom, failed scan), 2 usage or parse error with a
-message on stderr.
+(rejected proof, false axiom, failed scan), 2 usage, parse or
+out-of-memory error with a message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -68,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = g.add_subparsers(dest="goldbach_command", required=True)
     p = gsub.add_parser("scan", help="verify every admissible even up to a limit")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--chunks", type=int, default=1)
     p.add_argument("--csv", action="store_true", help="emit alpha,count CSV")
     p.set_defaults(func=_cmd_goldbach_scan)
     p = gsub.add_parser("partitions", help="list the prime pairs summing to alpha")
@@ -212,7 +212,7 @@ def _cmd_sentence(ns) -> int:
 
 
 def _cmd_goldbach_scan(ns) -> int:
-    report = scan(ns.limit, chunks=ns.chunks)
+    report = scan(ns.limit)
     if ns.json:
         doc = {"schema": SCHEMA_VERSION, "command": "goldbach-scan"}
         doc.update(report.to_json_dict())
@@ -312,10 +312,15 @@ def _cmd_model_limits(ns) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first request, not at import; parse_args keeps no state
+    return build_parser()
+
+
 def run(argv: Optional[list] = None) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -325,6 +330,8 @@ def run(argv: Optional[list] = None) -> int:
         # successor chains are read and printed in loops; other nesting
         # still recurses
         message = "formula nested too deeply (recursion limit reached)"
+    except MemoryError as exc:
+        message = str(exc) or "out of memory"
     except (ValueError, OSError) as exc:
         message = str(exc)
     print(f"error: {message}", file=sys.stderr)

@@ -59,14 +59,15 @@ def _sieve(limit: int) -> np.ndarray:
     return flags
 
 
+def _admissible(flags: np.ndarray) -> np.ndarray:
+    """Admissible evens below flags.size, read off the prime sieve flags."""
+    evens = np.arange(16, flags.size, 2)
+    return evens[~flags[evens // 2] & ~flags[evens - 3]]
+
+
 def admissible_evens(limit: int) -> list:
     """Ascending list of admissible evens up to and including limit."""
-    if limit < 16:
-        return []
-    flags = _sieve(limit)
-    evens = np.arange(16, limit + 1, 2)
-    mask = ~flags[evens // 2] & ~flags[evens - 3]
-    return [int(a) for a in evens[mask]]
+    return _admissible(_sieve(limit)).tolist()
 
 
 def partitions(alpha: int) -> list:
@@ -119,34 +120,16 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def scan(limit: int, chunks: int = 1) -> ScanReport:
-    """Verify Goldbach on every admissible even up to limit.
-
-    ``chunks`` splits the member list into contiguous pieces processed in
-    order; the merged report is identical for any chunk count.
-    """
-    if chunks < 1:
-        raise ValueError("chunks must be >= 1")
-    if limit < 16:
-        return ScanReport(limit, [], True, None, {})
+def scan(limit: int) -> ScanReport:
+    """Verify Goldbach on every admissible even up to limit."""
     flags = _sieve(limit)
-    evens = np.arange(16, limit + 1, 2)
-    members_arr = evens[~flags[evens // 2] & ~flags[evens - 3]]
-    if members_arr.size == 0:
+    members = _admissible(flags)
+    if members.size == 0:
         return ScanReport(limit, [], True, None, {})
     conv = _pair_counts(flags)
-
-    counts: dict = {}
-    first_failure: Optional[int] = None
-    for chunk in np.array_split(members_arr, chunks):
-        if chunk.size == 0:
-            continue
-        chunk_counts = (conv[chunk] + flags[chunk // 2]) // 2
-        for alpha, count in zip(chunk, chunk_counts):
-            alpha = int(alpha)
-            count = int(count)
-            counts[alpha] = count
-            if count == 0 and first_failure is None:
-                first_failure = alpha
-    return ScanReport(limit, [int(a) for a in members_arr],
-                      first_failure is None, first_failure, counts)
+    counts = (conv[members] + flags[members // 2]) // 2
+    failures = members[counts == 0]
+    first_failure = int(failures[0]) if failures.size else None
+    members_list = members.tolist()
+    return ScanReport(limit, members_list, first_failure is None, first_failure,
+                      dict(zip(members_list, counts.tolist())))

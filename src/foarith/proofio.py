@@ -56,8 +56,12 @@ class ProofFileError(ValueError):
         self.lineno = lineno
 
 
+# theories are immutable, so the prebuilt ones are shared
+_BUILTIN = {"K": build_theory_K(), "N": build_theory_N(), "N-eq": build_theory_N_eq()}
+
+
 def builtin_theories() -> dict:
-    return {"K": build_theory_K(), "N": build_theory_N(), "N-eq": build_theory_N_eq()}
+    return dict(_BUILTIN)
 
 
 _AXIOM_RE = re.compile(r"axiom\s+([^\s:]+)\s*:\s*(.+)\Z")

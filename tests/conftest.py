@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from foarith import goldbach
 from foarith.syntax import (
     And,
     Atom,
@@ -265,3 +266,16 @@ def random_proof_corpus(rng, theory, n_lines):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def scan_fails_at_18_and_48(monkeypatch):
+    """Zero the prime-pair counts of the sums 18 and 48, so scan fails there."""
+    pair_counts = goldbach._pair_counts
+
+    def without_18_and_48(flags):
+        conv = pair_counts(flags)
+        conv[[18, 48]] = 0
+        return conv
+
+    monkeypatch.setattr(goldbach, "_pair_counts", without_18_and_48)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from foarith import goldbach
 from foarith.cli import main, run
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +25,13 @@ def test_parse_echoes_core(capsys):
     code, out, _ = invoke(capsys, "parse", "(ex x1 (x1 = 0))")
     assert code == 0
     assert out == "~(all x1 ~(x1 = 0))\n"
+
+
+def test_parse_options_do_not_leak_between_runs(capsys):
+    code, out, _ = invoke(capsys, "--json", "parse", "0 = 0")
+    assert code == 0 and json.loads(out)["wff"] == "(0 = 0)"
+    code, out, _ = invoke(capsys, "parse", "0 = 0")
+    assert code == 0 and out == "(0 = 0)\n"
 
 
 def test_parse_idempotent(capsys):
@@ -205,6 +213,39 @@ def test_goldbach_scan_fft_residual_exits_2(capsys, monkeypatch):
     code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "2000")
     assert code == 2 and out == ""
     assert err.startswith("error: FFT rounding residual")
+
+
+def test_goldbach_scan_failure_exits_1(capsys, scan_fails_at_18_and_48):
+    members = len(goldbach.admissible_evens(100))
+    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "100")
+    assert code == 1 and err == ""
+    assert out == f"limit=100 members={members} verified=NO first_failure=18\n"
+    code, out, _ = invoke(capsys, "--json", "goldbach", "scan", "--limit", "100")
+    assert code == 1
+    assert '"first_failure": 18' in out
+    doc = json.loads(out)
+    assert doc["verified"] is False
+    assert doc["partition_counts"]["18"] == doc["partition_counts"]["48"] == 0
+
+
+def test_goldbach_scan_rejects_chunks(capsys):
+    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "100", "--chunks", "4")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --chunks 4" in err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 93.1 GiB"), "Unable to allocate 93.1 GiB"),
+])
+def test_goldbach_scan_out_of_memory_exits_2(capsys, monkeypatch, exc, message):
+    def no_memory(limit):
+        raise exc
+
+    monkeypatch.setattr(goldbach, "_sieve", no_memory)
+    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "100000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_goldbach_scan_csv(capsys):

@@ -110,19 +110,13 @@ def test_scan_rejects_inexact_fft_rounding(monkeypatch):
         scan(2000)
 
 
-def test_scan_chunking_invariance():
-    reports = [scan(10_000, chunks=c) for c in (1, 2, 8)]
-    first = reports[0]
-    for other in reports[1:]:
-        assert other.members == first.members
-        assert other.partition_counts == first.partition_counts
-        assert other.verified == first.verified
-        assert other.first_failure == first.first_failure
-
-
-def test_scan_rejects_bad_chunks():
-    with pytest.raises(ValueError):
-        scan(100, chunks=0)
+def test_scan_reports_first_failure(scan_fails_at_18_and_48):
+    report = scan(100)
+    assert not report.verified
+    assert report.first_failure == 18
+    assert report.partition_counts[18] == 0
+    assert report.partition_counts[48] == 0
+    assert report.members == admissible_evens(100)
 
 
 def test_report_serialization():

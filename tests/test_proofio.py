@@ -2,9 +2,20 @@ from pathlib import Path
 
 import pytest
 
-from foarith.kernel import MP, ProperAxiom, Scheme, SchemeId, UNKNOWN, check_proof
+from foarith.kernel import (
+    MP,
+    ProperAxiom,
+    Scheme,
+    SchemeId,
+    UNKNOWN,
+    build_theory_K,
+    build_theory_N,
+    build_theory_N_eq,
+    check_proof,
+)
 from foarith.proofio import (
     ProofFileError,
+    builtin_theories,
     format_justification,
     format_proof,
     parse_justification,
@@ -23,6 +34,18 @@ def test_justification_parse_errors():
     for bad in ["K9", "MP 1", "GEN 1 y2", "AX", "mp 1 2"]:
         with pytest.raises(ValueError):
             parse_justification(bad)
+
+
+def test_builtin_theories_fresh_dict_over_shared_theories():
+    first = builtin_theories()
+    first.pop("N")
+    second = builtin_theories()
+    assert list(second) == ["K", "N", "N-eq"]
+    assert second["K"] is first["K"]
+    for name, build in (("K", build_theory_K), ("N", build_theory_N),
+                        ("N-eq", build_theory_N_eq)):
+        assert second[name] == build()
+        assert second[name].axioms() == build().axioms()
 
 
 def test_parse_fixture():
