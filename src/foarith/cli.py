@@ -214,9 +214,7 @@ def _cmd_sentence(ns) -> int:
 def _cmd_goldbach_scan(ns) -> int:
     report = scan(ns.limit)
     if ns.json:
-        doc = {"schema": SCHEMA_VERSION, "command": "goldbach-scan"}
-        doc.update(report.to_json_dict())
-        _emit_json(doc)
+        print(report.to_json({"schema": SCHEMA_VERSION, "command": "goldbach-scan"}))
     elif ns.csv:
         print(report.to_csv(), end="")
     else:

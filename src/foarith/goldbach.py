@@ -2,19 +2,22 @@
 
 An even number alpha is *admissible* here when alpha >= 16 and both
 alpha/2 and alpha - 3 are composite.  ``scan`` verifies that every
-admissible even up to a limit has at least one Goldbach partition and
-counts the partitions.
+admissible even up to a limit has at least one Goldbach partition, by
+the least prime that splits it, and counts the partitions on demand.
 
-Two independent routes are kept on purpose.  ``is_prime`` and
+Three independent routes are kept on purpose.  ``is_prime`` and
 ``partitions`` use plain trial division and serve as the oracle in
-tests; ``admissible_evens`` and ``scan`` are sieve- and FFT-backed for
-bulk work and are cross-checked against the trial-division route.
+tests; ``scan`` decides by a least-prime search over a sieve, and its
+partition counts come from an FFT autoconvolution of the same sieve,
+checked against that verdict whenever they are computed.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -97,39 +100,112 @@ def _pair_counts(flags: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-@dataclass
+def _unresolved(flags: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The members that are not a sum of two primes, by the least-prime search.
+
+    Oliveira e Silva, Herzog & Pardi (Math. Comp. 83 (2014)): go through
+    the primes p in ascending order and drop every member n still open
+    for which n - p is prime.  A member still open once 2p > n has no
+    partition.  The loop ends at the largest least prime.
+    """
+    left = members
+    failed = []
+    for p in np.flatnonzero(flags):
+        if left.size == 0:
+            break
+        # left is ascending, so the members below 2p are a prefix; with
+        # them set aside, every n - p is at least p and no index wraps
+        below = int(np.searchsorted(left, 2 * p))
+        failed.append(left[:below])
+        left = left[below:]
+        left = left[~flags[left - p]]
+    return np.concatenate([*failed, left])
+
+
 class ScanReport:
-    limit: int
-    members: list
-    verified: bool
-    first_failure: Optional[int]
-    partition_counts: dict
+    """The verdict of ``scan``; the partition counts are computed on first use.
+
+    ``verified`` and ``first_failure`` come from the least-prime search.
+    The first read of ``partition_counts``, ``to_json_dict``, ``to_json``
+    or ``to_csv`` runs the FFT route and checks that its zero counts fall
+    on exactly the members the search left unresolved, raising ValueError
+    otherwise.
+    """
+
+    def __init__(self, limit: int, flags: np.ndarray, members: np.ndarray,
+                 unresolved: np.ndarray):
+        self.limit = limit
+        self.members = members.tolist()
+        self.first_failure: Optional[int] = int(unresolved[0]) if unresolved.size else None
+        self.verified = self.first_failure is None
+        self._flags = flags
+        self._members = members
+        self._unresolved = unresolved
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """Unordered prime-pair counts of the members, in member order."""
+        members = self._members
+        if members.size == 0:
+            return members
+        # no flags[members // 2] term for p = q: a member's half is composite
+        counts = _pair_counts(self._flags)[members] // 2
+        zero = members[counts == 0]
+        if not np.array_equal(zero, self._unresolved):
+            alpha = int(np.setxor1d(zero, self._unresolved)[0])
+            raise ValueError(f"FFT partition counts and the least-prime search "
+                             f"disagree at alpha={alpha}")
+        return counts
+
+    @cached_property
+    def partition_counts(self) -> dict:
+        return dict(zip(self.members, self._counts.tolist()))
 
     def to_json_dict(self) -> dict:
+        counts = self._counts.tolist()
+        # one %-format of every member, split, costs far less than str() each
+        keys = ("%d," * len(counts) % tuple(self.members)).split(",")
         return {
             "limit": self.limit,
             "members": list(self.members),
             "verified": self.verified,
             "first_failure": self.first_failure,
-            "partition_counts": {str(k): v for k, v in self.partition_counts.items()},
+            "partition_counts": dict(zip(keys, counts)),
         }
 
+    def to_json(self, head: dict) -> str:
+        """``head`` then ``to_json_dict()``, in the bytes of ``json.dumps(indent=2)``.
+
+        The member list and the count map are written by one %-format
+        each; the other values go through ``json.dumps``.
+        """
+        fields = []
+        for key, value in {**head, **self.to_json_dict()}.items():
+            if key == "members":
+                text = _json_block("[]", "%d", value, len(value))
+            elif key == "partition_counts":
+                text = _json_block("{}", '"%s": %d',
+                                   itertools.chain.from_iterable(value.items()), len(value))
+            else:
+                text = json.dumps(value)
+            fields.append(f"  {json.dumps(key)}: {text}")
+        return "{\n" + ",\n".join(fields) + "\n}"
+
     def to_csv(self) -> str:
-        lines = ["alpha,count"]
-        lines.extend(f"{alpha},{count}" for alpha, count in self.partition_counts.items())
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack((self._members, self._counts)).ravel().tolist()
+        return "alpha,count\n" + "%d,%d\n" * len(self.members) % tuple(rows)
+
+
+def _json_block(brackets: str, row: str, values, count: int) -> str:
+    """A JSON array or object of ``count`` rows, nested one level at indent 2."""
+    if count == 0:
+        return brackets
+    rows = ",\n    ".join([row] * count) % tuple(values)
+    return f"{brackets[0]}\n    {rows}\n  {brackets[1]}"
 
 
 def scan(limit: int) -> ScanReport:
     """Verify Goldbach on every admissible even up to limit."""
     flags = _sieve(limit)
     members = _admissible(flags)
-    if members.size == 0:
-        return ScanReport(limit, [], True, None, {})
-    conv = _pair_counts(flags)
-    counts = (conv[members] + flags[members // 2]) // 2
-    failures = members[counts == 0]
-    first_failure = int(failures[0]) if failures.size else None
-    members_list = members.tolist()
-    return ScanReport(limit, members_list, first_failure is None, first_failure,
-                      dict(zip(members_list, counts.tolist())))
+    return ScanReport(limit, flags, members, _unresolved(flags, members))

@@ -8,6 +8,7 @@ from foarith.models.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -270,12 +271,18 @@ def rng():
 
 @pytest.fixture
 def scan_fails_at_18_and_48(monkeypatch):
-    """Zero the prime-pair counts of the sums 18 and 48, so scan fails there."""
+    """Zero the prime-pair counts of the sums 18 and 48 and leave them
+    unresolved by the least-prime search, so scan fails there."""
     pair_counts = goldbach._pair_counts
+    unresolved = goldbach._unresolved
 
     def without_18_and_48(flags):
         conv = pair_counts(flags)
         conv[[18, 48]] = 0
         return conv
 
+    def unresolved_with_18_and_48(flags, members):
+        return np.union1d(unresolved(flags, members), members[np.isin(members, (18, 48))])
+
     monkeypatch.setattr(goldbach, "_pair_counts", without_18_and_48)
+    monkeypatch.setattr(goldbach, "_unresolved", unresolved_with_18_and_48)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -210,7 +211,7 @@ def test_goldbach_scan_json(capsys):
 def test_goldbach_scan_fft_residual_exits_2(capsys, monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.4)
-    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "2000")
+    code, out, err = invoke(capsys, "--json", "goldbach", "scan", "--limit", "2000")
     assert code == 2 and out == ""
     assert err.startswith("error: FFT rounding residual")
 
@@ -226,6 +227,59 @@ def test_goldbach_scan_failure_exits_1(capsys, scan_fails_at_18_and_48):
     doc = json.loads(out)
     assert doc["verified"] is False
     assert doc["partition_counts"]["18"] == doc["partition_counts"]["48"] == 0
+
+
+def test_goldbach_scan_least_prime_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(goldbach, "_unresolved", lambda flags, members: members[2:3])
+    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "100")
+    assert code == 1 and err == ""
+    assert out == "limit=100 members=20 verified=NO first_failure=28\n"
+
+
+@pytest.mark.parametrize("argv", [["--json", "goldbach", "scan"], ["goldbach", "scan", "--csv"]])
+def test_goldbach_scan_counts_disagreeing_with_least_prime_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(goldbach, "_unresolved", lambda flags, members: members[2:3])
+    code, out, err = invoke(capsys, *argv, "--limit", "100")
+    assert code == 2 and out == ""
+    assert err == ("error: FFT partition counts and the least-prime search "
+                   "disagree at alpha=28\n")
+
+
+def test_goldbach_text_scan_runs_no_fft(capsys, monkeypatch):
+    def no_fft(flags):
+        raise AssertionError("a text scan computed partition counts")
+
+    monkeypatch.setattr(goldbach, "_pair_counts", no_fft)
+    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "300000")
+    members = len(goldbach.admissible_evens(300000))
+    assert code == 0 and err == ""
+    assert out == f"limit=300000 members={members} verified=yes\n"
+
+
+# SHA-256 of the stdout of `goldbach scan --limit N` in each format, for
+# N in -3..79, 997, 5000 and 35000 in that order, recorded while every
+# scan still ran the FFT and the JSON went through json.dumps(indent=2).
+SCAN_LIMITS = [*range(-3, 80), 997, 5000, 35000]
+GOLDEN_SCAN_DIGESTS = {
+    "text": "2203a4233ebd02d22304287732aaead8042471fa216855017a3c1053af318ca0",
+    "json": "4262c0606a79069ac26c742509f6ead29dafa7cac49c4611e4c18da326fbfacb",
+    "csv": "da87c6640a25b0ab75e5b4f8413689c4f74e03c1fee92f60b320636b7efe2bee",
+}
+SCAN_FORMATS = {
+    "text": ["goldbach", "scan"],
+    "json": ["--json", "goldbach", "scan"],
+    "csv": ["goldbach", "scan", "--csv"],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SCAN_DIGESTS))
+def test_goldbach_scan_golden_output(capsys, fmt):
+    digest = hashlib.sha256()
+    for limit in SCAN_LIMITS:
+        code, out, err = invoke(capsys, *SCAN_FORMATS[fmt], "--limit", str(limit))
+        assert code == 0 and err == "", limit
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_SCAN_DIGESTS[fmt]
 
 
 def test_goldbach_scan_rejects_chunks(capsys):

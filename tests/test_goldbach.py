@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from foarith import goldbach
 from foarith.goldbach import (
+    _admissible,
+    _pair_counts,
     _sieve,
+    _unresolved,
     admissible_evens,
     is_admissible,
     is_prime,
@@ -103,11 +107,46 @@ def test_scan_counts_match_partition_oracle():
         assert report.partition_counts[alpha] == len(partitions(alpha)), alpha
 
 
+def test_least_prime_fft_and_trial_division_agree_to_2000():
+    flags = _sieve(2000)
+    members = _admissible(flags)
+    unresolved = set(_unresolved(flags, members).tolist())
+    counts = scan(2000).partition_counts
+    for alpha in members.tolist():
+        has_pair = bool(partitions(alpha))
+        assert (alpha not in unresolved) == has_pair, alpha
+        assert (counts[alpha] > 0) == has_pair, alpha
+
+
+def test_least_prime_search_on_numbers_with_and_without_pairs():
+    # every even from 4 has a pair, 4 = 2 + 2 and 6 = 3 + 3 only with
+    # p = n/2; an odd n has one exactly when n - 2 is prime.  With an odd
+    # sieve size, a negative n - p would wrap to an odd index, often prime.
+    flags = _sieve(2000)
+    numbers = np.arange(4, 2001)
+    expected = [n for n in numbers.tolist()
+                if not any(is_prime(p) and is_prime(n - p) for p in range(2, n // 2 + 1))]
+    assert expected and expected[0] == 11
+    assert _unresolved(flags, numbers).tolist() == expected
+    assert np.flatnonzero(_pair_counts(flags)[4:] == 0).tolist() == [n - 4 for n in expected]
+
+
+def test_scan_counts_disagreeing_with_least_prime_search_raise(monkeypatch):
+    monkeypatch.setattr(goldbach, "_unresolved", lambda flags, members: members[-1:])
+    report = scan(2000)
+    assert not report.verified and report.first_failure == 1998
+    with pytest.raises(ValueError, match="least-prime search disagree at alpha=1998"):
+        report.partition_counts
+    with pytest.raises(ValueError, match="disagree"):
+        report.to_csv()
+
+
 def test_scan_rejects_inexact_fft_rounding(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.4)
+    report = scan(2000)
     with pytest.raises(ValueError, match="rounding residual 0.4"):
-        scan(2000)
+        report.partition_counts
 
 
 def test_scan_reports_first_failure(scan_fails_at_18_and_48):

@@ -336,6 +336,22 @@ def test_discover_random_corpus(rng):
     assert check_proof(result.proof).accepted
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_discover_annotates_k6_lines(seed):
+    # random_proof_corpus draws no K6 instance (its output is pinned by the
+    # golden digests below), so K6 lines are mixed into a corpus here
+    rng = random.Random(seed)
+    wffs = random_proof_corpus(rng, N, 12)
+    k6_at = sorted(rng.sample(range(len(wffs) + 4), 4))
+    for k in k6_at:
+        wffs.insert(k, random_scheme_instance(rng, "K6"))
+    result = discover(N, wffs)
+    assert result.ok, result.failures
+    assert check_proof(result.proof).accepted
+    for k in k6_at:
+        assert result.proof.lines[k].justification == Scheme(SchemeId.K6), k
+
+
 def test_discover_gen_and_mp():
     w = N.axiom("N3")
     k1 = Implies(w, Implies(A0, w))
