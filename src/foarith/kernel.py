@@ -3,10 +3,18 @@
 The base calculus K has six axiom schemes (K1..K6) over any first-order
 language and two rules, Modus Ponens and Generalization.  The arithmetic
 theory N extends K with six proper axioms (N1..N6) about successor, sum
-and product, plus the induction scheme N7.  Theories form an extension
-chain: a child theory inherits every scheme and proper axiom of its
-parent, so any proof accepted under the parent is accepted unchanged
-under the child.
+and product, plus the induction scheme N7 on the variable x1.  Theories
+form an extension chain: a child theory inherits every scheme and proper
+axiom of its parent, so any proof accepted under the parent is accepted
+unchanged under the child.
+
+The seven schemes are one table of shapes (``_SHAPES``), written as the
+textbook states them, with metavariables for subformulas.  A formula is
+an instance when it matches the shape, every occurrence of a metavariable
+binding the same subformula, and then passes the scheme's side condition:
+the quantified variable is not free in A (K4, K6), A(t) is A with a term
+free for the variable (K5), and induction is on x1, free in A, with base
+A(0) and step A(S(x1)) (N7).
 
 Generalization is unrestricted here: from A infer (all xi A) for any
 variable, with no side condition on premises.  Textbook variants differ
@@ -23,10 +31,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .syntax import (
-    ANY_TERM,
-    Const,
     ForAll,
     Implies,
+    NO_MATCH,
     Not,
     Var,
     Wff,
@@ -52,7 +59,14 @@ __all__ = [
 
 
 class TheoryError(ValueError):
-    """Ill-formed theory construction (open axiom, duplicate name, ...)."""
+    """Ill-formed theory construction (open axiom, duplicate name, ...).
+
+    ``axiom`` names the proper axiom at fault.
+    """
+
+    def __init__(self, message: str, axiom: str):
+        super().__init__(message)
+        self.axiom = axiom
 
 
 class SchemeId(enum.Enum):
@@ -77,17 +91,12 @@ _SCHEME_ORDER = tuple(SchemeId)
 
 @dataclass(frozen=True)
 class Theory:
-    """A named calculus: enabled schemes plus an ordered proper-axiom table.
-
-    ``relaxed_induction`` widens N7 recognition to any induction variable;
-    by default the induction variable must be exactly x1.
-    """
+    """A named calculus: enabled schemes plus an ordered proper-axiom table."""
 
     name: str
     parent: Optional["Theory"]
     schemes: frozenset
     own_axioms: tuple
-    relaxed_induction: bool = False
 
     def __post_init__(self):
         # the full proper-axiom table, parent entries first, built once
@@ -124,10 +133,9 @@ def _n_axioms() -> tuple:
     )
 
 
-def build_theory_N(relaxed_induction: bool = False) -> Theory:
+def build_theory_N() -> Theory:
     """First-order arithmetic: K plus the induction scheme and N1..N6."""
-    return Theory("N", build_theory_K(), frozenset(_SCHEME_ORDER),
-                  _n_axioms(), relaxed_induction)
+    return Theory("N", build_theory_K(), frozenset(_SCHEME_ORDER), _n_axioms())
 
 
 def build_theory_N_eq() -> Theory:
@@ -165,15 +173,16 @@ def extend_theory(base: Theory, name: str, extra: Mapping) -> Theory:
     own = []
     for axiom_name, wff in extra.items():
         if axiom_name in inherited:
-            raise TheoryError(f"axiom name {axiom_name!r} already defined in {base.name}")
+            raise TheoryError(f"axiom name {axiom_name!r} already defined in {base.name}",
+                              axiom_name)
         if not is_core(wff):
-            raise TheoryError(f"axiom {axiom_name!r} is not a core wff")
+            raise TheoryError(f"axiom {axiom_name!r} is not a core wff", axiom_name)
         fv = free_vars(wff)
         if fv:
             names = ", ".join(f"x{i}" for i in sorted(fv))
-            raise TheoryError(f"axiom {axiom_name!r} is open (free: {names})")
+            raise TheoryError(f"axiom {axiom_name!r} is open (free: {names})", axiom_name)
         own.append((axiom_name, wff))
-    return Theory(name, base, base.schemes, tuple(own), base.relaxed_induction)
+    return Theory(name, base, base.schemes, tuple(own))
 
 
 # ---------------------------------------------------------------------------
@@ -187,133 +196,85 @@ class SchemeMatch:
     parts: dict
 
 
-def _match_k1(w: Wff) -> Optional[dict]:
-    if (isinstance(w, Implies) and isinstance(w.consequent, Implies)
-            and w.consequent.consequent == w.antecedent):
-        return {"A": w.antecedent, "B": w.consequent.antecedent}
-    return None
-
-
-def _match_k2(w: Wff) -> Optional[dict]:
-    if not (isinstance(w, Implies) and isinstance(w.antecedent, Implies)
-            and isinstance(w.antecedent.consequent, Implies)
-            and isinstance(w.consequent, Implies)
-            and isinstance(w.consequent.antecedent, Implies)
-            and isinstance(w.consequent.consequent, Implies)):
-        return None
-    a = w.antecedent.antecedent
-    b = w.antecedent.consequent.antecedent
-    c = w.antecedent.consequent.consequent
-    left, right = w.consequent.antecedent, w.consequent.consequent
-    if (left.antecedent == a and left.consequent == b
-            and right.antecedent == a and right.consequent == c):
-        return {"A": a, "B": b, "C": c}
-    return None
-
-
-def _match_k3(w: Wff) -> Optional[dict]:
-    if not (isinstance(w, Implies) and isinstance(w.antecedent, Implies)
-            and isinstance(w.antecedent.antecedent, Not)
-            and isinstance(w.antecedent.consequent, Not)
-            and isinstance(w.consequent, Implies)):
-        return None
-    a = w.antecedent.antecedent.body
-    b = w.antecedent.consequent.body
-    if w.consequent.antecedent == b and w.consequent.consequent == a:
-        return {"A": a, "B": b}
-    return None
-
-
-def _match_k4(w: Wff) -> Optional[dict]:
-    # (all xi A) -> A, provided xi is not free in A
-    if not (isinstance(w, Implies) and isinstance(w.antecedent, ForAll)):
-        return None
-    v, body = w.antecedent.var, w.antecedent.body
-    if w.consequent == body and v not in free_vars(body):
-        return {"var": v, "A": body}
-    return None
-
-
-def _match_k5(w: Wff) -> Optional[dict]:
-    # (all xi A(xi)) -> A(t), with t free for xi in A
-    if not (isinstance(w, Implies) and isinstance(w.antecedent, ForAll)):
-        return None
-    v, body = w.antecedent.var, w.antecedent.body
-    m = match_substitution_result(body, v, w.consequent)
-    if isinstance(m, Witness):
-        return {"var": v, "A": body, "term": m.term}
-    if m == ANY_TERM:
-        return {"var": v, "A": body, "term": None}
-    return None
-
-
-def _match_k6(w: Wff) -> Optional[dict]:
-    # (all xi (A -> B)) -> (A -> (all xi B)), xi not free in A
-    if not (isinstance(w, Implies) and isinstance(w.antecedent, ForAll)
-            and isinstance(w.antecedent.body, Implies)
-            and isinstance(w.consequent, Implies)
-            and isinstance(w.consequent.consequent, ForAll)):
-        return None
-    v = w.antecedent.var
-    a = w.antecedent.body.antecedent
-    b = w.antecedent.body.consequent
-    if (w.consequent.consequent.var == v and w.consequent.antecedent == a
-            and w.consequent.consequent.body == b and v not in free_vars(a)):
-        return {"var": v, "A": a, "B": b}
-    return None
-
-
-def _match_n7(w: Wff, relaxed: bool) -> Optional[dict]:
-    # A(0) -> ((all x1 (A(x1) -> A(S(x1)))) -> (all x1 A(x1))),
-    # where x1 occurs free in A
-    if not (isinstance(w, Implies) and isinstance(w.consequent, Implies)
-            and isinstance(w.consequent.consequent, ForAll)):
-        return None
-    base = w.antecedent
-    step = w.consequent.antecedent
-    v = w.consequent.consequent.var
-    body = w.consequent.consequent.body
-    if v != 1 and not relaxed:
-        return None
-    if v not in free_vars(body):
-        return None
-    if not (isinstance(step, ForAll) and step.var == v
-            and isinstance(step.body, Implies) and step.body.antecedent == body):
-        return None
-    if match_substitution_result(body, v, step.body.consequent) != Witness(succ(Var(v))):
-        return None
-    if match_substitution_result(body, v, base) != Witness(Const(1)):
-        return None
-    return {"var": v, "A": body}
-
-
-# scheme -> matcher(w, relaxed_induction); only N7 reads the flag
-_MATCHERS = {
-    SchemeId.K1: lambda w, _: _match_k1(w),
-    SchemeId.K2: lambda w, _: _match_k2(w),
-    SchemeId.K3: lambda w, _: _match_k3(w),
-    SchemeId.K4: lambda w, _: _match_k4(w),
-    SchemeId.K5: lambda w, _: _match_k5(w),
-    SchemeId.K6: lambda w, _: _match_k6(w),
-    SchemeId.N7: _match_n7,
+# Each scheme as a shape over the core connectives.  A string is a
+# metavariable: all its occurrences must bind the same subformula, and
+# "var" binds the variable of every quantifier in the shape.  A(t), A(0)
+# and A(S(x1)) stand for substitution instances of A; the side conditions
+# check them and drop them from the parts.
+_SHAPES = {
+    SchemeId.K1: ("->", "A", ("->", "B", "A")),
+    SchemeId.K2: ("->", ("->", "A", ("->", "B", "C")),
+                  ("->", ("->", "A", "B"), ("->", "A", "C"))),
+    SchemeId.K3: ("->", ("->", ("~", "A"), ("~", "B")), ("->", "B", "A")),
+    SchemeId.K4: ("->", ("all", "var", "A"), "A"),
+    SchemeId.K5: ("->", ("all", "var", "A"), "A(t)"),
+    SchemeId.K6: ("->", ("all", "var", ("->", "A", "B")), ("->", "A", ("all", "var", "B"))),
+    SchemeId.N7: ("->", "A(0)", ("->", ("all", "var", ("->", "A", "A(S(x1))")),
+                                 ("all", "var", "A"))),
 }
 
 
-def match_scheme(scheme: SchemeId, w: Wff, *,
-                 relaxed_induction: bool = False) -> Optional[SchemeMatch]:
+def _bind(shape, w, parts: dict) -> bool:
+    """Match w against shape, binding metavariables in parts."""
+    if isinstance(shape, str):
+        bound = parts.setdefault(shape, w)
+        return bound is w or bound == w
+    connective = shape[0]
+    if connective == "->":
+        return (isinstance(w, Implies) and _bind(shape[1], w.antecedent, parts)
+                and _bind(shape[2], w.consequent, parts))
+    if connective == "~":
+        return isinstance(w, Not) and _bind(shape[1], w.body, parts)
+    return (isinstance(w, ForAll) and _bind(shape[1], w.var, parts)
+            and _bind(shape[2], w.body, parts))
+
+
+def _var_not_free_in_a(parts: dict) -> bool:
+    return parts["var"] not in free_vars(parts["A"])
+
+
+def _witness_term(parts: dict) -> bool:
+    # A(t) is A[var := t] for a term t free for var in A; no term is named
+    # when var is not free in A
+    m = match_substitution_result(parts["A"], parts["var"], parts.pop("A(t)"))
+    parts["term"] = m.term if isinstance(m, Witness) else None
+    return m != NO_MATCH
+
+
+def _induction_on_x1(parts: dict) -> bool:
+    v, a = parts["var"], parts["A"]
+    return (v == 1 and v in free_vars(a)
+            and match_substitution_result(a, v, parts.pop("A(S(x1))")) == Witness(succ(_X1))
+            and match_substitution_result(a, v, parts.pop("A(0)")) == Witness(ZERO))
+
+
+_SIDE_CONDITIONS = {
+    SchemeId.K4: _var_not_free_in_a,
+    SchemeId.K5: _witness_term,
+    SchemeId.K6: _var_not_free_in_a,
+    SchemeId.N7: _induction_on_x1,
+}
+
+
+def match_scheme(scheme: SchemeId, w: Wff) -> Optional[SchemeMatch]:
     """Check one specific scheme, side conditions included."""
-    matcher = _MATCHERS.get(scheme)
-    if matcher is None:
+    shape = _SHAPES.get(scheme)
+    if shape is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    parts = matcher(w, relaxed_induction)
-    return SchemeMatch(scheme, parts) if parts is not None else None
+    parts = {}
+    if not _bind(shape, w, parts):
+        return None
+    side_condition = _SIDE_CONDITIONS.get(scheme)
+    if side_condition is not None and not side_condition(parts):
+        return None
+    return SchemeMatch(scheme, parts)
 
 
 def recognize_scheme(theory: Theory, w: Wff) -> Optional[SchemeMatch]:
     """First enabled scheme (in order K1..K6, N7) whose shape w satisfies."""
     for scheme in _SCHEME_ORDER:
         if scheme in theory.schemes:
-            m = match_scheme(scheme, w, relaxed_induction=theory.relaxed_induction)
+            m = match_scheme(scheme, w)
             if m is not None:
                 return m
     return None
@@ -403,8 +364,7 @@ def _check_line(theory: Theory, earlier: Sequence, number: int,
     if isinstance(just, Scheme):
         if just.scheme not in theory.schemes:
             return f"scheme {just.scheme} is not part of theory {theory.name}"
-        if match_scheme(just.scheme, wff,
-                        relaxed_induction=theory.relaxed_induction) is None:
+        if match_scheme(just.scheme, wff) is None:
             return f"not a {just.scheme} instance"
         return None
     if isinstance(just, ProperAxiom):

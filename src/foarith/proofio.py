@@ -32,6 +32,7 @@ from .kernel import (
     Scheme,
     SchemeId,
     Theory,
+    TheoryError,
     UNKNOWN,
     Unknown,
     build_theory_K,
@@ -87,7 +88,7 @@ def parse_justification(text: str) -> Justification:
     if m is not None:
         return MP(int(m.group(1)), int(m.group(2)))
     m = _GEN_RE.match(text)
-    if m is not None:
+    if m is not None and int(m.group(2)) >= 1:   # there is no variable x0
         return Gen(int(m.group(1)), int(m.group(2)))
     raise ValueError(f"unrecognized justification {text!r}")
 
@@ -110,6 +111,7 @@ def parse_proof_file(text: str) -> Proof:
     theories = builtin_theories()
     theory: Optional[Theory] = None
     extra_axioms: dict = {}
+    declared_at: dict = {}     # axiom name -> line of its declaration
     lines: list = []
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -147,6 +149,7 @@ def parse_proof_file(text: str) -> Proof:
                 extra_axioms[name] = lower(parse_wff(m.group(2)))
             except ParseError as exc:
                 raise ProofFileError(f"bad wff: {exc}", lineno) from exc
+            declared_at[name] = lineno
             continue
 
         m = _THEORY_RE.match(stripped)
@@ -168,7 +171,10 @@ def parse_proof_file(text: str) -> Proof:
     if not lines:
         raise ProofFileError("proof has no lines", len(text.splitlines()) + 1)
     if extra_axioms:
-        theory = extend_theory(theory, theory.name + "*", extra_axioms)
+        try:
+            theory = extend_theory(theory, theory.name + "*", extra_axioms)
+        except TheoryError as exc:
+            raise ProofFileError(str(exc), declared_at[exc.axiom]) from exc
     return Proof(theory, tuple(lines))
 
 

@@ -141,6 +141,22 @@ def test_discover_failure(capsys, tmp_path):
     assert "line 1: not an axiom; no earlier lines" in out
 
 
+@pytest.mark.parametrize("command", ["check", "discover"])
+@pytest.mark.parametrize("text, message", [
+    ("# extends N\naxiom N1: (all x1 ~(S(x1) = 0))\ntheory: N\n1. (0 = 0) ; AX N1\n",
+     "line 2: axiom name 'N1' already defined in N"),
+    ("axiom F: (all x1 (x1 = x1))\naxiom E: (x1 = x1)\ntheory: N\n1. (0 = 0) ; AX F\n",
+     "line 2: axiom 'E' is open (free: x1)"),
+    ("theory: N\n1. (all x1 (x1 = x1)) ; ?\n2. (all x2 (all x1 (x1 = x1))) ; GEN 1 x0\n",
+     "line 3: unrecognized justification 'GEN 1 x0'"),
+], ids=["builtin-name", "open-axiom", "gen-x0"])
+def test_proof_file_error_names_its_line(capsys, tmp_path, command, text, message):
+    path = tmp_path / "bad.proof"
+    path.write_text(text)
+    code, out, err = invoke(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_discover_json(capsys):
     code, out, _ = invoke(capsys, "--json", "discover", str(DATA / "imp_refl_bare.proof"))
     doc = json.loads(out)

@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_core_wff, random_proof_corpus, random_scheme_instance
+from conftest import random_core_wff, random_proof_corpus, random_scheme_instance, random_term
 from foarith.kernel import (
     DiscoveryFailure,
     Gen,
@@ -44,6 +45,7 @@ from foarith.syntax import (
     parse_core,
     plus,
     print_wff,
+    substitute,
     succ,
 )
 
@@ -174,13 +176,10 @@ def test_k6_side_condition_free_occurrence():
 
 def test_n7_requires_x1_by_default():
     body = eq(plus(Var(2), ZERO), Var(2))
-    from foarith.syntax import substitute
     w = Implies(substitute(body, 2, ZERO),
                 Implies(ForAll(2, Implies(body, substitute(body, 2, succ(Var(2))))),
                         ForAll(2, body)))
     assert recognize_scheme(N, w) is None
-    relaxed = build_theory_N(relaxed_induction=True)
-    assert recognize_scheme(relaxed, w).scheme is SchemeId.N7
 
 
 def test_n7_requires_induction_variable_free():
@@ -196,6 +195,86 @@ def test_generated_scheme_instances_recognized(rng):
         m = recognize_scheme(N, w)
         assert m is not None, print_wff(w)
         assert m.scheme.value == name, (name, m.scheme.value, print_wff(w))
+
+
+def _perturb(rng, w):
+    """w with the subformula at the end of a random path replaced."""
+    if rng.random() < 0.75:
+        if isinstance(w, Implies):
+            if rng.random() < 0.5:
+                return Implies(_perturb(rng, w.antecedent), w.consequent)
+            return Implies(w.antecedent, _perturb(rng, w.consequent))
+        if isinstance(w, Not):
+            return Not(_perturb(rng, w.body))
+        if isinstance(w, ForAll):
+            return ForAll(w.var, _perturb(rng, w.body))
+    return random_core_wff(rng, 1, (1, 2, 3))
+
+
+def _rebind(rng, w):
+    """w with the variable of one quantifier on a random path changed."""
+    if isinstance(w, ForAll):
+        if rng.random() < 0.5:
+            return ForAll(rng.choice([v for v in (1, 2, 3) if v != w.var]), w.body)
+        return ForAll(w.var, _rebind(rng, w.body))
+    if isinstance(w, Implies):
+        if rng.random() < 0.5:
+            return Implies(_rebind(rng, w.antecedent), w.consequent)
+        return Implies(w.antecedent, _rebind(rng, w.consequent))
+    if isinstance(w, Not):
+        return Not(_rebind(rng, w.body))
+    return w
+
+
+def _induction_instance(rng, v):
+    """An N7-shaped formula on the induction variable x<v>."""
+    body = eq(plus(Var(v), random_term(rng, 1, (v, 2))), random_term(rng, 1, (v, 3)))
+    return Implies(substitute(body, v, ZERO),
+                   Implies(ForAll(v, Implies(body, substitute(body, v, succ(Var(v))))),
+                           ForAll(v, body)))
+
+
+def _scheme_near_misses(rng, name):
+    """A scheme instance, then formulas that miss that scheme by a little."""
+    w = random_scheme_instance(rng, name)
+    out = [w, Implies(w.consequent, w.antecedent), _rebind(rng, w), _perturb(rng, w)]
+    if name == "K4":     # x1 may be free in the body
+        a = random_core_wff(rng, 2, (1, 2))
+        out.append(Implies(ForAll(1, a), a))
+    elif name == "K5":   # the witness term is captured by the inner x2
+        body = eq(plus(Var(1), Var(2)), random_term(rng, 1, (1, 2)))
+        t = rng.choice((Var(2), succ(Var(2)), plus(Var(2), Var(1))))
+        out.append(Implies(ForAll(1, ForAll(2, body)), ForAll(2, substitute(body, 1, t))))
+    elif name == "K6":   # x1 may be free in the antecedent
+        a, b = random_core_wff(rng, 1, (1, 2)), random_core_wff(rng, 1, (1, 2))
+        out.append(Implies(ForAll(1, Implies(a, b)), Implies(a, ForAll(1, b))))
+    elif name == "N7":   # induction on x1, x2 or x3
+        out.append(_induction_instance(rng, rng.choice((1, 2, 3))))
+    return out
+
+
+def _scheme_digest(n_rounds):
+    rng = random.Random(8)
+    h = hashlib.sha256()
+    for _ in range(n_rounds):
+        for name in _SCHEMES:
+            for w in _scheme_near_misses(rng, name):
+                found = [match_scheme(s, w) for s in SchemeId]
+                found += [recognize_scheme(K, w), recognize_scheme(N, w)]
+                for m in found:
+                    key = None if m is None else (m.scheme.value, sorted(m.parts.items()))
+                    h.update(repr(key).encode() + b"\n")
+    return h.hexdigest()
+
+
+# SHA-256 of every match_scheme and recognize_scheme answer on seeded scheme
+# instances and near-misses, recorded before the schemes became a table of
+# shapes.  Any change in what a scheme accepts, or in its parts, shows here.
+GOLDEN_SCHEME_DIGEST = "22ec3effa069a82657f97353ab2e99a0640f252d7cb3a7efb92f6a3016719dcd"
+
+
+def test_scheme_recognition_golden_digest():
+    assert _scheme_digest(250) == GOLDEN_SCHEME_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +675,12 @@ def _mutate(rng, lines):
     lines = list(lines)
     k = rng.randrange(1, len(lines))
     wff, just = lines[k].wff, lines[k].justification
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0:      # another formula under the same justification
         lines[k] = ProofLine(random_core_wff(rng, 2, (1, 2, 3)), just)
+    elif kind == 5:    # another formula cited as a proper axiom of N
+        lines[k] = ProofLine(random_core_wff(rng, 2, (1, 2, 3)),
+                             ProperAxiom(f"N{rng.randint(1, 6)}"))
     elif kind == 1:    # cite other earlier lines
         lines[k] = ProofLine(wff, MP(rng.randint(1, k), rng.randint(1, k)))
     elif kind == 2:    # generalize an earlier line
@@ -629,3 +711,48 @@ def test_accepted_lines_hold_in_z_m(seed, edits):
         assert not isinstance(line.justification, ProperAxiom)
         env = _counterexample_in_z_m(line.wff)
         assert env is None, (checked.line, print_wff(line.wff), env)
+
+
+# ---------------------------------------------------------------------------
+# soundness oracle: the coded models at every state u
+#
+# A coded model carries successor, sum and product over from the indices,
+# so it satisfies N1..N6 at every slope u, and so does an extension of N by
+# axioms true in the naturals.  The honest evaluator reports False only on
+# a concrete counterexample within the bound, so no accepted line, proper
+# axiom lines included, may evaluate False there.
+
+NSTAR = extend_theory(N, "N*", {
+    "add-comm": parse_core("(all x1 (all x2 ((x1 + x2) = (x2 + x1))))"),
+    "mul-one": parse_core("(all x1 ((x1 * S(0)) = x1))"),
+})
+STATES = (1, 2, Fraction(3, 2))
+
+
+def _counterexample_in_coded_models(w, alpha):
+    names = sorted(free_vars(w))
+    for u in STATES:
+        model = coded_model(alpha, u)
+        for values in itertools.product(range(4), repeat=len(names)):
+            env = dict(zip(names, values))
+            if eval_bounded(model, w, env, bound=6).truth is ThreeValued.FALSE:
+                return u, env
+    return None
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3),
+       st.sampled_from((N, NSTAR)), st.sampled_from((18, 24, 30)))
+def test_accepted_lines_hold_in_coded_models(seed, edits, theory, alpha):
+    rng = random.Random(seed)
+    found = discover(theory, random_proof_corpus(rng, theory, rng.randrange(8, 25)))
+    assert found.ok, found.failures
+    lines = found.proof.lines
+    for _ in range(edits):
+        lines = _mutate(rng, lines)
+    verdict = check_proof(Proof(theory, lines))
+    for line, checked in zip(lines, verdict.per_line):
+        if not checked.ok:
+            break          # later lines may cite this one
+        counterexample = _counterexample_in_coded_models(line.wff, alpha)
+        assert counterexample is None, (checked.line, print_wff(line.wff), counterexample)

@@ -31,7 +31,7 @@ def test_justification_round_trip():
 
 
 def test_justification_parse_errors():
-    for bad in ["K9", "MP 1", "GEN 1 y2", "AX", "mp 1 2"]:
+    for bad in ["K9", "MP 1", "GEN 1 y2", "GEN 1 x0", "AX", "mp 1 2"]:
         with pytest.raises(ValueError):
             parse_justification(bad)
 
