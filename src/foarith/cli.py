@@ -237,7 +237,7 @@ def _cmd_goldbach_partitions(ns) -> int:
 
 
 def _cmd_model_axioms(ns) -> int:
-    model = coded_model(ns.alpha, Fraction(ns.u))
+    model = coded_model(ns.alpha, ns.u)
     checks = check_axioms(model, ns.bound, domain_cutoff=ns.cutoff)
     any_false = any(c.result.truth is ThreeValued.FALSE for c in checks)
     if ns.json:
@@ -245,7 +245,7 @@ def _cmd_model_axioms(ns) -> int:
             "schema": SCHEMA_VERSION,
             "command": "model-axioms",
             "alpha": ns.alpha,
-            "u": str(Fraction(ns.u)),
+            "u": str(model.coding.u),
             "bound": ns.bound,
             "report": [c.to_json_dict() for c in checks],
         })
@@ -265,7 +265,7 @@ def _cmd_model_axioms(ns) -> int:
 def _cmd_model_eval(ns) -> int:
     text = _read_inline_or_file(ns.wff, ns.wff_file, "formula")
     wff = lower(parse_wff(text))
-    model = coded_model(ns.alpha, Fraction(ns.u))
+    model = coded_model(ns.alpha, ns.u)
     env = _parse_env(ns.env)
     result = eval_bounded(model, wff, env, bound=ns.bound, domain_cutoff=ns.cutoff)
     if ns.json:
@@ -273,7 +273,7 @@ def _cmd_model_eval(ns) -> int:
             "schema": SCHEMA_VERSION,
             "command": "model-eval",
             "alpha": ns.alpha,
-            "u": str(Fraction(ns.u)),
+            "u": str(model.coding.u),
             "bound": ns.bound,
             "wff": print_wff(wff),
             "verdict": result.truth.value,

@@ -44,6 +44,7 @@ from .syntax import (
     is_core,
     match_substitution_result,
     plus,
+    substitute,
     succ,
     times,
 )
@@ -242,10 +243,11 @@ def _witness_term(parts: dict) -> bool:
 
 
 def _induction_on_x1(parts: dict) -> bool:
+    # neither S(x1) nor 0 can be captured, so substitution always succeeds
     v, a = parts["var"], parts["A"]
     return (v == 1 and v in free_vars(a)
-            and match_substitution_result(a, v, parts.pop("A(S(x1))")) == Witness(succ(_X1))
-            and match_substitution_result(a, v, parts.pop("A(0)")) == Witness(ZERO))
+            and substitute(a, v, succ(_X1)) == parts.pop("A(S(x1))")
+            and substitute(a, v, ZERO) == parts.pop("A(0)"))
 
 
 _SIDE_CONDITIONS = {

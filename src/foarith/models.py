@@ -62,7 +62,10 @@ def _to_fraction(u) -> Fraction:
     if isinstance(u, Fraction):
         return u
     if isinstance(u, (int, str, float)):
-        return Fraction(u)
+        try:
+            return Fraction(u)
+        except ZeroDivisionError:
+            raise ModelError(f"slope parameter {u!r} has a zero denominator") from None
     raise ModelError(f"cannot interpret {u!r} as a slope parameter")
 
 

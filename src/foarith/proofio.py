@@ -142,6 +142,8 @@ def parse_proof_file(text: str) -> Proof:
         if m is not None:
             if lines:
                 raise ProofFileError("axiom declaration after proof lines", lineno)
+            if theory is not None:
+                raise ProofFileError("axiom declaration after the theory line", lineno)
             name = m.group(1)
             if name in extra_axioms:
                 raise ProofFileError(f"duplicate axiom declaration {name!r}", lineno)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 __all__ = [
@@ -218,15 +219,15 @@ def is_core(w: SurfaceWff) -> bool:
 
 
 def term_vars(t: Term) -> frozenset:
-    """All variable indices occurring in a term."""
-    if isinstance(t, Var):
-        return frozenset((t.index,))
-    if isinstance(t, Const):
-        return frozenset()
-    out = frozenset()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+    """All variable indices occurring in a term, found with an explicit stack."""
+    out, stack = set(), [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            out.add(s.index)
+        elif not isinstance(s, Const):
+            stack.extend(s.args)
+    return frozenset(out)
 
 
 def free_vars(w: SurfaceWff) -> frozenset:
@@ -281,62 +282,60 @@ def lower(w: SurfaceWff) -> Wff:
 # substitution
 
 
-def is_free_for(t: Term, x: int, w: SurfaceWff) -> bool:
-    """Whether term t may replace the free occurrences of x in w.
-
-    True iff no free occurrence of x lies inside the scope of a quantifier
-    that binds a variable of t.  Closed terms are free for anything; a
-    variable is always free for itself.
-    """
-    if isinstance(w, Atom):
-        return True
-    if isinstance(w, Not):
-        return is_free_for(t, x, w.body)
-    if isinstance(w, Implies):
-        return is_free_for(t, x, w.antecedent) and is_free_for(t, x, w.consequent)
-    if isinstance(w, (And, Or, Iff)):
-        return is_free_for(t, x, w.left) and is_free_for(t, x, w.right)
-    if isinstance(w, (ForAll, Exists)):
-        if w.var == x or x not in free_vars(w.body):
-            return True
-        return w.var not in term_vars(t) and is_free_for(t, x, w.body)
-    raise TypeError(f"not a formula: {w!r}")
-
-
 def _subst_term(s: Term, x: int, t: Term) -> Term:
     if isinstance(s, Var):
         return t if s.index == x else s
     if isinstance(s, Const):
         return s
-    return FuncApp(s.letter, s.arity, tuple(_subst_term(a, x, t) for a in s.args))
-
-
-def _subst_wff(w: SurfaceWff, x: int, t: Term) -> SurfaceWff:
-    if isinstance(w, Atom):
-        return Atom(w.letter, w.arity, tuple(_subst_term(s, x, t) for s in w.terms))
-    if isinstance(w, Not):
-        return Not(_subst_wff(w.body, x, t))
-    if isinstance(w, Implies):
-        return Implies(_subst_wff(w.antecedent, x, t), _subst_wff(w.consequent, x, t))
-    if isinstance(w, (And, Or, Iff)):
-        return type(w)(_subst_wff(w.left, x, t), _subst_wff(w.right, x, t))
-    if isinstance(w, (ForAll, Exists)):
-        if w.var == x:
-            return w
-        return type(w)(w.var, _subst_wff(w.body, x, t))
-    raise TypeError(f"not a formula: {w!r}")
+    # map calls back without a generator frame, so each level costs one frame
+    return FuncApp(s.letter, s.arity, tuple(map(_subst_term, s.args, repeat(x), repeat(t))))
 
 
 def substitute(w: SurfaceWff, x: int, t: Term) -> SurfaceWff:
-    """Replace every free occurrence of x in w by t.
+    """Replace every free occurrence of x in w by t, in one walk.
 
-    Raises :class:`CaptureError` when t is not free for x in w.  Capture is
-    an error rather than a trigger for silent renaming: callers that depend
-    on the side condition must be able to observe its failure.
+    The walk carries a flag that is set inside a quantifier binding a
+    variable of t other than x.  A free occurrence of x reached under the
+    flag would be captured, and the walk raises :class:`CaptureError`
+    there.  Capture is an error rather than a trigger for silent renaming:
+    callers that depend on the side condition must be able to observe its
+    failure.
     """
-    if not is_free_for(t, x, w):
-        raise CaptureError(f"term {print_term(t)} is not free for x{x}")
-    return _subst_wff(w, x, t)
+    binders = term_vars(t) - {x}
+
+    def walk(w: SurfaceWff, captured: bool) -> SurfaceWff:
+        if isinstance(w, Atom):
+            if captured and any(x in term_vars(s) for s in w.terms):
+                raise CaptureError(f"term {print_term(t)} is not free for x{x}")
+            return Atom(w.letter, w.arity, tuple(map(_subst_term, w.terms, repeat(x), repeat(t))))
+        if isinstance(w, Not):
+            return Not(walk(w.body, captured))
+        if isinstance(w, Implies):
+            return Implies(walk(w.antecedent, captured), walk(w.consequent, captured))
+        if isinstance(w, (And, Or, Iff)):
+            return type(w)(walk(w.left, captured), walk(w.right, captured))
+        if isinstance(w, (ForAll, Exists)):
+            if w.var == x:
+                return w
+            return type(w)(w.var, walk(w.body, captured or w.var in binders))
+        raise TypeError(f"not a formula: {w!r}")
+
+    return walk(w, False)
+
+
+def is_free_for(t: Term, x: int, w: SurfaceWff) -> bool:
+    """Whether term t may replace the free occurrences of x in w.
+
+    That is whether :func:`substitute` succeeds: no free occurrence of x
+    lies inside the scope of a quantifier that binds a variable of t.
+    Closed terms are free for anything; a variable is always free for
+    itself.
+    """
+    try:
+        substitute(w, x, t)
+    except CaptureError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -365,76 +364,65 @@ NO_MATCH = NoMatch()
 MatchResult = Union[Witness, AnyTerm, NoMatch]
 
 
-class _Mismatch(Exception):
-    pass
+def _paired(u, v):
+    """The fields of two nodes of one type, or the items of two tuples of
+    terms, paired in order."""
+    return zip(u, v) if isinstance(u, tuple) else zip(vars(u).values(), vars(v).values())
+
+
+def _facing(a: Wff, a_prime: Wff, x: int) -> Optional[Term]:
+    """The subterm of A' facing the first free x of A, or None.
+
+    The walk keeps an explicit stack and pairs nodes only where A and A'
+    have the same type, so it needs no recursion.
+    """
+    stack = [(a, a_prime)]
+    while stack:
+        s, s2 = stack.pop()
+        if isinstance(s, Var):
+            if s.index == x:
+                return s2
+        elif (type(s) is type(s2) and isinstance(s, (_Term, _Formula, tuple))
+              and not (isinstance(s, (ForAll, Exists)) and s.var == x)):
+            stack.extend(reversed(list(_paired(s, s2))))
+    return None
+
+
+def _same(u, v) -> bool:
+    """``u == v`` on formulas, compared with an explicit stack, so that deep
+    nesting costs no recursion.  FuncApp and Atom compare their arity, so
+    pairing their argument tuples in order is enough."""
+    stack = [(u, v)]
+    while stack:
+        u, v = stack.pop()
+        if u is v:
+            continue
+        if type(u) is not type(v):
+            return False
+        if isinstance(u, (_Term, _Formula, tuple)):
+            stack.extend(_paired(u, v))
+        elif u != v:        # an index, a letter, an arity or a bound variable
+            return False
+    return True
 
 
 def match_substitution_result(a: Wff, x: int, a_prime: Wff) -> MatchResult:
     """Solve ``A' = A[x := ?]`` for the unknown term.
 
-    Walks A and A' in parallel.  Both must agree everywhere except at the
-    free occurrences of x in A, each of which contributes a candidate term
-    read off from A'.  All candidates must coincide, and the resulting term
-    must be free for x in A; otherwise the answer is NO_MATCH.  When A has
-    no free occurrence of x the walk degenerates into an equality check and
-    a successful one yields ANY_TERM.
+    Only one term can work: the subterm of A' facing the first free
+    occurrence of x in A.  It is read off and checked by substituting it
+    forward, so the answer is ``Witness(t)`` when ``A[x := t]`` exists and
+    equals A', and NO_MATCH otherwise.  When no term can be read off, A
+    has no free x or A' differs from A in shape; the answer is then
+    ANY_TERM if A' equals A and NO_MATCH if not.
     """
-    found: list = []
-
-    def terms(s: Term, s2: Term, x_bound: bool) -> None:
-        if isinstance(s, Var):
-            if s.index == x and not x_bound:
-                found.append(s2)
-                return
-            if s != s2:
-                raise _Mismatch
-        elif isinstance(s, Const):
-            if s != s2:
-                raise _Mismatch
-        elif isinstance(s, FuncApp):
-            if (not isinstance(s2, FuncApp) or s.letter != s2.letter
-                    or s.arity != s2.arity):
-                raise _Mismatch
-            for u, v in zip(s.args, s2.args):
-                terms(u, v, x_bound)
-        else:
-            raise TypeError(f"not a term: {s!r}")
-
-    def wffs(w: SurfaceWff, w2: SurfaceWff, x_bound: bool) -> None:
-        if type(w) is not type(w2):
-            raise _Mismatch
-        if isinstance(w, Atom):
-            if w.letter != w2.letter or w.arity != w2.arity:
-                raise _Mismatch
-            for u, v in zip(w.terms, w2.terms):
-                terms(u, v, x_bound)
-        elif isinstance(w, Not):
-            wffs(w.body, w2.body, x_bound)
-        elif isinstance(w, Implies):
-            wffs(w.antecedent, w2.antecedent, x_bound)
-            wffs(w.consequent, w2.consequent, x_bound)
-        elif isinstance(w, (And, Or, Iff)):
-            wffs(w.left, w2.left, x_bound)
-            wffs(w.right, w2.right, x_bound)
-        elif isinstance(w, (ForAll, Exists)):
-            if w.var != w2.var:
-                raise _Mismatch
-            wffs(w.body, w2.body, x_bound or w.var == x)
-        else:
-            raise TypeError(f"not a formula: {w!r}")
-
+    t = _facing(a, a_prime, x)
+    if t is None:
+        return ANY_TERM if _same(a, a_prime) else NO_MATCH
     try:
-        wffs(a, a_prime, False)
-    except _Mismatch:
+        return Witness(t) if _same(substitute(a, x, t), a_prime) else NO_MATCH
+    except CaptureError:
         return NO_MATCH
-    if not found:
-        return ANY_TERM
-    t = found[0]
-    if any(u != t for u in found[1:]):
-        return NO_MATCH
-    if not is_free_for(t, x, a):
-        return NO_MATCH
-    return Witness(t)
 
 
 # ---------------------------------------------------------------------------

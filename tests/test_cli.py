@@ -149,7 +149,9 @@ def test_discover_failure(capsys, tmp_path):
      "line 2: axiom 'E' is open (free: x1)"),
     ("theory: N\n1. (all x1 (x1 = x1)) ; ?\n2. (all x2 (all x1 (x1 = x1))) ; GEN 1 x0\n",
      "line 3: unrecognized justification 'GEN 1 x0'"),
-], ids=["builtin-name", "open-axiom", "gen-x0"])
+    ("theory: K\naxiom A: (all x1 (x1 = x1))\n1. (all x1 (x1 = x1)) ; AX A\n",
+     "line 2: axiom declaration after the theory line"),
+], ids=["builtin-name", "open-axiom", "gen-x0", "axiom-after-theory"])
 def test_proof_file_error_names_its_line(capsys, tmp_path, command, text, message):
     path = tmp_path / "bad.proof"
     path.write_text(text)
@@ -405,6 +407,23 @@ def test_model_axioms_rejects_bad_alpha(capsys):
     code, _, err = invoke(capsys, "model", "axioms", "--alpha", "16", "--u", "2",
                           "--bound", "10")
     assert code == 2 and "admissible" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("model", "axioms", "--alpha", "18", "--bound", "5"),
+    ("model", "eval", "--alpha", "18", "--bound", "5", "--wff", "(0 = 0)"),
+], ids=["axioms", "eval"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_model_rejects_zero_denominator_u(capsys, command, json_flag):
+    code, out, err = invoke(capsys, *json_flag, *command, "--u", "1/0")
+    assert (code, out, err) == (2, "", "error: slope parameter '1/0' has a zero denominator\n")
+
+
+def test_model_json_u_is_the_models_slope(capsys):
+    for command in (("model", "axioms", "--alpha", "18", "--bound", "5"),
+                    ("model", "eval", "--alpha", "18", "--bound", "5", "--wff", "(0 = 0)")):
+        code, out, _ = invoke(capsys, "--json", *command, "--u", "1.50")
+        assert code in (0, 1) and json.loads(out)["u"] == "3/2"
 
 
 def test_model_limits_csv(capsys):

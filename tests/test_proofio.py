@@ -106,6 +106,13 @@ def test_error_axiom_after_lines():
         parse_proof_file(text)
 
 
+def test_error_axiom_after_theory_line():
+    text = "theory: K\naxiom A: (all x1 (x1 = x1))\n1. (all x1 (x1 = x1)) ; AX A\n"
+    with pytest.raises(ProofFileError, match="after the theory line") as exc:
+        parse_proof_file(text)
+    assert exc.value.lineno == 2
+
+
 def test_error_bad_wff_carries_line_number():
     with pytest.raises(ProofFileError, match="line 2"):
         parse_proof_file("theory: K\n2 is not here\n")

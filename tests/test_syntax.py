@@ -10,6 +10,7 @@ from conftest import (
     random_core_wff,
     random_generic_term,
     random_surface_wff,
+    random_term,
     surface_wffs,
 )
 from parse_edge_cases import PARSE_EDGE_CASES, parse_outcome
@@ -348,3 +349,80 @@ def test_match_recovers_direct_substitution(w):
     t = succ(succ(ZERO))
     if 1 in free_vars(w):
         assert match_substitution_result(w, 1, substitute(w, 1, t)) == Witness(t)
+
+
+# ---------------------------------------------------------------------------
+# golden substitution digest
+#
+# SHA-256 of the outcomes of substitute, is_free_for and
+# match_substitution_result over a seeded corpus: the result's repr, or
+# the exception's type and message.  Matching is asked against the true
+# instance, the instance with one occurrence of the term changed, and an
+# unrelated formula.  The instances are built by _replace_free below,
+# which ignores capture, so captured instances are asked too.
+
+
+GOLDEN_SUBSTITUTION_DIGEST = "fe19e69aec03709fde23d6d1563ac890ce7cf56a4b07d5f06814d00e1373d441"
+
+
+def _replace_free(w, x, t, odd=None, at=0):
+    """w with every free x replaced by t, capture ignored; the free
+    occurrence numbered ``at`` (in walk order) gets ``odd`` when given."""
+    seen = [0]
+
+    def term(s):
+        if isinstance(s, Var):
+            if s.index != x:
+                return s
+            seen[0] += 1
+            return odd if odd is not None and seen[0] - 1 == at else t
+        if isinstance(s, FuncApp):
+            return FuncApp(s.letter, s.arity, tuple(term(u) for u in s.args))
+        return s
+
+    def wff(w):
+        if isinstance(w, Atom):
+            return Atom(w.letter, w.arity, tuple(term(s) for s in w.terms))
+        if isinstance(w, (ForAll, Exists)):
+            return w if w.var == x else type(w)(w.var, wff(w.body))
+        if isinstance(w, Not):
+            return Not(wff(w.body))
+        if isinstance(w, Implies):
+            return Implies(wff(w.antecedent), wff(w.consequent))
+        return type(w)(wff(w.left), wff(w.right))
+
+    return wff(w)
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (CaptureError, TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_substitution_golden_digest():
+    rng = random.Random(11)
+    vars_ = (1, 2, 3)
+    formulas = ([random_surface_wff(rng, 4, vars_) for _ in range(500)]
+                + [random_core_wff(rng, 4, vars_) for _ in range(500)])
+
+    def some_term():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return random_term(rng, 2, vars_)
+        if kind == 1:
+            return random_generic_term(rng, 2, vars_)
+        return Var(rng.choice(vars_))
+
+    lines = []
+    for w in formulas:
+        for x in vars_:
+            t, odd = some_term(), some_term()
+            lines.append(_outcome(substitute, w, x, t))
+            lines.append(_outcome(is_free_for, t, x, w))
+            for a_prime in (_replace_free(w, x, t),
+                            _replace_free(w, x, t, odd, rng.randrange(3)),
+                            rng.choice(formulas)):
+                lines.append(_outcome(match_substitution_result, w, x, a_prime))
+    assert _digest(lines) == GOLDEN_SUBSTITUTION_DIGEST
