@@ -108,7 +108,10 @@ def format_justification(just: Justification) -> str:
 
 
 def parse_proof_file(text: str) -> Proof:
+    """Read a proof file.  Its formulas share one parse table, so each
+    repeated parenthesized subformula is parsed once and is one object."""
     theories = builtin_theories()
+    table: dict = {}
     theory: Optional[Theory] = None
     extra_axioms: dict = {}
     declared_at: dict = {}     # axiom name -> line of its declaration
@@ -128,7 +131,7 @@ def parse_proof_file(text: str) -> Proof:
                 raise ProofFileError(
                     f"line numbered {number}, expected {len(lines) + 1}", lineno)
             try:
-                wff = lower(parse_wff(m.group(2)))
+                wff = lower(parse_wff(m.group(2), table))
             except ParseError as exc:
                 raise ProofFileError(f"bad wff: {exc}", lineno) from exc
             try:
@@ -148,7 +151,7 @@ def parse_proof_file(text: str) -> Proof:
             if name in extra_axioms:
                 raise ProofFileError(f"duplicate axiom declaration {name!r}", lineno)
             try:
-                extra_axioms[name] = lower(parse_wff(m.group(2)))
+                extra_axioms[name] = lower(parse_wff(m.group(2), table))
             except ParseError as exc:
                 raise ProofFileError(f"bad wff: {exc}", lineno) from exc
             declared_at[name] = lineno

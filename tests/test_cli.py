@@ -98,6 +98,16 @@ def test_check_accepted(capsys):
     assert out == "accepted (5 lines)\n"
 
 
+@pytest.mark.parametrize("a", ["~" * 600 + "(x1 = 0)", "(" + "S(" * 600 + "x1" + ")" * 600 + " = 0)"],
+                         ids=["not-600", "succ-600"])
+def test_check_deep_induction_line(capsys, tmp_path, a):
+    # N7 repeats A three times; the repeats are compared without recursion
+    base, step = a.replace("x1", "0"), a.replace("x1", "S(x1)")
+    path = tmp_path / "n7.proof"
+    path.write_text(f"theory: N\n1. ({base} -> ((all x1 ({a} -> {step})) -> (all x1 {a}))) ; N7\n")
+    assert invoke(capsys, "check", str(path)) == (0, "accepted (1 lines)\n", "")
+
+
 def test_check_rejected(capsys, tmp_path):
     text = (DATA / "imp_refl.proof").read_text().replace("MP 2 1", "MP 1 2")
     bad = tmp_path / "bad.proof"

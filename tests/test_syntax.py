@@ -1,6 +1,9 @@
+import copy
 import hashlib
+import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -9,6 +12,7 @@ from conftest import (
     core_wffs,
     random_core_wff,
     random_generic_term,
+    random_proof_corpus,
     random_surface_wff,
     random_term,
     surface_wffs,
@@ -16,6 +20,8 @@ from conftest import (
 from parse_edge_cases import PARSE_EDGE_CASES, parse_outcome
 from foarith import syntax
 from foarith.arith import decode_numeral, numeral
+from foarith.kernel import UNKNOWN, Proof, ProofLine
+from foarith.proofio import builtin_theories, format_proof, parse_proof_file
 from foarith.syntax import (
     ANY_TERM,
     And,
@@ -237,6 +243,155 @@ def test_front_end_golden_digests():
 
 
 # ---------------------------------------------------------------------------
+# parse table
+#
+# Formulas parsed through one shared table must come out as fresh parses do:
+# equal trees, or the same error at the same position.  The texts include
+# proof-file lines, surface formulas, their mutations, and formulas with
+# bare equalities whose parenthesized left term is followed by "=", where
+# the parse runs past the pair and the table must not be used.
+
+
+def _bare_equalities(rng, w):
+    """The text of w with some equality atoms written without parentheses."""
+    if isinstance(w, Atom):
+        text = print_wff(w)
+        return text[1:-1] if w.letter == 1 and w.arity == 2 and rng.random() < 0.6 else text
+    if isinstance(w, Not):
+        return "~" + _bare_equalities(rng, w.body)
+    if isinstance(w, (ForAll, Exists)):
+        q = "all" if isinstance(w, ForAll) else "ex"
+        return f"({q} x{w.var} {_bare_equalities(rng, w.body)})"
+    left, right = (w.antecedent, w.consequent) if isinstance(w, Implies) else (w.left, w.right)
+    op = {Implies: "->", And: "&", Or: "|", Iff: "<->"}[type(w)]
+    return f"({_bare_equalities(rng, left)} {op} {_bare_equalities(rng, right)})"
+
+
+def _table_outcome(text, table=None):
+    try:
+        return parse_wff(text, table)
+    except ParseError as exc:
+        return f"{exc} @{exc.pos}"
+
+
+def _parse_table_texts(rng):
+    n = builtin_theories()["N"]
+    texts = []
+    for size in (8, 16, 24):
+        lines = random_proof_corpus(rng, n, size)
+        texts += [print_wff(w) for w in lines]
+    surface = [random_surface_wff(rng, 4, (1, 2, 3)) for _ in range(150)]
+    texts += [print_wff(w) for w in surface]
+    texts += [_bare_equalities(rng, w) for w in surface]
+    texts += [_bare_equalities(rng, rng.choice(surface)) + " -> " for _ in range(20)]
+    texts += ["((x1 + 0) = x1 -> (x1 + 0) = x2)", "((x1 + 0) = x1 -> ((x1 + 0) = x1))",
+              "(((x1 + 0) = x1) -> (x1 + 0) = x1)", "((x1 * x2) = (x1 * x2) & (x1 * x2) = 0)"]
+    texts += [_mutate(rng, rng.choice(texts)) for _ in range(600)]
+    rng.shuffle(texts)
+    return texts
+
+
+def test_parse_table_matches_fresh_parses():
+    rng = random.Random(17)
+    texts = _parse_table_texts(rng)
+    table = {}
+    shared = [_table_outcome(t, table) for t in texts]
+    assert table
+    for text, outcome in zip(texts, shared):
+        fresh = _table_outcome(text)
+        assert outcome == fresh and repr(outcome) == repr(fresh), text
+
+
+def _parenthesized_subformulas(w):
+    return [s for s in _nodes(w) if print_wff(s).startswith("(")]
+
+
+def test_proof_file_shares_equal_subformulas():
+    rng = random.Random(23)
+    n = builtin_theories()["N"]
+    for size in (10, 40, 120):
+        lines = random_proof_corpus(rng, n, size)
+        text = format_proof(Proof(n, tuple(ProofLine(w, UNKNOWN) for w in lines)))
+        proof = parse_proof_file(text)
+        assert [line.wff for line in proof.lines] == lines
+        first = {}
+        repeats = 0
+        for line in proof.lines:
+            for w in _parenthesized_subformulas(line.wff):
+                repeats += w in first
+                assert first.setdefault(w, w) is w, print_wff(w)
+        assert repeats > size
+
+
+# ---------------------------------------------------------------------------
+# nodes
+
+
+_FIELDS = {
+    Var: ("index",), Const: ("index",),
+    FuncApp: ("letter", "arity", "args"), Atom: ("letter", "arity", "terms"),
+    Not: ("body",), Implies: ("antecedent", "consequent"),
+    ForAll: ("var", "body"), Exists: ("var", "body"),
+    And: ("left", "right"), Or: ("left", "right"), Iff: ("left", "right"),
+}
+_ATOM = eq(plus(X1, succ(ZERO)), X2)
+_NODES = [X1, Const(2), succ(X1), _ATOM, Not(_ATOM), Implies(_ATOM, Not(_ATOM)),
+          ForAll(1, _ATOM), Exists(2, _ATOM), And(_ATOM, _ATOM), Or(Not(_ATOM), _ATOM),
+          Iff(_ATOM, Not(_ATOM))]
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_node_is_frozen_and_hashes_its_fields(node):
+    names = _FIELDS[type(node)]
+    values = tuple(getattr(node, name) for name in names)
+    assert hash(node) == hash(values)
+    assert type(node)(*values) == node == type(node)(**dict(zip(names, values)))
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, values[0])
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+    assert tuple(getattr(node, name) for name in names) == values
+    assert hash(node) == hash(values)
+    assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
+
+
+def _nodes(w):
+    """Every formula node of w, found with an explicit stack."""
+    stack, out = [w], []
+    while stack:
+        w = stack.pop()
+        out.append(w)
+        if isinstance(w, (Not, ForAll, Exists)):
+            stack.append(w.body)
+        elif isinstance(w, Implies):
+            stack += [w.antecedent, w.consequent]
+        elif isinstance(w, (And, Or, Iff)):
+            stack += [w.left, w.right]
+    return out
+
+
+def _deep_not(depth, w):
+    for _ in range(depth):
+        w = Not(w)
+    return w
+
+
+def test_deep_nodes_hash_and_compare():
+    n = 10 ** 5
+    pairs = [(eq(numeral(n), numeral(n)), eq(numeral(n), numeral(n))),
+             (_deep_not(10 ** 4, A), _deep_not(10 ** 4, eq(X1, ZERO)))]
+    for left, right in pairs:
+        assert left is not right
+        assert hash(left) == hash(right)
+        assert left == right and not left != right
+    big = pairs[0][0].terms[0]
+    assert pairs[0][0] != eq(big, big.args[0])
+    assert pairs[1][0] != _deep_not(10 ** 4, B)
+    assert pairs[1][0] != pairs[1][0].body
+
+
+# ---------------------------------------------------------------------------
 # lowering
 
 
@@ -265,6 +420,23 @@ def test_lower_idempotent(w):
     core = lower(w)
     assert is_core(core)
     assert lower(core) == core
+
+
+def test_lower_returns_core_formulas_themselves():
+    rng = random.Random(29)
+    for _ in range(300):
+        w = random_core_wff(rng, 5, (1, 2, 3))
+        assert lower(w) is w
+
+
+def test_lower_reuses_unchanged_core_subtrees():
+    rng = random.Random(31)
+    for _ in range(300):
+        w = random_surface_wff(rng, 5, (1, 2, 3))
+        kept = {id(s) for s in _nodes(lower(w))}
+        for s in _nodes(w):
+            if is_core(s):
+                assert id(s) in kept, print_wff(s)
 
 
 # ---------------------------------------------------------------------------
