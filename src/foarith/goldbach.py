@@ -10,6 +10,10 @@ Three independent routes are kept on purpose.  ``is_prime`` and
 tests; ``scan`` decides by a least-prime search over a sieve, and its
 partition counts come from an FFT autoconvolution of the same sieve,
 checked against that verdict whenever they are computed.
+
+The trial-division functions need no numpy, so numpy is imported inside
+the array functions: only a process that scans or enumerates by sieve
+loads it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ import itertools
 import json
 import math
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "is_prime", "is_admissible", "admissible_evens",
@@ -52,6 +57,7 @@ def is_admissible(alpha: int) -> bool:
 
 def _sieve(limit: int) -> np.ndarray:
     """Boolean array, index i True iff i is prime, for 0 <= i <= limit."""
+    import numpy as np
     if limit < 2:
         return np.zeros(max(limit + 1, 0), dtype=bool)
     flags = np.ones(limit + 1, dtype=bool)
@@ -64,6 +70,7 @@ def _sieve(limit: int) -> np.ndarray:
 
 def _admissible(flags: np.ndarray) -> np.ndarray:
     """Admissible evens below flags.size, read off the prime sieve flags."""
+    import numpy as np
     evens = np.arange(16, flags.size, 2)
     return evens[~flags[evens // 2] & ~flags[evens - 3]]
 
@@ -89,6 +96,7 @@ def _pair_counts(flags: np.ndarray) -> np.ndarray:
     integers is exact as long as every value lies within 0.25 of an
     integer; a larger residual raises ValueError instead of miscounting.
     """
+    import numpy as np
     n = flags.size
     size = 1 << (2 * n - 1).bit_length()
     spectrum = np.fft.rfft(flags.astype(np.float64), size)
@@ -108,15 +116,19 @@ def _unresolved(flags: np.ndarray, members: np.ndarray) -> np.ndarray:
     for which n - p is prime.  A member still open once 2p > n has no
     partition.  The loop ends at the largest least prime.
     """
+    import numpy as np
     left = members
     failed = []
     for p in np.flatnonzero(flags):
         if left.size == 0:
             break
         # left is ascending, so the members below 2p are a prefix; with
-        # them set aside, every n - p is at least p and no index wraps
+        # them set aside, every n - p is at least p and no index wraps.
+        # A copy, and only a nonempty one: a view would keep this round's
+        # whole array alive until the end.
         below = int(np.searchsorted(left, 2 * p))
-        failed.append(left[:below])
+        if below:
+            failed.append(left[:below].copy())
         left = left[below:]
         left = left[~flags[left - p]]
     return np.concatenate([*failed, left])
@@ -145,6 +157,7 @@ class ScanReport:
     @cached_property
     def _counts(self) -> np.ndarray:
         """Unordered prime-pair counts of the members, in member order."""
+        import numpy as np
         members = self._members
         if members.size == 0:
             return members
@@ -192,6 +205,7 @@ class ScanReport:
         return "{\n" + ",\n".join(fields) + "\n}"
 
     def to_csv(self) -> str:
+        import numpy as np
         rows = np.column_stack((self._members, self._counts)).ravel().tolist()
         return "alpha,count\n" + "%d,%d\n" * len(self.members) % tuple(rows)
 

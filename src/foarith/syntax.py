@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from typing import Callable, Optional, Union
 
 __all__ = [
@@ -546,7 +546,11 @@ def match_substitution_result(a: Wff, x: int, a_prime: Wff) -> MatchResult:
 # lexer
 
 
-_TOKEN_RE = re.compile(r"[(){},=+*~&|]|[A-Za-z]+[0-9]*|[0-9]+|<->|->")
+# A run of "S(" is one token, and so is a run of ")"; whitespace may sit
+# between the members of a run.  The run alternatives come before the
+# single characters, so a run is never split.
+_TOKEN_RE = re.compile(r"S\s*\((?:\s*S\s*\()*|\)(?:\s*\))*"
+                       r"|[(){},=+*~&|]|[A-Za-z]+[0-9]*|[0-9]+|<->|->")
 _NON_SPACE_RE = re.compile(r"\S")
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _CONST_RE = re.compile(r"a([0-9]+)\Z")
@@ -556,26 +560,47 @@ _TERM_STARTERS = ("S", "f", "(")
 
 
 def _lex(text: str) -> list:
-    """The token texts of ``text``, closed by the end-of-input sentinel ``""``."""
+    """The token texts of ``text``, closed by the end-of-input sentinel ``""``.
+
+    A run of ``S(`` is one token, ``"S(" * k``, and so is a run of ``)``,
+    ``")" * k``: the whitespace between the members of a run is dropped,
+    so the run's length gives its count, and equal formulas give equal
+    tokens however they are spaced inside their runs.  A numeral of any
+    depth is therefore three tokens.
+    """
     tokens = _TOKEN_RE.findall(text)
-    # Tokens hold no whitespace, so they cover every other character exactly
-    # when their lengths add up to the length of the text without whitespace.
-    if len("".join(tokens)) != len("".join(text.split())):
+    joined = "".join(tokens)
+    solid = "".join(joined.split())
+    # Tokens are disjoint pieces of the text, so they cover every character
+    # but whitespace exactly when they hold as many non-space characters.
+    if len(solid) != len("".join(text.split())):
         uncovered = _TOKEN_RE.sub(lambda m: " " * len(m[0]), text)
         pos = _NON_SPACE_RE.search(uncovered).start()
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    if len(solid) != len(joined):           # whitespace inside a run
+        tokens = ["".join(t.split()) for t in tokens]
     tokens.append("")
     return tokens
 
 
-def _token_start(text: str, k: int) -> int:
-    """Character offset of token ``k``; the sentinel sits at the end of the text."""
-    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
-    return starts[k] if k < len(starts) else len(text)
+def _token_start(text: str, k: int, j: int = 0) -> int:
+    """Character offset of member ``j`` of token ``k`` (a run's ``j``-th
+    ``S`` or ``)``; a token that is no run has the one member 0).  The
+    sentinel sits at the end of the text."""
+    m = next(islice(_TOKEN_RE.finditer(text), k, None), None)
+    if m is None:
+        return len(text)
+    members = [p for p, ch in enumerate(m[0]) if ch == "S" or ch == ")"]
+    return m.start() + (members[j] if j else 0)
+
+
+def _shown(text: str) -> str:
+    """A token as an error message names it: a run by its member."""
+    return text[0] if text[-1] == "(" or text[0] == ")" else text
 
 
 def _starts_term(text: str) -> bool:
-    return (text in _TERM_STARTERS or _VAR_RE.match(text) is not None
+    return (text in _TERM_STARTERS or text[:2] == "S(" or _VAR_RE.match(text) is not None
             or _CONST_RE.match(text) is not None or _INT_RE.match(text) is not None)
 
 
@@ -587,72 +612,138 @@ _BIN_NODES = {"->": Implies, "&": And, "|": Or, "<->": Iff}
 
 
 class _Fail(Exception):
-    """A parse failure; ``args`` are the message and the token index."""
+    """A parse failure; ``args`` are the message, the token index and the
+    member of that token (nonzero only inside a run of ')')."""
 
 
-def _pairs(tokens: list) -> tuple:
-    """Each matched '(' mapped to its ')', and the '(' whose pair directly
-    holds an '=' (not inside a nested pair); both by token index."""
-    close, holds_eq, open_ = {}, set(), []
-    for k, text in enumerate(tokens):
+def _pairs(tokens: list) -> dict:
+    """Where each matched single '(' is closed.
+
+    The map sends the token index of the '(' to the cursor just past its
+    ')': a token index and the number of ')' of that token read up to
+    there, 0 when the ')' ends its token.  The stack holds the index of
+    each open single '(' and, for each open run of 'S(', minus the count
+    of its members still open; a run of ')' takes them off by counting.
+    """
+    after, stack = {}, []
+    push, pop = stack.append, stack.pop
+    for k, text in enumerate(tokens[:-1]):      # not the sentinel
         if text == "(":
-            open_.append(k)
+            push(k)
         elif text == ")":
-            if open_:
-                close[open_.pop()] = k
-        elif text == "=" and open_:
-            holds_eq.add(open_[-1])
-    return close, holds_eq
+            if stack:
+                top = pop()
+                if top >= 0:
+                    after[top] = (k + 1, 0)
+                elif top < -1:
+                    push(top + 1)
+        elif text[-1] == ")":                 # a run of ')'
+            n = need = len(text)
+            while stack:
+                top = pop()
+                if top >= 0:
+                    need -= 1
+                    if not need:
+                        after[top] = (k + 1, 0)
+                        break
+                    after[top] = (k, n - need)
+                elif top + need < 0:
+                    push(top + need)
+                    break
+                else:
+                    need += top
+                    if not need:
+                        break
+        elif text[-1] == "(":                 # a run of 'S('
+            push(-(len(text) // 2))
+    return after
 
 
 class _Parser:
-    """Recursive descent over the token texts; ``i`` is the cursor.
+    """Recursive descent over the token texts.
 
-    The tokens end in the sentinel ``""``, so reading the current token
-    needs no bounds check.  A failure raises :class:`_Fail` with a token
-    index; the caller turns it into a :class:`ParseError` with a position.
+    The cursor is ``i``, a token index, and ``j``, the number of ')'
+    already read from token ``i`` when it is a run of ')' that a
+    successor chain or a closing pair has used in part; ``j`` is 0
+    everywhere else.  The tokens end in the sentinel ``""``, so reading
+    the current token needs no bounds check.  A failure raises
+    :class:`_Fail` with a token index and member; the caller turns it into
+    a :class:`ParseError` with a position.
     """
 
     def __init__(self, tokens: list, table: Optional[dict] = None):
         self.tokens = tokens
-        self.i = 0
+        self.i = self.j = 0
         self.table = {} if table is None else table
         # built at the first '(' formula
-        self.close = self.holds_eq = self.joined = self.lengths = None
+        self.after = self.joined = self.lengths = None
+        self.eq_start = -1      # where the last equality read began
 
-    def _unexpected(self, k: int, wanted: str) -> _Fail:
-        found = self.tokens[k]
+    def _unexpected(self, wanted: str) -> _Fail:
+        """A failure at the cursor, which holds the wrong token."""
+        i = self.i
+        found = self.tokens[i]
         if not found:
-            return _Fail("unexpected end of input", k)
-        return _Fail(f"expected {wanted}, found {found!r}", k)
+            return _Fail("unexpected end of input", i, 0)
+        return _Fail(f"expected {wanted}, found {_shown(found)!r}", i, self.j)
 
     def expect(self, text: str) -> None:
+        """Read ``text``, a token that is no ')'."""
         i = self.i
         if self.tokens[i] != text:
-            raise self._unexpected(i, repr(text))
+            raise self._unexpected(repr(text))
         self.i = i + 1
+
+    def close(self, n: int = 1) -> None:
+        """Read ``n`` ')' at the cursor; they lie in one run or not at all."""
+        run = self.tokens[self.i]
+        if run[:1] != ")":
+            raise self._unexpected("')'")
+        j = self.j + n
+        if j < len(run):
+            self.j = j
+            return
+        self.i += 1
+        self.j = 0
+        if j > len(run):                     # the run ends short
+            raise self._unexpected("')'")
 
     # terms ------------------------------------------------------------
 
     def term(self) -> Term:
-        # A successor chain S(S(...t...)) is read in a loop, so numerals
-        # of any depth parse.
-        tokens = self.tokens
-        i = start = self.i
-        while tokens[i] == "S":
-            if tokens[i + 1] != "(":
-                raise self._unexpected(i + 1, "'('")
-            i += 2
+        """A term; a successor chain ``S(...S(t)...)`` is read whole.
+
+        Its run of ``S(`` gives the depth k, and its closing ')' are
+        counted off the run that follows t, which may go on to close
+        enclosing terms or formulas.  The node comes from the parse's
+        successor table: the parse table maps each base term t to the list
+        ``[t, S(t), S(S(t)), ...]`` built from it so far, so ``S^k(t)`` is
+        an index into that list or an extension of it, and equal chains of
+        one parse (or of one shared table) are one object.
+        """
+        tokens, i = self.tokens, self.i
+        run = tokens[i]
+        depth = len(run) // 2 if run[:2] == "S(" else 0
+        if depth:
+            i += 1
+        if tokens[i] == "S":                # an S without its '('
+            self.i = i + 1
+            raise self._unexpected("'('")
         self.i = i
-        depth = (i - start) // 2
         t = self._base_term()
-        i = self.i
-        for k in range(i, i + depth):
-            if tokens[k] != ")":
-                raise self._unexpected(k, "')'")
-            t = succ(t)
-        self.i = i + depth
-        return t
+        if not depth:
+            return t
+        self.close(depth)
+        chains = self.table
+        chain = chains.get(t)
+        if chain is None:
+            chain = chains[t] = [t]
+        if depth >= len(chain):
+            top = chain[-1]
+            for _ in range(len(chain), depth + 1):
+                top = FuncApp(1, 1, (top,))
+                chain.append(top)
+        return chain[depth]
 
     def _base_term(self) -> Term:
         """A term that does not start with ``S``."""
@@ -661,13 +752,12 @@ class _Parser:
         if text == "(":
             self.i = i + 1
             left = self.term()
-            k = self.i
-            op = tokens[k]
+            op = tokens[self.i]
             if op != "+" and op != "*":
-                raise self._unexpected(k, "'+' or '*'")
-            self.i = k + 1
+                raise self._unexpected("'+' or '*'")
+            self.i += 1
             right = self.term()
-            self.expect(")")
+            self.close()
             return plus(left, right) if op == "+" else times(left, right)
         if text == "f":
             return FuncApp(*self._application("arguments"))
@@ -683,15 +773,15 @@ class _Parser:
             self.i = i + 1
             return ZERO
         if _INT_RE.match(text) is not None:
-            raise _Fail(f"bare numeral {text!r} is not a term; only '0' abbreviates a1", i)
+            raise _Fail(f"bare numeral {text!r} is not a term; only '0' abbreviates a1", i, 0)
         if not text:
-            raise _Fail("expected a term", i)
-        raise _Fail(f"expected a term, found {text!r}", i)
+            raise _Fail("expected a term", i, 0)
+        raise _Fail(f"expected a term, found {_shown(text)!r}", i, self.j)
 
     def _index(self, digits: str, k: int) -> int:
         value = int(digits)
         if value < 1:
-            raise _Fail("index must be >= 1", k)
+            raise _Fail("index must be >= 1", k, 0)
         return value
 
     def _application(self, what: str) -> tuple:
@@ -701,12 +791,12 @@ class _Parser:
         self.expect("{")
         k_at = self.i
         if _INT_RE.match(tokens[k_at]) is None:
-            raise self._unexpected(k_at, "a letter index")
+            raise self._unexpected("a letter index")
         self.i = k_at + 1
         self.expect(",")
         n_at = self.i
         if _INT_RE.match(tokens[n_at]) is None:
-            raise self._unexpected(n_at, "an arity")
+            raise self._unexpected("an arity")
         self.i = n_at + 1
         self.expect("}")
         k, n = self._index(tokens[k_at], k_at), self._index(tokens[n_at], n_at)
@@ -715,18 +805,21 @@ class _Parser:
         while tokens[self.i] == ",":
             self.i += 1
             terms.append(self.term())
-        self.expect(")")
+        self.close()
         if len(terms) != n:
             raise _Fail(f"arity mismatch: {tokens[start]}{{{k},{n}}} applied to "
-                        f"{len(terms)} {what}", start)
+                        f"{len(terms)} {what}", start, 0)
         return k, n, tuple(terms)
 
     # formulas -----------------------------------------------------------
 
     def _equality(self) -> Atom:
+        start = self.i
         left = self.term()
         self.expect("=")
-        return eq(left, self.term())
+        atom = eq(left, self.term())
+        self.eq_start = start
+        return atom
 
     def wff(self) -> SurfaceWff:
         tokens, i = self.tokens, self.i
@@ -741,88 +834,99 @@ class _Parser:
         if _starts_term(text):
             return self._equality()
         if not text:
-            raise _Fail("expected a formula", i)
-        raise _Fail(f"expected a formula, found {text!r}", i)
+            raise _Fail("expected a formula", i, 0)
+        raise _Fail(f"expected a formula, found {_shown(text)!r}", i, self.j)
 
     def _parenthesized(self) -> SurfaceWff:
         """A formula at a '(', read through the parse table where it can be.
 
         Where the matching ')' is not followed by '=', the parse reads only
         the tokens of the pair, so it is the same wherever they appear: the
-        table is keyed by their text, and a hit moves the cursor past the
-        ')'.  Elsewhere a bare equality may run past the pair, and the
-        table is not used.
+        table is keyed by their text, cut at that ')' when it lies inside a
+        run, and a hit moves the cursor past the ')'.  Elsewhere a bare
+        equality may run past the pair, and the table is not used.
+
+        Parentheses are matched at the first '(' formula, and only when the
+        rest of the text from there is no key of the table: a key is the
+        text of a matched pair, so such a rest is one pair, and a hit.
         """
         tokens, i = self.tokens, self.i
-        if self.close is None:
-            self.close, self.holds_eq = _pairs(tokens)
-            self.joined = "\x00".join(tokens)
+        if self.after is None:
+            self.joined = joined = "\x00".join(tokens)
+            start = sum(map(len, tokens[:i])) + i
+            node = self.table.get(joined[start:-1])     # the sentinel is ""
+            if node is not None:
+                self.i = len(tokens) - 1
+                return node
+            self.after = _pairs(tokens)
             # token k starts at lengths[k] + k in the joined text
             self.lengths = list(accumulate(map(len, tokens), initial=0))
-        close = self.close.get(i)
-        if close is None or tokens[close + 1] == "=":
-            return self._read_parenthesized(close)
+        after = self.after.get(i)
+        if after is None:
+            return self._read_parenthesized(True)
+        k, j = after
+        if not j and tokens[k] == "=":
+            return self._read_parenthesized(True)
         lengths = self.lengths
-        key = self.joined[lengths[i] + i:lengths[close + 1] + close + 1]
+        end = lengths[k] + k + j if j else lengths[k] + k - 1
+        key = self.joined[lengths[i] + i:end]
         node = self.table.get(key)
         if node is None:
-            node = self.table[key] = self._read_parenthesized(close)
+            node = self.table[key] = self._read_parenthesized(False)
         else:
-            self.i = close + 1
+            self.i, self.j = k, j
         return node
 
-    def _read_parenthesized(self, close: Optional[int]) -> SurfaceWff:
-        """An equality, a quantifier or a binary node at a '(' whose
-        matching ')' is ``close`` (None when it has none).
+    def _read_parenthesized(self, bare: bool) -> SurfaceWff:
+        """An equality, a quantifier or a binary node at a '('.
 
-        An equality attempt is made only where it can succeed.  A term that
-        starts at this '(' ends at its matching ')', so a bare equality
-        needs an '=' right after that; ``( term = term )`` holds its '='
-        directly inside the pair.  Without a matching ')' both are tried.
+        A bare equality ``term = term`` is tried first only where it can
+        succeed: a term that starts at this '(' ends at its matching ')',
+        so it needs an '=' right after that, which ``bare`` says (it is
+        also set where the '(' has no matching ')').  Otherwise the pair
+        holds a quantifier, or a formula and then ')' or a connective.  A
+        formula that is an equality read from right after the '(' and is
+        followed by ')' is the equality ``( term = term )``.
         """
         tokens, i = self.tokens, self.i
-        if close is None or tokens[close + 1] == "=":
+        if bare:
             try:
                 return self._equality()
             except _Fail:
-                self.i = i
+                self.i, self.j = i, 0
         nxt = tokens[i + 1]
         if nxt == "all" or nxt == "ex":
             self.i = i + 2
             v = self._variable()
             body = self.wff()
-            self.expect(")")
+            self.close()
             return ForAll(v, body) if nxt == "all" else Exists(v, body)
         self.i = i + 1
-        if close is None or i in self.holds_eq:
-            try:
-                atom = self._equality()
-                self.expect(")")
-                return atom
-            except _Fail:
-                self.i = i + 1
         left = self.wff()
-        k = self.i
-        node = _BIN_NODES.get(tokens[k])
+        op = tokens[self.i]
+        if op[:1] == ")" and self.eq_start == i + 1:
+            self.close()
+            return left
+        node = _BIN_NODES.get(op)
         if node is None:
-            raise self._unexpected(k, "a binary connective")
-        self.i = k + 1
+            raise self._unexpected("a binary connective")
+        self.i += 1
         right = self.wff()
-        self.expect(")")
+        self.close()
         return node(left, right)
 
     def _variable(self) -> int:
         i = self.i
         m = _VAR_RE.match(self.tokens[i])
         if m is None:
-            raise self._unexpected(i, "a variable")
+            raise self._unexpected("a variable")
         self.i = i + 1
         return self._index(m.group(1), i)
 
     def finish(self) -> None:
-        i = self.i
-        if self.tokens[i]:
-            raise _Fail(f"unexpected trailing input {self.tokens[i]!r}", i)
+        text = self.tokens[self.i]
+        if text:
+            raise _Fail(f"unexpected trailing input {_shown(text)!r}", self.i, self.j)
 
 
 def _parse(text: str, rule: Callable, table: Optional[dict] = None):
@@ -831,20 +935,23 @@ def _parse(text: str, rule: Callable, table: Optional[dict] = None):
         out = rule(p)
         p.finish()
     except _Fail as exc:
-        message, k = exc.args
-        raise ParseError(message, _token_start(text, k)) from None
+        message, k, j = exc.args
+        raise ParseError(message, _token_start(text, k, j)) from None
     return out
 
 
 def parse_wff(text: str, table: Optional[dict] = None) -> SurfaceWff:
     """Parse a formula; abbreviations are kept as surface nodes.
 
-    ``table`` is a parse table: a dict from the tokens of a parenthesized
-    subformula to the node parsed from them, so that a repeated
-    subformula is parsed once and each occurrence is the same object.
-    Calls that pass one dict share it; by default each call starts a
-    fresh one.  A table holds only nodes of successful parses, and no
-    call keeps it.
+    ``table`` is the parse table.  It maps the tokens of each
+    parenthesized subformula to the node parsed from them, so that a
+    repeated subformula is parsed once and each occurrence is the same
+    object.  It also maps each base term of a successor chain (``0``, a
+    variable, ``(t + u)``, ``f{..}(...)``) to the chain ``[t, S(t), ...]``
+    built on it, so ``S^k(t)`` costs no node once a deeper chain on t is
+    built, and equal chains are one object.  Calls that pass one dict
+    share it; by default each call starts a fresh one.  A table holds only
+    nodes of successful parses, and no call keeps it.
     """
     return _parse(text, _Parser.wff, table)
 

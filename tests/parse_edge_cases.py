@@ -1,7 +1,8 @@
 """Parser edge cases: each input with its recorded outcome.
 
 The outcomes were recorded before the parser learned to skip equality
-attempts that cannot succeed.  An outcome is the ``repr`` of the parsed
+attempts that cannot succeed, and the rows on successor chains before the
+lexer read a run of ``S(`` or of ``)`` as one token.  An outcome is the ``repr`` of the parsed
 node, or the error message followed by ``@`` and the error position.
 
 The table needs nothing beyond the standard library, so it also runs on
@@ -20,6 +21,10 @@ _CONST_0 = "Const(index=1)"
 _X1_EQ_0 = "Atom(letter=1, arity=2, terms=(Var(index=1), Const(index=1)))"
 _X2_EQ_0 = "Atom(letter=1, arity=2, terms=(Var(index=2), Const(index=1)))"
 _X1_PLUS_0 = "FuncApp(letter=1, arity=2, args=(Var(index=1), Const(index=1)))"
+_S_0 = f"FuncApp(letter=1, arity=1, args=({_CONST_0},))"
+_SS_0 = f"FuncApp(letter=1, arity=1, args=({_S_0},))"
+_S_X1 = "FuncApp(letter=1, arity=1, args=(Var(index=1),))"
+_SS_X1 = f"FuncApp(letter=1, arity=1, args=({_S_X1},))"
 PARSE_EDGE_CASES = [
     ("wff", "(x1 = 0 -> x2 = 0)",
      f"Implies(antecedent={_X1_EQ_0}, consequent={_X2_EQ_0})"),
@@ -64,6 +69,47 @@ PARSE_EDGE_CASES = [
     ("wff", _DEEP_CHAIN + " = 0", "expected ')', found '=' (at position 6001) @6001"),
     ("wff", f"({_DEEP_CHAIN} = 0)", "expected ')', found '=' (at position 6002) @6002"),
     ("term", _DEEP_CHAIN, "unexpected end of input (at position 6000) @6000"),
+    # successor chains: runs of "S(" and of ")", a ")" run shared with the
+    # enclosing term or formula, and faults inside a run
+    ("term", "S(0))", "unexpected trailing input ')' (at position 4) @4"),
+    ("wff", "S(0))", "expected '=', found ')' (at position 4) @4"),
+    ("term", "S(S(0)", "unexpected end of input (at position 6) @6"),
+    ("term", "S (S( 0 ) )", _SS_0),
+    ("term", "S(S(x1 + 0))", "expected ')', found '+' (at position 7) @7"),
+    ("term", "SS(0)", "expected a term, found 'SS' (at position 0) @0"),
+    ("term", "S()", "expected a term, found ')' (at position 2) @2"),
+    ("term", "S(", "expected a term (at position 2) @2"),
+    ("term", "S(S(S(0)) )  )", "unexpected trailing input ')' (at position 13) @13"),
+    ("term", "f{1,1}(S(S(x1)))", f"FuncApp(letter=1, arity=1, args=({_SS_X1},))"),
+    ("term", "S S(0)", "expected '(', found 'S' (at position 2) @2"),
+    ("wff", "(x1 = S(S(0)))", f"Atom(letter=1, arity=2, terms=(Var(index=1), {_SS_0}))"),
+    ("wff", "((x1 = S(0)) -> (S(0) = x1))",
+     f"Implies(antecedent=Atom(letter=1, arity=2, terms=(Var(index=1), {_S_0})), "
+     f"consequent=Atom(letter=1, arity=2, terms=({_S_0}, Var(index=1))))"),
+    ("wff", "~(S(S(0)) = S(0)))", "unexpected trailing input ')' (at position 17) @17"),
+    ("wff", "(S(S(x1)) + S(0)) = 0",
+     f"Atom(letter=1, arity=2, terms=(FuncApp(letter=1, arity=2, args=({_SS_X1}, {_S_0})), "
+     f"{_CONST_0}))"),
+    ("wff", "((S(S(0)) = x1) -> (x1 = 0))",
+     f"Implies(antecedent=Atom(letter=1, arity=2, terms=({_SS_0}, Var(index=1))), "
+     f"consequent={_X1_EQ_0})"),
+    ("wff", "(S(S(0)) = S(0) -> x1 = 0)",
+     f"Implies(antecedent=Atom(letter=1, arity=2, terms=({_SS_0}, {_S_0})), "
+     f"consequent={_X1_EQ_0})"),
+    ("wff", "S(S(S(0)) = 0", "expected ')', found '=' (at position 10) @10"),
+    ("wff", "(x1 = S(S(0)))))", "unexpected trailing input ')' (at position 14) @14"),
+    ("wff", "S( S(0 ) ) ) = 0", "expected '=', found ')' (at position 11) @11"),
+    ("wff", "((x1 = S(0)) -> (S(0) = x1)", "unexpected end of input (at position 27) @27"),
+    ("wff", "(S(S(x1 + 0)) = 0)", "expected ')', found '+' (at position 8) @8"),
+    ("wff", "(S(S(0)) + )", "expected '=', found '+' (at position 9) @9"),
+    ("wff", "S(S(0)) = S(S(0)", "unexpected end of input (at position 16) @16"),
+    ("wff", "(x1 S(0))", "expected '=', found 'S' (at position 4) @4"),
+    ("wff", "x1 = 0 S(0)", "unexpected trailing input 'S' (at position 7) @7"),
+    ("wff", "(S(0) = S(S(0)) & ~S(0) = 0)",
+     f"And(left=Atom(letter=1, arity=2, terms=({_S_0}, {_SS_0})), "
+     f"right=Not(body=Atom(letter=1, arity=2, terms=({_S_0}, {_CONST_0}))))"),
+    ("wff", "(all x1 (S(x1) = S( S(x1) )) )",
+     f"ForAll(var=1, body=Atom(letter=1, arity=2, terms=({_S_X1}, {_SS_X1})))"),
 ]
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -465,3 +467,18 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_missing_required_flag_exits_2(capsys):
     assert run(["goldbach", "scan"]) == 2
+
+
+def test_only_the_scan_loads_numpy():
+    code = (
+        "import sys, foarith, foarith.cli as cli\n"
+        "assert cli.run(['check', 'tests/data/imp_refl.proof']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by check'\n"
+        "assert cli.run(['goldbach', 'scan', '--limit', '1000']) == 0\n"
+        "assert 'numpy' in sys.modules, 'numpy not loaded by scan'\n"
+    )
+    root = Path(__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

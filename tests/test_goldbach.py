@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,3 +169,19 @@ def test_report_serialization():
     lines = csv.strip().splitlines()
     assert lines[0] == "alpha,count"
     assert "18,2" in lines
+
+
+def test_least_prime_search_keeps_no_dead_arrays():
+    # Each round used to append a view of its array of open members, even
+    # an empty one, which kept every round's array alive to the end: the
+    # peak was about seven times the member array at this size.
+    flags = _sieve(1_000_000)
+    members = _admissible(flags)
+    tracemalloc.start()
+    try:
+        unresolved = _unresolved(flags, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unresolved.size == 0
+    assert peak < 4 * members.nbytes, (peak, members.nbytes)

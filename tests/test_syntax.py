@@ -324,6 +324,87 @@ def test_proof_file_shares_equal_subformulas():
 
 
 # ---------------------------------------------------------------------------
+# successor chains
+#
+# A run of "S(" is one token, and each parse keeps, per base term, the
+# chain [t, S(t), S(S(t)), ...] it has built.  Chains on different bases
+# must stay apart, within one formula and through a table shared by the
+# lines of a proof file.
+
+
+def _chain(t, k):
+    for _ in range(k):
+        t = succ(t)
+    return t
+
+
+def _s(k, text):
+    return "S(" * k + text + ")" * k
+
+
+def _chain_cases(rng):
+    """(text, tree) pairs that put chains on several bases side by side."""
+    cases = []
+    for k in range(301):
+        j = rng.randrange(0, 40)
+        base = f"(x1 + {_s(j, '0')})"
+        cases.append((f"{_s(k, '0')} = {_s(k, 'x1')}",
+                      eq(_chain(ZERO, k), _chain(X1, k))))
+        cases.append((f"({_s(k, 'x1')} = {_s(k, base)})",
+                      eq(_chain(X1, k), _chain(plus(X1, _chain(ZERO, j)), k))))
+        cases.append((f"(({_s(k, 'x2')} + {_s(j, '0')}) = {_s(j, 'x2')} -> "
+                      f"~{_s(j, 'f{3,1}(x2)')} = {_s(k, '0')})",
+                      Implies(eq(plus(_chain(X2, k), _chain(ZERO, j)), _chain(X2, j)),
+                              Not(eq(_chain(FuncApp(3, 1, (X2,)), j), _chain(ZERO, k))))))
+    for _ in range(150):
+        w = random_surface_wff(rng, 4, (1, 2, 3))
+        cases.append((print_wff(w), w))
+    return cases
+
+
+def test_successor_chains_parse_as_built():
+    cases = _chain_cases(random.Random(29))
+    for text, tree in cases:
+        assert parse_wff(text) == tree, text
+    table = {}
+    for text, tree in cases:
+        assert parse_wff(text, table) == tree, text
+
+
+def test_successor_chains_through_a_shared_proof_file_table():
+    rng = random.Random(31)
+    n = builtin_theories()["N"]
+    lines = random_proof_corpus(rng, n, 40)
+    for k in range(0, 120, 7):
+        j = rng.randrange(0, k + 1)
+        lines.append(eq(_chain(ZERO, k), _chain(X1, j)))
+        lines.append(Implies(eq(_chain(X1, k), _chain(plus(X1, ZERO), j)),
+                             eq(_chain(ZERO, j), _chain(X2, k))))
+    rng.shuffle(lines)
+    text = format_proof(Proof(n, tuple(ProofLine(w, UNKNOWN) for w in lines)))
+    assert [line.wff for line in parse_proof_file(text).lines] == lines
+
+
+def _subterm(t, depth):
+    for _ in range(depth):
+        t = t.args[0]
+    return t
+
+
+def test_equal_successor_chains_are_one_object():
+    n, m = 600, 570
+    w = parse_wff(f"{_s(n, '0')} = {_s(m, '0')}")
+    left, right = w.terms
+    assert decode_numeral(left) == n and decode_numeral(right) == m
+    assert right is _subterm(left, n - m)
+    proof = parse_proof_file(f"theory: N\n1. ({_s(40, 'x1')} = {_s(9, '0')}) ; ?\n"
+                             f"2. ({_s(9, 'x1')} = {_s(40, '0')}) ; ?\n")
+    first, second = (line.wff.terms for line in proof.lines)
+    assert second[0] is _subterm(first[0], 31)
+    assert first[1] is _subterm(second[1], 31)
+
+
+# ---------------------------------------------------------------------------
 # nodes
 
 
