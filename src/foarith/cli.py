@@ -134,7 +134,10 @@ def _parse_env(spec: str) -> dict:
         if not sep or not name.startswith("x") or not name[1:].isdecimal() \
                 or int(name[1:]) < 1 or not value.isdecimal():
             raise ValueError(f"bad assignment {part!r}; expected x<i>=<n>")
-        env[int(name[1:])] = int(value)
+        index = int(name[1:])
+        if index in env:
+            raise ValueError(f"repeated assignment {part!r}; x{index} is already assigned")
+        env[index] = int(value)
     return env
 
 

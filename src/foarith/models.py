@@ -27,9 +27,10 @@ decides every formula but says nothing beyond the cutoff.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import goldbach, kernel
 from .syntax import (
@@ -172,12 +173,16 @@ class CodedModel:
     functions may be overridden to inject faults (an override that
     returns a negative index raises ModelError); the default transported
     operations mirror successor, sum and product on indices, which makes
-    the arithmetic axioms hold by construction.
+    the arithmetic axioms hold by construction.  ``overridden`` names the
+    overridden ones among "succ", "add" and "mul".
     """
 
     def __init__(self, coding: CodingFunction, *,
                  succ_index=None, add_index=None, mul_index=None):
         self.coding = coding
+        self.overridden = frozenset(
+            name for name, fn in (("succ", succ_index), ("add", add_index),
+                                  ("mul", mul_index)) if fn is not None)
         self._succ = _checked(succ_index) if succ_index is not None else lambda n: n + 1
         self._add = _checked(add_index) if add_index is not None else lambda m, n: m + n
         self._mul = _checked(mul_index) if mul_index is not None else lambda m, n: m * n
@@ -269,9 +274,6 @@ _TRUE = EvalResult(ThreeValued.TRUE)
 _FALSE = EvalResult(ThreeValued.FALSE)
 _UNKNOWN = EvalResult(ThreeValued.UNKNOWN)
 
-_MISSING = object()
-
-
 def _merge(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
     if not a:
         return b
@@ -283,11 +285,280 @@ def _merge(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
 
 
 def _raising(message: str):
-    """A closure that raises when evaluated, so uninterpretable symbols
+    """A function that raises when called, so uninterpretable symbols
     fail only where evaluation reaches them."""
     def fail():
         raise ModelError(message)
     return fail
+
+
+# Nesting allowed inside one generated function.  Python's parser and
+# compiler stop at about 200 nested parentheses, 100 indentation levels
+# and 20 nested loops; deeper code moves into a function of its own, and
+# a formula still runs in fewer Python frames than it has levels.
+_MAX_EXPR_DEPTH = 40
+_MAX_BLOCK_DEPTH = 8
+_MAX_CHAIN = 8
+
+# default index operations are inlined; an overriding one is called
+_OPS = {(1, 1): ("succ", "({} + 1)", "_succ({})"),
+        (1, 2): ("add", "({} + {})", "_add({}, {})"),
+        (2, 2): ("mul", "({} * {})", "_mul({}, {})")}
+
+
+class _Expr(NamedTuple):
+    """A quantifier-free piece as one Python expression: a term, or a
+    two-valued formula.  ``names`` are the locals it reads."""
+    text: str
+    depth: int
+    names: frozenset
+
+
+class _Block(NamedTuple):
+    """A piece that holds a quantifier: statements after which ``t`` is
+    True, False or None (unknown) and ``w`` the witness dict or None.
+    ``depth`` is the deepest indentation among the lines."""
+    lines: list
+    t: str
+    w: str
+    depth: int
+    names: frozenset
+
+
+def _indent(lines: list, levels: int = 1) -> list:
+    pad = "    " * levels
+    return [pad + line for line in lines]
+
+
+def _params(names) -> str:
+    # x<i> in index order first, then the bound v<k>
+    return ", ".join(sorted(names, key=lambda name: (name[0] == "v", int(name[1:]))))
+
+
+class _Compiler:
+    """Turns a core formula into the source of Python functions.
+
+    The walk keeps its own stack, so formula depth costs no Python
+    frames here.  Variables are locals: a free one is ``x<i>``, and each
+    quantifier binds a fresh ``v<k>``, so shadowing is resolved while
+    compiling.  Quantifier-free subformulas become one short-circuit
+    expression.  Other subformulas become statements that set a truth
+    (True, False, or None for unknown) and a witness.  A universal, or a
+    chain of them, is a function of its free variables whose loops
+    return (False, witness) at the first counterexample; one that
+    ignores the variable of an enclosing quantifier is memoized on its
+    free variables in a table of this call.  The source is built from
+    integers and fixed identifiers only; error messages and override
+    functions are entries of ``ns``.
+    """
+
+    def __init__(self, model: CodedModel, bound: int, cutoff: bool):
+        self.model = model
+        self.defs: list = []
+        self.ns = {"_D": range(bound + 1), "_merge": _merge,
+                   "_succ": model._succ, "_add": model._add, "_mul": model._mul}
+        self.exhausted = "True" if cutoff else "None"
+        self.fresh = itertools.count()
+        self.inline = {sig for sig, (name, _, _) in _OPS.items()
+                       if name not in model.overridden}
+
+    def source(self, w: Wff) -> tuple:
+        """Source defining ``_root``, and the indices of the free variables
+        it takes in order.  ``_root`` returns a bool for a quantifier-free
+        formula and a pair (truth, witness) otherwise."""
+        top = self._compile(w)
+        free = sorted(int(name[1:]) for name in top.names)
+        if not isinstance(w, ForAll):  # a universal at the top is _root itself
+            body = ([f"return {top.text}"] if isinstance(top, _Expr)
+                    else top.lines + [f"return {top.t}, {top.w}"])
+            self._function("_root", top.names, body)
+        return "\n".join(self.defs) + "\n", free
+
+    def _function(self, name: str, names, lines: list) -> str:
+        """Adds ``def name(<names>)`` and returns the call to it."""
+        call = f"{name}({_params(names)})"
+        self.defs.append("\n".join([f"def {call}:"] + _indent(lines)))
+        return call
+
+    # -- expressions
+
+    def _raiser(self, message: str) -> _Expr:
+        name = f"_r{next(self.fresh)}"
+        self.ns[name] = _raising(message)
+        return _Expr(f"{name}()", 1, frozenset())
+
+    def _expr(self, template: str, a: _Expr, b: Optional[_Expr] = None) -> _Expr:
+        if b is None:
+            text, names, depth = template.format(a.text), a.names, a.depth + 1
+        else:
+            text, names = template.format(a.text, b.text), a.names | b.names
+            depth = 1 + (a.depth if a.depth > b.depth else b.depth)
+        if depth > _MAX_EXPR_DEPTH:
+            text, depth = self._function(f"_e{next(self.fresh)}", names, [f"return {text}"]), 1
+        return _Expr(text, depth, names)
+
+    def _operation(self, sig: tuple, *args: _Expr) -> _Expr:
+        _, inline, call = _OPS[sig]
+        return self._expr(inline if sig in self.inline else call, *args)
+
+    def _successors(self, k: int, base: _Expr) -> _Expr:
+        """S applied k times: one ``+ k`` inline (Python's compiler folds
+        it on a literal), or k calls of an override."""
+        if (1, 1) in self.inline:
+            return self._expr(f"({{}} + {k})", base)
+        for _ in range(k):
+            base = self._operation((1, 1), base)
+        return base
+
+    # -- statements
+
+    def _block(self, lines: list, t: str, w: str, depth: int, names: frozenset) -> _Block:
+        if depth > _MAX_BLOCK_DEPTH:
+            call = self._function(f"_g{next(self.fresh)}", names, lines + [f"return {t}, {w}"])
+            k = next(self.fresh)
+            t, w = f"t{k}", f"w{k}"
+            lines, depth = [f"{t}, {w} = {call}"], 0
+        return _Block(lines, t, w, depth, names)
+
+    def _negation(self, b):
+        if isinstance(b, _Expr):
+            return self._expr("(not {})", b)
+        t = f"t{next(self.fresh)}"
+        negated = (f"not {b.t}" if self.exhausted == "True"
+                   else f"None if {b.t} is None else not {b.t}")
+        return _Block(b.lines + [f"{t} = {negated}"], t, b.w, b.depth, b.names)
+
+    def _implication(self, a, b):
+        if isinstance(a, _Expr) and isinstance(b, _Expr):
+            return self._expr("(not {} or {})", a, b)
+        k = next(self.fresh)
+        t, w = f"t{k}", f"w{k}"
+        names = a.names | b.names
+        if isinstance(a, _Expr):
+            # a true: the consequent's verdict; a false: True
+            lines = [f"{t}, {w} = True, None", f"if {a.text}:"] \
+                + _indent(b.lines + [f"{t}, {w} = {b.t}, {b.w}"])
+            return self._block(lines, t, w, b.depth + 1, names)
+        lines = a.lines + [f"if {a.t} is False:", f"    {t}, {w} = True, {a.w}"]
+        if isinstance(b, _Expr):
+            lines += [f"elif {b.text}:", f"    {t}, {w} = True, None",
+                      f"elif {a.t} is True:", f"    {t}, {w} = False, {a.w}",
+                      "else:", f"    {t}, {w} = None, None"]
+            return self._block(lines, t, w, max(a.depth, 1), names)
+        lines += ["else:"] + _indent(b.lines + [
+            f"if {b.t} is True:", f"    {t}, {w} = True, {b.w}",
+            f"elif {a.t} is True and {b.t} is False:",
+            f"    {t}, {w} = False, _merge({a.w}, {b.w})",
+            "else:", f"    {t}, {w} = None, None"])
+        return self._block(lines, t, w, max(a.depth, b.depth + 1, 2), names)
+
+    def _universal(self, variables: tuple, loops: tuple, enclosing: int, name: str,
+                   body) -> _Block:
+        """Loops binding ``variables`` to the locals ``loops``, as the
+        function ``name``: (False, witness) at the first counterexample,
+        else (exhausted, None)."""
+        names = body.names.difference(loops)
+        found = "{" + ", ".join(f"{v}: {loop}" for v, loop in zip(variables, loops)) + "}"
+        if isinstance(body, _Expr):
+            inner = [f"if not {body.text}:", f"    return False, {found}"]
+        else:
+            inner = body.lines + [f"if {body.t} is False:",
+                                  f"    return False, _merge({found}, {body.w})"]
+        lines = ["    " * depth + f"for {loop} in _D:" for depth, loop in enumerate(loops)]
+        lines += _indent(inner, len(loops)) + [f"return {self.exhausted}, None"]
+        call = self._function(name, names, lines)
+        k = next(self.fresh)
+        t, w = f"t{k}", f"w{k}"
+        # the bound locals read here are v<k>, each of an enclosing
+        # quantifier; with fewer of them than enclosing quantifiers, the
+        # verdict is the same for every value of some enclosing variable
+        if enclosing > sum(1 for n in names if n[0] == "v"):
+            memo = f"_m{k}"
+            self.defs.append(f"{memo} = {{}}")
+            key = _params(names) if len(names) == 1 else f"({_params(names)})"
+            lines = [f"{t} = {memo}.get({key})", f"if {t} is None:",
+                     f"    {t} = {memo}[{key}] = {call}", f"{t}, {w} = {t}"]
+            return _Block(lines, t, w, 1, names)
+        return _Block([f"{t}, {w} = {call}"], t, w, 0, names)
+
+    # -- the walk
+
+    def _compile(self, w: Wff):
+        # work items: ("visit", node, scope, enclosing quantifiers) or
+        # (combine method, number of pieces it takes, *leading arguments)
+        out: list = []
+        work: list = [("visit", w, {}, 0)]
+        while work:
+            item = work.pop()
+            if item[0] != "visit":
+                combine, count, *extra = item
+                pieces = out[len(out) - count:]
+                del out[len(out) - count:]
+                out.append(combine(*extra, *pieces))
+                continue
+            _, node, scope, enclosing = item
+            if isinstance(node, Var):
+                name = scope.get(node.index, f"x{node.index}")
+                out.append(_Expr(name, 0, frozenset((name,))))
+            elif isinstance(node, Const):
+                try:
+                    value = int(self.model.constant(node.index).index)
+                except ModelError as exc:
+                    out.append(self._raiser(str(exc)))
+                else:
+                    out.append(_Expr(str(value), 0, frozenset()))
+            elif isinstance(node, FuncApp):
+                sig = (node.letter, node.arity)
+                if sig not in _OPS:
+                    out.append(self._raiser(
+                        f"function letter f{{{node.letter},{node.arity}}} has no interpretation"))
+                elif sig == (1, 1):
+                    k = 0
+                    while isinstance(node, FuncApp) and (node.letter, node.arity) == sig:
+                        node, k = node.args[0], k + 1
+                    work.append((self._successors, 1, k))
+                    work.append(("visit", node, scope, enclosing))
+                else:
+                    work.append((self._operation, 2, sig))
+                    work.append(("visit", node.args[1], scope, enclosing))
+                    work.append(("visit", node.args[0], scope, enclosing))
+            elif isinstance(node, Atom):
+                if (node.letter, node.arity) != (1, 2):
+                    out.append(self._raiser(
+                        f"predicate letter A{{{node.letter},{node.arity}}} has no interpretation"))
+                else:
+                    work.append((self._expr, 2, "({} == {})"))
+                    work.append(("visit", node.terms[1], scope, enclosing))
+                    work.append(("visit", node.terms[0], scope, enclosing))
+            elif isinstance(node, Not):
+                # ~~A has the verdict and witness of A
+                odd = False
+                while isinstance(node, Not):
+                    node, odd = node.body, not odd
+                if odd:
+                    work.append((self._negation, 1))
+                work.append(("visit", node, scope, enclosing))
+            elif isinstance(node, Implies):
+                work.append((self._implication, 2))
+                work.append(("visit", node.consequent, scope, enclosing))
+                work.append(("visit", node.antecedent, scope, enclosing))
+            elif isinstance(node, ForAll):
+                name = "_root" if node is w else f"_u{next(self.fresh)}"
+                variables, loops, scope = [], [], dict(scope)
+                while isinstance(node, ForAll) and len(loops) < _MAX_CHAIN:
+                    loop = f"v{next(self.fresh)}"
+                    variables.append(node.var)
+                    loops.append(loop)
+                    scope[node.var] = loop
+                    node = node.body
+                work.append((self._universal, 1, tuple(variables), tuple(loops),
+                             enclosing, name))
+                work.append(("visit", node, scope, enclosing + len(loops)))
+            else:
+                # is_core admits only the formulas above, so this is a term
+                out.append(self._raiser(f"not a term: {node!r}"))
+        (top,) = out
+        return top
 
 
 def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
@@ -306,12 +577,16 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
     quantifiers range over the finite segment {0..bound} only and every
     verdict is classical True or False.
 
-    The formula is compiled once per call into nested closures over a
-    scope of plain element indices.  Terms call the model's successor,
-    sum and product index functions directly; CodedNat appears only at
-    the API boundary, in ``env``, and witnesses are indices.
-    Uninterpretable symbols compile to closures that raise, so they fail
-    only when evaluation reaches them.
+    Each call generates Python source for the formula and compiles it
+    once.  Variables are plain element indices in locals.  A
+    quantifier-free subformula is one short-circuit expression, with the
+    default successor, sum and product inlined as ``+ 1``, ``+`` and
+    ``*`` and overriding index functions called.  A universal is a loop
+    that returns its first counterexample; one that does not depend on
+    an enclosing quantifier's variable is memoized on its free variables
+    for the rest of the call.  Evaluation order is the formula's, so an
+    uninterpretable symbol raises ModelError only when reached.  Code
+    nested deeper than Python's compiler allows is split into functions.
     """
     if not is_core(w):
         raise ModelError("eval_bounded takes core wffs; apply lower() first")
@@ -324,89 +599,20 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
         names = ", ".join(f"x{i}" for i in sorted(missing))
         raise ModelError(f"unbound free variables: {names}")
 
-    domain = range(bound + 1)
-    exhausted = _TRUE if domain_cutoff else _UNKNOWN
-    ops = {(1, 1): model._succ, (1, 2): model._add, (2, 2): model._mul}
-    true_ = ThreeValued.TRUE
-    false_ = ThreeValued.FALSE
-
-    def term(t):
-        if isinstance(t, Var):
-            i = t.index
-            return lambda: scope[i]
-        if isinstance(t, Const):
-            try:
-                value = model.constant(t.index).index
-            except ModelError as exc:
-                return _raising(str(exc))
-            return lambda: value
-        if isinstance(t, FuncApp):
-            op = ops.get((t.letter, t.arity))
-            if op is None:
-                return _raising(
-                    f"function letter f{{{t.letter},{t.arity}}} has no interpretation")
-            if t.arity == 1:
-                arg = term(t.args[0])
-                return lambda: op(arg())
-            left, right = term(t.args[0]), term(t.args[1])
-            return lambda: op(left(), right())
-        return _raising(f"not a term: {t!r}")
-
-    def formula(w: Wff):
-        if isinstance(w, Atom):
-            if (w.letter, w.arity) != (1, 2):
-                return _raising(
-                    f"predicate letter A{{{w.letter},{w.arity}}} has no interpretation")
-            left, right = term(w.terms[0]), term(w.terms[1])
-            return lambda: _TRUE if left() == right() else _FALSE
-        if isinstance(w, Not):
-            body = formula(w.body)
-
-            def negation() -> EvalResult:
-                r = body()
-                if r.truth is true_:
-                    return EvalResult(false_, r.witness) if r.witness else _FALSE
-                if r.truth is false_:
-                    return EvalResult(true_, r.witness) if r.witness else _TRUE
-                return _UNKNOWN
-            return negation
-        if isinstance(w, Implies):
-            antecedent, consequent = formula(w.antecedent), formula(w.consequent)
-
-            def implication() -> EvalResult:
-                a = antecedent()
-                if a.truth is false_:
-                    return EvalResult(true_, a.witness) if a.witness else _TRUE
-                b = consequent()
-                if b.truth is true_:
-                    return EvalResult(true_, b.witness) if b.witness else _TRUE
-                if a.truth is true_ and b.truth is false_:
-                    merged = _merge(a.witness, b.witness)
-                    return EvalResult(false_, merged) if merged else _FALSE
-                return _UNKNOWN
-            return implication
-        if isinstance(w, ForAll):
-            v = w.var
-            body = formula(w.body)
-
-            def universal() -> EvalResult:
-                saved = scope.get(v, _MISSING)
-                result = exhausted
-                for n in domain:
-                    scope[v] = n
-                    r = body()
-                    if r.truth is false_:
-                        result = EvalResult(false_, _merge({v: n}, r.witness))
-                        break
-                if saved is _MISSING:
-                    del scope[v]
-                else:
-                    scope[v] = saved
-                return result
-            return universal
-        return _raising(f"not a core formula: {w!r}")
-
-    return formula(w)()
+    compiler = _Compiler(model, bound, domain_cutoff)
+    source, free = compiler.source(w)
+    ns = compiler.ns
+    try:
+        exec(compile(source, "<eval_bounded>", "exec"), ns)
+        result = ns["_root"](*(scope[i] for i in free))
+    finally:
+        ns.clear()  # the generated functions and memo tables refer to ns
+    truth, witness = (result, None) if isinstance(result, bool) else result
+    if truth is None:
+        return _UNKNOWN
+    if witness:
+        return EvalResult(ThreeValued.TRUE if truth else ThreeValued.FALSE, witness)
+    return _TRUE if truth else _FALSE
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,14 @@ def test_model_eval_rejects_index_zero(capsys):
     assert code == 2 and "bad assignment 'x0=3'" in err
 
 
+@pytest.mark.parametrize("env, part", [("x1=1,x1=2", "x1=2"), ("x1=1, x01=1", " x01=1")])
+def test_model_eval_rejects_repeated_variable(capsys, env, part):
+    code, out, err = invoke(capsys, "model", "eval", "--alpha", "18", "--u", "1",
+                            "--bound", "5", "--wff", "(x1 = 0)", "--env", env)
+    assert code == 2 and out == ""
+    assert err == f"error: repeated assignment {part!r}; x1 is already assigned\n"
+
+
 @pytest.mark.parametrize("env", ["x1=\u00b2", "x\u00b2=1"])
 def test_model_eval_rejects_non_decimal_digits(capsys, env):
     # superscript two is a digit to str.isdigit but not to int()

@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,20 @@ from foarith.models import (
     limit_table,
     limit_table_csv,
 )
-from foarith.syntax import And, lower, parse_core, substitute
+from foarith.syntax import (
+    And,
+    Const,
+    ForAll,
+    Implies,
+    Not,
+    Var,
+    eq,
+    lower,
+    parse_core,
+    plus,
+    substitute,
+    succ,
+)
 
 N = build_theory_N()
 HALF = Fraction(1, 2)
@@ -177,6 +192,32 @@ def test_constant_a2_is_one():
     assert r.truth is ThreeValued.TRUE
 
 
+def test_overridden_names_the_overriding_operations():
+    assert coded_model(18, 2).overridden == frozenset()
+    m = coded_model(18, 2, succ_index=lambda n: n + 1, mul_index=lambda a, b: a * b)
+    assert m.overridden == {"succ", "mul"}
+
+
+def test_one_compile_per_call(monkeypatch):
+    calls = []
+    real = builtins.compile
+    monkeypatch.setattr(builtins, "compile",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    w = substitute(goldbach_sentence(False).body, 1, numeral(18))
+    assert eval_bounded(coded_model(18, 1), w, {}, bound=20,
+                        domain_cutoff=True).truth is ThreeValued.TRUE
+    assert len(calls) == 1
+
+
+def test_universal_ignoring_an_enclosing_variable_runs_once():
+    calls = []
+    m = coded_model(18, 2, succ_index=lambda n: calls.append(n) or n + 1)
+    w = parse_core("(all x1 ((all x2 (S(x2) = S(x2))) -> (x1 = x1)))")
+    r = eval_bounded(m, w, {}, bound=4, domain_cutoff=True)
+    assert r.truth is ThreeValued.TRUE
+    assert calls == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]  # once, not once per x1
+
+
 # ---------------------------------------------------------------------------
 # bounded evaluation
 
@@ -254,9 +295,9 @@ def test_coded_evaluator_matches_standard_oracle(rng):
 # golden evaluator outcomes
 #
 # SHA-256 over every (verdict, witness dict in insertion order) or
-# ModelError text, recorded before the evaluator was compiled to closures
-# over plain indices; any change in verdicts, witnesses, their merge order
-# or the error raised first shows here.
+# ModelError text; any change in verdicts, witnesses, their merge order or
+# the error raised first shows here.  "nested" holds universals that ignore
+# an enclosing quantifier's variable, the case the evaluator memoizes.
 
 
 def _outcome(model, w, env, bound, cutoff):
@@ -313,18 +354,103 @@ def _goldbach_cases():
             yield model, substitute(body, 1, numeral(n)), {}, n + 2, True
 
 
+def _nested_cases():
+    # depth-4 formulas over four variables often hold a universal that
+    # ignores an enclosing quantifier's variable
+    rng = random.Random(2024)
+    models = [coded_model(18, 1),
+              coded_model(18, 2, succ_index=lambda n: 2 if n == 0 else n + 1,
+                          mul_index=lambda m_, n_: m_ * n_ - (m_ == 3 and n_ == 0))]
+    for _ in range(120):
+        w = random_core_wff(rng, 4, (1, 2, 3, 4))
+        env = {v: rng.randrange(5) for v in (1, 2, 3, 4)}
+        for model in models:
+            for bound in range(7):
+                for cutoff in (False, True):
+                    yield model, w, env, bound, cutoff
+    model = coded_model(18, 1)
+    for classical in (False, True):
+        body = goldbach_sentence(classical).body
+        for n in range(26, 37):
+            yield model, substitute(body, 1, numeral(n)), {}, n + 2, True
+
+
 GOLDEN_EVAL_DIGESTS = {
     "random": "e62af34e8e8efc449bc4e547c98b049beb48456a44789063adcbb6d4727f8a34",
     "faulty": "f2ce23780afa0064239f00f3460042e1ce4c8e032e3f120c3f830124312d89d8",
     "goldbach": "39b2bccf0fbbabd2e6c470e4353b22da38bec179d49eb99974c90cfc06b95737",
+    "nested": "7aff7f123885de4941db037f7e987c2245d35180e99c94e0b0fee17a0c20a4bf",
 }
 _GOLDEN_CASES = {"random": _random_cases, "faulty": _faulty_cases,
-                 "goldbach": _goldbach_cases}
+                 "goldbach": _goldbach_cases, "nested": _nested_cases}
 
 
 @pytest.mark.parametrize("group", sorted(GOLDEN_EVAL_DIGESTS))
 def test_eval_golden_outcomes(group):
     assert _digest(_GOLDEN_CASES[group]()) == GOLDEN_EVAL_DIGESTS[group]
+
+
+# ---------------------------------------------------------------------------
+# deep formulas
+#
+# Built with constructors (the parser still recurses).  Each expected list
+# was recorded before the evaluator generated Python source: outcomes at
+# envs {x1=0, x2=0} and {x1=3, x2=1}, each honest and under the cutoff.
+
+
+DEPTH = 990
+
+
+def _deep(step, start):
+    for k in range(DEPTH):
+        start = step(start, k)
+    return start
+
+
+_DEPTH_CASES = {
+    "succ": (coded_model(18, 1), eq(_deep(lambda t, k: succ(t), Var(1)), Const(1))),
+    "succ-override": (coded_model(18, 1, succ_index=lambda n: n + 2),
+                      eq(_deep(lambda t, k: succ(t), Var(1)), Const(1))),
+    "not": (coded_model(18, 1), _deep(lambda w, k: Not(w), eq(Var(1), Const(1)))),
+    "forall": (coded_model(18, 1),
+               _deep(lambda w, k: ForAll(k % 3 + 1, w), eq(Var(1), Var(2)))),
+    "implies": (coded_model(18, 1),
+                _deep(lambda w, k: Implies(eq(Var(1), Var(1)), w), eq(Var(1), Const(1)))),
+    "plus": (coded_model(18, 1),
+             eq(_deep(lambda t, k: plus(t, Var(1)), Var(1)), Const(1))),
+}
+
+_DEPTH_OUTCOMES = {
+    "succ": ["false None"] * 4,
+    "succ-override": ["false None"] * 4,
+    "not": ["true None"] * 2 + ["false None"] * 2,
+    "forall": ["false {3: 0, 2: 0, 1: 1}"] * 4,
+    "implies": ["true None"] * 2 + ["false None"] * 2,
+    "plus": ["true None"] * 2 + ["false None"] * 2,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEPTH_CASES))
+def test_deep_formula_outcomes(shape):
+    model, w = _DEPTH_CASES[shape]
+    got = []
+
+    def run():
+        # a new thread starts at recursion depth 0, as a CLI process
+        # would, whatever depth the test runner has reached
+        for env in ({1: 0, 2: 0}, {1: 3, 2: 1}):
+            for cutoff in (False, True):
+                try:
+                    r = eval_bounded(model, w, env, bound=2, domain_cutoff=cutoff)
+                except ModelError as exc:
+                    got.append(type(exc).__name__ + str(exc))
+                else:
+                    got.append(f"{r.truth.value} {r.witness!r}")
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    assert got == _DEPTH_OUTCOMES[shape]
 
 
 # ---------------------------------------------------------------------------
