@@ -103,8 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit_json(command: str, **fields) -> None:
+    """The document of one subcommand: schema, command, then ``fields``."""
+    print(json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2))
+
+
+def _read_proof(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return parse_proof_file(fh.read())
 
 
 def _witness_text(witness: dict) -> str:
@@ -150,26 +156,20 @@ def _cmd_parse(ns) -> int:
     core = lower(parse_wff(text))
     rendered = print_wff(core)
     if ns.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "parse", "wff": rendered})
+        _emit_json("parse", wff=rendered)
     else:
         print(rendered)
     return 0
 
 
 def _cmd_check(ns) -> int:
-    with open(ns.prooffile, encoding="utf-8") as fh:
-        proof = parse_proof_file(fh.read())
+    proof = _read_proof(ns.prooffile)
     verdict = check_proof(proof)
     if ns.json:
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "check",
-            "file": ns.prooffile,
-            "theory": proof.theory.name,
-            "accepted": verdict.accepted,
-            "lines": [{"line": v.line, "ok": v.ok, "reason": v.reason}
-                      for v in verdict.per_line],
-        })
+        _emit_json("check", file=ns.prooffile, theory=proof.theory.name,
+                   accepted=verdict.accepted,
+                   lines=[{"line": v.line, "ok": v.ok, "reason": v.reason}
+                          for v in verdict.per_line])
     elif verdict.accepted:
         print(f"accepted ({len(proof.lines)} lines)")
     else:
@@ -180,22 +180,15 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_discover(ns) -> int:
-    with open(ns.prooffile, encoding="utf-8") as fh:
-        proof = parse_proof_file(fh.read())
-    result = resolve_unknowns(proof)
+    result = resolve_unknowns(_read_proof(ns.prooffile))
     failures = check_proof(result.proof).failures if result.ok else result.failures
     lines = result.proof.lines if result.ok else ()
     if ns.json:
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "discover",
-            "file": ns.prooffile,
-            "accepted": not failures,
-            "lines": [{"line": k, "wff": print_wff(line.wff),
-                       "justification": format_justification(line.justification)}
-                      for k, line in enumerate(lines, 1)],
-            "failures": [{"line": f.line, "reason": f.reason} for f in failures],
-        })
+        _emit_json("discover", file=ns.prooffile, accepted=not failures,
+                   lines=[{"line": k, "wff": print_wff(line.wff),
+                           "justification": format_justification(line.justification)}
+                          for k, line in enumerate(lines, 1)],
+                   failures=[{"line": f.line, "reason": f.reason} for f in failures])
     elif failures:
         for f in failures:
             print(f"line {f.line}: {f.reason}")
@@ -207,8 +200,7 @@ def _cmd_discover(ns) -> int:
 def _cmd_sentence(ns) -> int:
     rendered = print_wff(goldbach_sentence(classical=ns.classical))
     if ns.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "sentence",
-                    "name": ns.name, "classical": ns.classical, "wff": rendered})
+        _emit_json("sentence", name=ns.name, classical=ns.classical, wff=rendered)
     else:
         print(rendered)
     return 0
@@ -232,8 +224,8 @@ def _cmd_goldbach_scan(ns) -> int:
 def _cmd_goldbach_partitions(ns) -> int:
     pairs = partitions(ns.alpha)
     if ns.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "goldbach-partitions",
-                    "alpha": ns.alpha, "partitions": [list(p) for p in pairs]})
+        _emit_json("goldbach-partitions", alpha=ns.alpha,
+                   partitions=[list(p) for p in pairs])
     else:
         print(" ".join(f"({p},{q})" for p, q in pairs))
     return 0
@@ -244,14 +236,8 @@ def _cmd_model_axioms(ns) -> int:
     checks = check_axioms(model, ns.bound, domain_cutoff=ns.cutoff)
     any_false = any(c.result.truth is ThreeValued.FALSE for c in checks)
     if ns.json:
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "model-axioms",
-            "alpha": ns.alpha,
-            "u": str(model.coding.u),
-            "bound": ns.bound,
-            "report": [c.to_json_dict() for c in checks],
-        })
+        _emit_json("model-axioms", alpha=ns.alpha, u=str(model.coding.u), bound=ns.bound,
+                   report=[c.to_json_dict() for c in checks])
     else:
         for c in checks:
             truth = c.result.truth
@@ -272,16 +258,9 @@ def _cmd_model_eval(ns) -> int:
     env = _parse_env(ns.env)
     result = eval_bounded(model, wff, env, bound=ns.bound, domain_cutoff=ns.cutoff)
     if ns.json:
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "model-eval",
-            "alpha": ns.alpha,
-            "u": str(model.coding.u),
-            "bound": ns.bound,
-            "wff": print_wff(wff),
-            "verdict": result.truth.value,
-            "witness": result.witness_json(),
-        })
+        _emit_json("model-eval", alpha=ns.alpha, u=str(model.coding.u), bound=ns.bound,
+                   wff=print_wff(wff), verdict=result.truth.value,
+                   witness=result.witness_json())
     elif result.truth is ThreeValued.TRUE:
         suffix = f", witness {_witness_text(result.witness)}" if result.witness else ""
         print(f"True{suffix}")
@@ -301,13 +280,9 @@ def _cmd_model_limits(ns) -> int:
     us.append(Fraction(1))
     rows = limit_table(ns.alpha, ns.nmax, us)
     if ns.json:
-        _emit_json({
-            "schema": SCHEMA_VERSION,
-            "command": "model-limits",
-            "alpha": ns.alpha,
-            "rows": [{"u": str(r.u), "n": r.n, "psi": str(r.psi),
-                      "deviation": str(r.deviation)} for r in rows],
-        })
+        _emit_json("model-limits", alpha=ns.alpha,
+                   rows=[{"u": str(r.u), "n": r.n, "psi": str(r.psi),
+                          "deviation": str(r.deviation)} for r in rows])
     else:
         print(limit_table_csv(rows), end="")
     return 0
@@ -327,10 +302,6 @@ def run(argv: Optional[list] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return ns.func(ns)
-    except RecursionError:
-        # successor chains are read and printed in loops; other nesting
-        # still recurses
-        message = "formula nested too deeply (recursion limit reached)"
     except MemoryError as exc:
         message = str(exc) or "out of memory"
     except (ValueError, OSError) as exc:

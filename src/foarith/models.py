@@ -586,7 +586,9 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
     an enclosing quantifier's variable is memoized on its free variables
     for the rest of the call.  Evaluation order is the formula's, so an
     uninterpretable symbol raises ModelError only when reached.  Code
-    nested deeper than Python's compiler allows is split into functions.
+    nested deeper than Python's compiler allows is split into functions;
+    a formula whose functions would nest past the interpreter's recursion
+    limit (some thousands of universals deep) raises ModelError.
     """
     if not is_core(w):
         raise ModelError("eval_bounded takes core wffs; apply lower() first")
@@ -605,6 +607,10 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
     try:
         exec(compile(source, "<eval_bounded>", "exec"), ns)
         result = ns["_root"](*(scope[i] for i in free))
+    except RecursionError:
+        # each chain of universals and each split-off block is one call
+        # of the generated code, so thousands of them nest too deeply
+        raise ModelError("formula nested too deeply to evaluate") from None
     finally:
         ns.clear()  # the generated functions and memo tables refer to ns
     truth, witness = (result, None) if isinstance(result, bool) else result

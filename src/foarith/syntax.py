@@ -29,6 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, islice, repeat
+from operator import is_
+from types import FunctionType
 from typing import Callable, Optional, Union
 
 __all__ = [
@@ -63,7 +65,7 @@ class CaptureError(ValueError):
 
 
 class _Node:
-    """Base of the syntax nodes: immutable, and hashed once.
+    """Base of the syntax nodes: immutable, hashed once, built from a shape.
 
     Each node computes its hash when it is built, as the hash of the tuple
     of its fields (``_fields`` names them in order), which is the value a
@@ -72,10 +74,36 @@ class _Node:
     explicit stack that settles identical or differently hashed subtrees at
     once.  Neither recurses, so both work at any depth.  Assigning or
     deleting a field raises :class:`dataclasses.FrozenInstanceError`; the
-    cached hash depends on it.
+    cached hash depends on it.  ``str`` is the canonical text.
+
+    The eleven node classes come in four shapes, each a base class that
+    holds the slots and the ``__init__``: a leaf (Var, Const), an
+    application (FuncApp, Atom), a connective (Not, Implies, And, Or, Iff)
+    and a quantifier (ForAll, Exists).  A node class names its fields; the
+    shape's slots and ``__init__`` parameters take those names in it.
+
+    ``_core`` says whether a node is a core formula (see :func:`is_core`).
+    A term never is and an atom always is; a connective or quantifier
+    stores the flag, read off its children as the hash is.  ``_basic``
+    marks the two-place connective and the quantifier that are core
+    (Implies and ForAll); Not is core when its body is.
     """
     __slots__ = ("_hash",)
     _fields: tuple = ()
+    _slots: tuple = ()      # the shape's slots, in the order of the fields
+    _basic = False
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            return
+        for field, slot in zip(cls._fields, cls._slots):
+            setattr(cls, field, getattr(cls, slot))
+        # The parameters are renamed in the code object only: the body
+        # reads them by position, so only keyword binding sees the names.
+        code = cls.__init__.__code__
+        names = ("self",) + cls._fields + code.co_varnames[1 + len(cls._fields):]
+        cls.__init__ = FunctionType(code.replace(co_varnames=names),
+                                    cls.__init__.__globals__, "__init__")
 
     def __hash__(self) -> int:
         return self._hash
@@ -100,170 +128,158 @@ class _Node:
     def __reduce__(self):
         return type(self), tuple(map(getattr, repeat(self), self._fields))
 
+    def __str__(self) -> str:
+        return _print(self)
 
-# Fields are set through their slot descriptors, which bypass the frozen
+
+class _Term(_Node):
+    __slots__ = ()
+    _core = False
+
+
+class _Formula(_Node):
+    __slots__ = ()
+
+
+# Slots are set through their descriptors, which bypass the frozen
 # __setattr__ and cost less than object.__setattr__.
 _set_hash = _Node._hash.__set__
 
 
-class _Term(_Node):
-    """Base of the term nodes; ``str`` is the canonical text."""
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return print_term(self)
-
-
-class _Formula(_Node):
-    """Base of the formula nodes; ``str`` is the canonical text."""
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return print_wff(self)
-
-
-class Var(_Term):
-    __slots__ = _fields = ("index",)
+class _Leaf(_Term):
+    __slots__ = _slots = ("index",)
 
     def __init__(self, index: int):
         if index < 1:
-            raise ValueError("variable index must be >= 1")
-        _set_var_index(self, index)
+            raise ValueError(f"{self._kind} index must be >= 1")
+        _set_index(self, index)
         _set_hash(self, hash((index,)))
 
 
-class Const(_Term):
-    __slots__ = _fields = ("index",)
-
-    def __init__(self, index: int):
-        if index < 1:
-            raise ValueError("constant index must be >= 1")
-        _set_const_index(self, index)
-        _set_hash(self, hash((index,)))
-
-
-class FuncApp(_Term):
-    __slots__ = _fields = ("letter", "arity", "args")
+class _Application(_Node):
+    __slots__ = _slots = ("letter", "arity", "_args")
 
     def __init__(self, letter: int, arity: int, args: tuple):
         args = tuple(args)
         if letter < 1 or arity < 1:
-            raise ValueError("function letter and arity must be >= 1")
+            raise ValueError(f"{self._kind} letter and arity must be >= 1")
         if len(args) != arity:
-            raise ValueError(f"f{{{letter},{arity}}} applied to {len(args)} arguments")
-        _set_func_letter(self, letter)
-        _set_func_arity(self, arity)
-        _set_func_args(self, args)
+            raise ValueError(f"{self._head}{{{letter},{arity}}} applied to "
+                             f"{len(args)} {self._items}")
+        _set_letter(self, letter)
+        _set_arity(self, arity)
+        _set_args(self, args)
         _set_hash(self, hash((letter, arity, args)))
+
+
+class _Connective(_Formula):
+    """Two subformulas, or one (Not, whose ``_b`` is None)."""
+    __slots__, _slots = ("_a", "_b", "_core"), ("_a", "_b")
+
+    def __init__(self, a: "SurfaceWff", b: "SurfaceWff"):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_hash(self, hash((a, b)))
+        _set_connective_core(self, self._basic and a._core and b._core)
+
+    def _unary(self, a: "SurfaceWff"):
+        _set_a(self, a)
+        _set_hash(self, hash((a,)))
+        _set_connective_core(self, a._core)
+
+
+class _Quantifier(_Formula):
+    __slots__, _slots = ("var", "body", "_core"), ("var", "body")
+
+    def __init__(self, var: int, body: "SurfaceWff"):
+        if var < 1:
+            raise ValueError("variable index must be >= 1")
+        _set_var(self, var)
+        _set_body(self, body)
+        _set_hash(self, hash((var, body)))
+        _set_quantifier_core(self, self._basic and body._core)
+
+
+_set_index = _Leaf.index.__set__
+_set_letter, _set_arity, _set_args = (
+    _Application.letter.__set__, _Application.arity.__set__, _Application._args.__set__)
+_set_a, _set_b, _set_connective_core = (
+    _Connective._a.__set__, _Connective._b.__set__, _Connective._core.__set__)
+_set_var, _set_body, _set_quantifier_core = (
+    _Quantifier.var.__set__, _Quantifier.body.__set__, _Quantifier._core.__set__)
+
+
+class Var(_Leaf):
+    __slots__, _fields, _kind = (), ("index",), "variable"
+
+
+class Const(_Leaf):
+    __slots__, _fields, _kind = (), ("index",), "constant"
+
+
+class FuncApp(_Application, _Term):
+    __slots__, _fields = (), ("letter", "arity", "args")
+    _kind, _head, _items = "function", "f", "arguments"
+    _infix = {(1, 2): " + ", (2, 2): " * "}
 
 
 Term = Union[Var, Const, FuncApp]
 
 
-class Atom(_Formula):
-    __slots__ = _fields = ("letter", "arity", "terms")
-
-    def __init__(self, letter: int, arity: int, terms: tuple):
-        terms = tuple(terms)
-        if letter < 1 or arity < 1:
-            raise ValueError("predicate letter and arity must be >= 1")
-        if len(terms) != arity:
-            raise ValueError(f"A{{{letter},{arity}}} applied to {len(terms)} terms")
-        _set_atom_letter(self, letter)
-        _set_atom_arity(self, arity)
-        _set_atom_terms(self, terms)
-        _set_hash(self, hash((letter, arity, terms)))
+class Atom(_Application, _Formula):
+    __slots__, _fields, _core = (), ("letter", "arity", "terms"), True
+    _kind, _head, _items = "predicate", "A", "terms"
+    _infix = {(1, 2): " = "}
 
 
-class Not(_Formula):
-    __slots__ = _fields = ("body",)
-
-    def __init__(self, body: "SurfaceWff"):
-        _set_not_body(self, body)
-        _set_hash(self, hash((body,)))
+class Not(_Connective):
+    __slots__, _fields, _b = (), ("body",), None
+    __init__ = _Connective._unary
 
 
-class Implies(_Formula):
-    __slots__ = _fields = ("antecedent", "consequent")
-
-    def __init__(self, antecedent: "SurfaceWff", consequent: "SurfaceWff"):
-        _set_implies_antecedent(self, antecedent)
-        _set_implies_consequent(self, consequent)
-        _set_hash(self, hash((antecedent, consequent)))
+class Implies(_Connective):
+    __slots__, _fields, _basic, _op = (), ("antecedent", "consequent"), True, " -> "
 
 
-class ForAll(_Formula):
-    __slots__ = _fields = ("var", "body")
-
-    def __init__(self, var: int, body: "SurfaceWff"):
-        if var < 1:
-            raise ValueError("variable index must be >= 1")
-        _set_forall_var(self, var)
-        _set_forall_body(self, body)
-        _set_hash(self, hash((var, body)))
+class And(_Connective):
+    __slots__, _fields, _op = (), ("left", "right"), " & "
 
 
-class Exists(_Formula):
-    __slots__ = _fields = ("var", "body")
-
-    def __init__(self, var: int, body: "SurfaceWff"):
-        if var < 1:
-            raise ValueError("variable index must be >= 1")
-        _set_exists_var(self, var)
-        _set_exists_body(self, body)
-        _set_hash(self, hash((var, body)))
+class Or(_Connective):
+    __slots__, _fields, _op = (), ("left", "right"), " | "
 
 
-class And(_Formula):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: "SurfaceWff", right: "SurfaceWff"):
-        _set_and_left(self, left)
-        _set_and_right(self, right)
-        _set_hash(self, hash((left, right)))
+class Iff(_Connective):
+    __slots__, _fields, _op = (), ("left", "right"), " <-> "
 
 
-class Or(_Formula):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: "SurfaceWff", right: "SurfaceWff"):
-        _set_or_left(self, left)
-        _set_or_right(self, right)
-        _set_hash(self, hash((left, right)))
+class ForAll(_Quantifier):
+    __slots__, _fields, _basic, _op = (), ("var", "body"), True, "(all x"
 
 
-class Iff(_Formula):
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: "SurfaceWff", right: "SurfaceWff"):
-        _set_iff_left(self, left)
-        _set_iff_right(self, right)
-        _set_hash(self, hash((left, right)))
+class Exists(_Quantifier):
+    __slots__, _fields, _op = (), ("var", "body"), "(ex x"
 
 
-_set_var_index = Var.index.__set__
-_set_const_index = Const.index.__set__
-_set_func_letter, _set_func_arity, _set_func_args = (
-    FuncApp.letter.__set__, FuncApp.arity.__set__, FuncApp.args.__set__)
-_set_atom_letter, _set_atom_arity, _set_atom_terms = (
-    Atom.letter.__set__, Atom.arity.__set__, Atom.terms.__set__)
-_set_not_body = Not.body.__set__
-_set_implies_antecedent, _set_implies_consequent = (
-    Implies.antecedent.__set__, Implies.consequent.__set__)
-_set_forall_var, _set_forall_body = ForAll.var.__set__, ForAll.body.__set__
-_set_exists_var, _set_exists_body = Exists.var.__set__, Exists.body.__set__
-_set_and_left, _set_and_right = And.left.__set__, And.right.__set__
-_set_or_left, _set_or_right = Or.left.__set__, Or.right.__set__
-_set_iff_left, _set_iff_right = Iff.left.__set__, Iff.right.__set__
+def _parts(w) -> tuple:
+    """The children of a node that are nodes, in field order."""
+    if isinstance(w, _Application):
+        return w._args
+    if isinstance(w, _Connective):
+        return (w._a,) if w._b is None else (w._a, w._b)
+    if isinstance(w, _Quantifier):
+        return (w.body,)
+    if isinstance(w, _Leaf):
+        return ()
+    raise TypeError(f"not a syntax node: {w!r}")
 
 
 def _same(u, v) -> bool:
     """``u == v`` on two nodes, compared on two explicit stacks that hold
     the nodes of each side in step, so deep nesting costs no recursion.  A
     pair of identical subtrees is settled at once, and so is a pair of
-    nodes whose types or hashes differ.  The walk reads each type's fields
-    by name, which measured three to four times faster than pairing
-    ``_fields``."""
+    nodes whose types or hashes differ; otherwise the walk branches on the
+    four shapes, told apart by their classes."""
     us, vs = [u], [v]
     push_u, push_v = us.append, vs.append
     while us:
@@ -273,24 +289,11 @@ def _same(u, v) -> bool:
         t = type(u)
         if t is not type(v) or u._hash != v._hash:
             return False
-        if t is Implies:
-            push_u(u.antecedent)
-            push_v(v.antecedent)
-            push_u(u.consequent)
-            push_v(v.consequent)
-        elif t is Not:
-            push_u(u.body)
-            push_v(v.body)
-        elif t is FuncApp:          # equal arities, so the stacks stay in step
+        if t is FuncApp or t is Atom:       # equal arities, so the stacks stay in step
             if u.letter != v.letter or u.arity != v.arity:
                 return False
-            us += u.args
-            vs += v.args
-        elif t is Atom:
-            if u.letter != v.letter or u.arity != v.arity:
-                return False
-            us += u.terms
-            vs += v.terms
+            us += u._args
+            vs += v._args
         elif t is Var or t is Const:
             if u.index != v.index:
                 return False
@@ -299,11 +302,12 @@ def _same(u, v) -> bool:
                 return False
             push_u(u.body)
             push_v(v.body)
-        else:                       # And, Or, Iff
-            push_u(u.left)
-            push_v(v.left)
-            push_u(u.right)
-            push_v(v.right)
+        else:                               # a connective
+            if u._b is not None:            # not a Not
+                push_u(u._b)
+                push_v(v._b)
+            push_u(u._a)
+            push_v(v._a)
     return True
 
 
@@ -334,47 +338,108 @@ def times(left: Term, right: Term) -> FuncApp:
 # structural queries
 
 
+def _fold(w: SurfaceWff, build: Callable, leaf: Callable):
+    """The value of the formula w, computed bottom-up on explicit stacks.
+
+    The first pass lists the nodes of w in pre-order.  ``leaf(node)``
+    gives the value of a node that the walk is not to go below, and None
+    for the others.  The second pass takes the list backwards, so each
+    node comes after its children, and ``build(node, values)`` gives the
+    value of a node from theirs, in field order.
+    """
+    if not isinstance(w, _Formula):
+        raise TypeError(f"not a formula: {w!r}")
+    order, stack = [], [w]
+    add, pop, extend = order.append, stack.pop, stack.extend
+    while stack:
+        w = pop()
+        value = leaf(w)
+        if value is None:
+            parts = _parts(w)
+            add((w, len(parts)))
+            extend(parts)
+        else:
+            add((value, -1))
+    values: list = []
+    for w, n in reversed(order):
+        if n >= 0:
+            k = len(values) - n
+            parts = values[k:]
+            del values[k:]
+            w = build(w, parts)
+        values.append(w)
+    return values[0]
+
+
+def _rebuilt(w, parts):
+    """w with its children replaced by ``parts``, or w itself when each
+    part is the child it replaces."""
+    if all(map(is_, parts, _parts(w))):
+        return w
+    if isinstance(w, _Connective):
+        return type(w)(*parts)
+    if isinstance(w, _Quantifier):
+        return type(w)(w.var, *parts)
+    return type(w)(w.letter, w.arity, parts)
+
+
 def is_core(w: SurfaceWff) -> bool:
-    """True when no abbreviation node (ex, &, |, <->) occurs anywhere in w."""
-    if isinstance(w, Atom):
-        return True
-    if isinstance(w, Not):
-        return is_core(w.body)
-    if isinstance(w, Implies):
-        return is_core(w.antecedent) and is_core(w.consequent)
-    if isinstance(w, ForAll):
-        return is_core(w.body)
-    return False
+    """True when no abbreviation node (ex, &, |, <->) occurs anywhere in w.
+
+    The flag is stored on each node when it is built, so this is one read.
+    A term, or anything else that is no formula, is not core.
+    """
+    return isinstance(w, _Formula) and w._core
 
 
-def term_vars(t: Term) -> frozenset:
-    """All variable indices occurring in a term, found with an explicit stack."""
-    out, stack = set(), [t]
+def _vars_in(terms) -> frozenset:
+    """All variable indices occurring in some terms, found with an explicit
+    stack."""
+    out, stack = set(), list(terms)
     while stack:
         s = stack.pop()
-        if isinstance(s, Var):
+        if type(s) is Var:
             out.add(s.index)
-        elif not isinstance(s, Const):
+        elif type(s) is not Const:
             stack.extend(s.args)
     return frozenset(out)
 
 
+def term_vars(t: Term) -> frozenset:
+    """All variable indices occurring in a term."""
+    return _vars_in((t,))
+
+
+def _atom_vars(w):
+    return _vars_in(w.terms) if type(w) is Atom else None
+
+
+def _free(w, parts):
+    if isinstance(w, _Quantifier):
+        return parts[0] - {w.var}
+    return parts[0].union(*parts[1:])
+
+
 def free_vars(w: SurfaceWff) -> frozenset:
     """Free variable indices of a formula; quantifiers bind their variable."""
-    if isinstance(w, Atom):
-        out = frozenset()
-        for t in w.terms:
-            out |= term_vars(t)
-        return out
-    if isinstance(w, Not):
-        return free_vars(w.body)
-    if isinstance(w, Implies):
-        return free_vars(w.antecedent) | free_vars(w.consequent)
-    if isinstance(w, (And, Or, Iff)):
-        return free_vars(w.left) | free_vars(w.right)
-    if isinstance(w, (ForAll, Exists)):
-        return free_vars(w.body) - {w.var}
-    raise TypeError(f"not a formula: {w!r}")
+    return _fold(w, _free, _atom_vars)
+
+
+_EXPANSIONS = {
+    Exists: lambda w, body: Not(ForAll(w.var, Not(body))),
+    And: lambda w, left, right: Not(Implies(left, Not(right))),
+    Or: lambda w, left, right: Implies(Not(left), right),
+    Iff: lambda w, left, right: Not(Implies(Implies(left, right), Not(Implies(right, left)))),
+}
+
+
+def _expanded(w, parts):
+    expand = _EXPANSIONS.get(type(w))
+    return _rebuilt(w, parts) if expand is None else expand(w, *parts)
+
+
+def _core_itself(w):
+    return w if w._core else None
 
 
 def lower(w: SurfaceWff) -> Wff:
@@ -384,76 +449,45 @@ def lower(w: SurfaceWff) -> Wff:
     ``(ex xi A)`` becomes ``~(all xi ~A)``, ``(A & B)`` becomes
     ``~(A -> ~B)``, ``(A | B)`` becomes ``(~A -> B)``, and ``(A <-> B)``
     becomes the conjunction of the two implications, which then expands.
-    A node is returned itself when nothing below it changes, so core
-    formulas are returned unchanged (lower is idempotent), and the core
-    subtrees of a surface formula, shared or not, are kept as they are.
+    A core formula is returned itself at once (lower is idempotent), and
+    so is each core subtree of a surface formula, shared or not.
     """
-    if isinstance(w, Atom):
+    if isinstance(w, _Formula) and w._core:
         return w
-    if isinstance(w, Not):
-        body = lower(w.body)
-        return w if body is w.body else Not(body)
-    if isinstance(w, Implies):
-        ante, cons = lower(w.antecedent), lower(w.consequent)
-        return w if ante is w.antecedent and cons is w.consequent else Implies(ante, cons)
-    if isinstance(w, ForAll):
-        body = lower(w.body)
-        return w if body is w.body else ForAll(w.var, body)
-    if isinstance(w, Exists):
-        return Not(ForAll(w.var, Not(lower(w.body))))
-    if isinstance(w, And):
-        return Not(Implies(lower(w.left), Not(lower(w.right))))
-    if isinstance(w, Or):
-        return Implies(Not(lower(w.left)), lower(w.right))
-    if isinstance(w, Iff):
-        left, right = lower(w.left), lower(w.right)
-        return Not(Implies(Implies(left, right), Not(Implies(right, left))))
-    raise TypeError(f"not a formula: {w!r}")
+    return _fold(w, _expanded, _core_itself)
 
 
 # ---------------------------------------------------------------------------
 # substitution
 
 
-def _subst_term(s: Term, x: int, t: Term) -> Term:
-    if isinstance(s, Var):
-        return t if s.index == x else s
-    if isinstance(s, Const):
-        return s
-    # map calls back without a generator frame, so each level costs one frame
-    return FuncApp(s.letter, s.arity, tuple(map(_subst_term, s.args, repeat(x), repeat(t))))
-
-
 def substitute(w: SurfaceWff, x: int, t: Term) -> SurfaceWff:
     """Replace every free occurrence of x in w by t, in one walk.
 
-    The walk carries a flag that is set inside a quantifier binding a
-    variable of t other than x.  A free occurrence of x reached under the
-    flag would be captured, and the walk raises :class:`CaptureError`
-    there.  Capture is an error rather than a trigger for silent renaming:
-    callers that depend on the side condition must be able to observe its
-    failure.
+    The walk does not go below a quantifier that binds x, so a subtree
+    changes exactly where it holds a free x.  A quantifier that binds a
+    variable of t other than x and whose body changed would capture that
+    variable, and the walk raises :class:`CaptureError` there.  Capture
+    is an error rather than a trigger for silent renaming: callers that
+    depend on the side condition must be able to observe its failure.
+    Subtrees without a free x are kept as they are.
     """
     binders = term_vars(t) - {x}
 
-    def walk(w: SurfaceWff, captured: bool) -> SurfaceWff:
-        if isinstance(w, Atom):
-            if captured and any(x in term_vars(s) for s in w.terms):
-                raise CaptureError(f"term {print_term(t)} is not free for x{x}")
-            return Atom(w.letter, w.arity, tuple(map(_subst_term, w.terms, repeat(x), repeat(t))))
-        if isinstance(w, Not):
-            return Not(walk(w.body, captured))
-        if isinstance(w, Implies):
-            return Implies(walk(w.antecedent, captured), walk(w.consequent, captured))
-        if isinstance(w, (And, Or, Iff)):
-            return type(w)(walk(w.left, captured), walk(w.right, captured))
-        if isinstance(w, (ForAll, Exists)):
-            if w.var == x:
-                return w
-            return type(w)(w.var, walk(w.body, captured or w.var in binders))
-        raise TypeError(f"not a formula: {w!r}")
+    def leaf(node):
+        if type(node) is Var:
+            return t if node.index == x else node
+        if type(node) is Const or (isinstance(node, _Quantifier) and node.var == x):
+            return node
+        return None
 
-    return walk(w, False)
+    def build(node, parts):
+        new = _rebuilt(node, parts)
+        if new is not node and isinstance(node, _Quantifier) and node.var in binders:
+            raise CaptureError(f"term {print_term(t)} is not free for x{x}")
+        return new
+
+    return _fold(w, build, leaf)
 
 
 def is_free_for(t: Term, x: int, w: SurfaceWff) -> bool:
@@ -497,29 +531,21 @@ NO_MATCH = NoMatch()
 MatchResult = Union[Witness, AnyTerm, NoMatch]
 
 
-def _paired(u, v):
-    """The fields of two nodes of one type, or the items of two tuples of
-    terms, paired in order."""
-    if isinstance(u, tuple):
-        return zip(u, v)
-    return zip(map(getattr, repeat(u), u._fields), map(getattr, repeat(v), v._fields))
-
-
 def _facing(a: Wff, a_prime: Wff, x: int) -> Optional[Term]:
     """The subterm of A' facing the first free x of A, or None.
 
-    The walk keeps an explicit stack and pairs nodes only where A and A'
-    have the same type, so it needs no recursion.
+    The walk keeps an explicit stack and pairs the children of two nodes
+    only where A and A' have the same type.
     """
     stack = [(a, a_prime)]
     while stack:
         s, s2 = stack.pop()
-        if isinstance(s, Var):
+        if type(s) is Var:
             if s.index == x:
                 return s2
-        elif (type(s) is type(s2) and isinstance(s, (_Node, tuple))
-              and not (isinstance(s, (ForAll, Exists)) and s.var == x)):
-            stack.extend(reversed(list(_paired(s, s2))))
+        elif (type(s) is type(s2) and isinstance(s, _Node)
+              and not (isinstance(s, _Quantifier) and s.var == x)):
+            stack.extend(reversed(tuple(zip(_parts(s), _parts(s2)))))
     return None
 
 
@@ -554,7 +580,7 @@ _TOKEN_RE = re.compile(r"S\s*\((?:\s*S\s*\()*|\)(?:\s*\))*"
 _NON_SPACE_RE = re.compile(r"\S")
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _CONST_RE = re.compile(r"a([0-9]+)\Z")
-_INT_RE = re.compile(r"[0-9]+\Z")
+_INT_RE = re.compile(r"([0-9]+)\Z")
 
 _TERM_STARTERS = ("S", "f", "(")
 
@@ -609,6 +635,15 @@ def _starts_term(text: str) -> bool:
 
 
 _BIN_NODES = {"->": Implies, "&": And, "|": Or, "<->": Iff}
+_OPERATIONS = {"+": plus, "*": times}
+_TERM_OPS = tuple(_OPERATIONS)
+# The longest pair text the parse table keys (see _Parser._open); no
+# repeated pair of the proof files that perfbench generates is over 1 KB.
+_LONGEST_KEY = 4096
+
+
+def _second(_, node):
+    return node
 
 
 class _Fail(Exception):
@@ -660,7 +695,19 @@ def _pairs(tokens: list) -> dict:
 
 
 class _Parser:
-    """Recursive descent over the token texts.
+    """Descent over the token texts, with the pending constructs on a stack.
+
+    ``_wff`` and ``_term`` read down the left edge of a formula or term.
+    Each construct they enter leaves a frame on ``stack``: a run of '~', a
+    '(' formula, an equality, a '(t op u)' term, the argument list of
+    ``f{..}(..)`` or ``A{..}(..)``, or a run of 'S('.  They stop at the
+    first node they read whole (a variable, a constant, or a parse-table
+    hit) and return it.  :meth:`run` hands each finished node to the
+    frame on top, ``(resume, a, b, key)``: ``resume(self, node, a, b,
+    key)`` either finishes its construct and returns the node built, or
+    pushes a frame for the rest and descends again.  Nesting therefore
+    costs entries of ``stack``, not Python frames.  ``key`` is where a
+    finished '(' formula goes into the parse table, if anywhere.
 
     The cursor is ``i``, a token index, and ``j``, the number of ')'
     already read from token ``i`` when it is a run of ')' that a
@@ -678,6 +725,36 @@ class _Parser:
         # built at the first '(' formula
         self.after = self.joined = self.lengths = None
         self.eq_start = -1      # where the last equality read began
+        self.stack: list = []
+
+    def run(self, descend: Callable):
+        """The node that ``descend`` (``_Parser._wff`` or ``_Parser._term``)
+        starts to read, which must end the text."""
+        stack = self.stack
+        pop = stack.pop
+        while True:
+            try:
+                node = descend(self)
+                while stack:
+                    resume, a, b, key = pop()
+                    node = resume(self, node, a, b, key)
+                text = self.tokens[self.i]
+                if text:
+                    raise _Fail(f"unexpected trailing input {_shown(text)!r}", self.i, self.j)
+                return node
+            except _Fail:
+                # Only a bare equality at a '(' is attempted, and it reads
+                # terms alone, so at most one attempt is pending.  When it
+                # fails, the '(' holds a quantifier or a binary formula.
+                while stack:
+                    resume, i, _, _ = stack.pop()
+                    if resume is _Parser._attempted:
+                        break
+                else:
+                    raise
+                self.i, self.j = i, 0
+                self._grouped(i, None)
+                descend = _Parser._wff
 
     def _unexpected(self, wanted: str) -> _Fail:
         """A failure at the cursor, which holds the wrong token."""
@@ -710,29 +787,58 @@ class _Parser:
 
     # terms ------------------------------------------------------------
 
-    def term(self) -> Term:
-        """A term; a successor chain ``S(...S(t)...)`` is read whole.
+    def _term(self) -> Term:
+        """Descends into a term; a successor chain ``S(...S(t)...)`` is one
+        frame, whatever its depth."""
+        tokens, stack = self.tokens, self.stack
+        while True:
+            i = self.i
+            run = tokens[i]
+            depth = len(run) // 2 if run[:2] == "S(" else 0
+            if depth:
+                i += 1
+            if tokens[i] == "S":                # an S without its '('
+                self.i = i + 1
+                raise self._unexpected("'('")
+            self.i = i
+            if depth:
+                stack.append((_Parser._successors, depth, None, None))
+            text = tokens[i]
+            if text == "(":
+                stack.append((_Parser._operator, None, _TERM_OPS, None))
+                self.i = i + 1
+                continue
+            if text == "f":
+                self._application(FuncApp)
+                continue
+            # a variable or constant is built once per table
+            node = self.table.get(text)
+            if node is None:
+                m = _VAR_RE.match(text) or _CONST_RE.match(text)
+                if m is not None:
+                    leaf = Var if text[0] == "x" else Const
+                    node = self.table[text] = leaf(self._index(m[1], i))
+                elif text == "0":
+                    node = self.table[text] = ZERO
+            if node is not None:
+                self.i = i + 1
+                return node
+            if _INT_RE.match(text) is not None:
+                raise _Fail(f"bare numeral {text!r} is not a term; only '0' abbreviates a1", i, 0)
+            if not text:
+                raise _Fail("expected a term", i, 0)
+            raise _Fail(f"expected a term, found {_shown(text)!r}", i, self.j)
 
-        Its run of ``S(`` gives the depth k, and its closing ')' are
-        counted off the run that follows t, which may go on to close
-        enclosing terms or formulas.  The node comes from the parse's
-        successor table: the parse table maps each base term t to the list
-        ``[t, S(t), S(S(t)), ...]`` built from it so far, so ``S^k(t)`` is
-        an index into that list or an extension of it, and equal chains of
-        one parse (or of one shared table) are one object.
+    def _successors(self, t: Term, depth: int, _, __) -> Term:
+        """``S^depth(t)``, whose closing ')' are counted off the run that
+        follows t, which may go on to close enclosing terms or formulas.
+
+        The node comes from the parse's successor table: the parse table
+        maps each base term t to the list ``[t, S(t), S(S(t)), ...]`` built
+        from it so far, so ``S^k(t)`` is an index into that list or an
+        extension of it, and equal chains of one parse (or of one shared
+        table) are one object.
         """
-        tokens, i = self.tokens, self.i
-        run = tokens[i]
-        depth = len(run) // 2 if run[:2] == "S(" else 0
-        if depth:
-            i += 1
-        if tokens[i] == "S":                # an S without its '('
-            self.i = i + 1
-            raise self._unexpected("'('")
-        self.i = i
-        t = self._base_term()
-        if not depth:
-            return t
         self.close(depth)
         chains = self.table
         chain = chains.get(t)
@@ -745,38 +851,40 @@ class _Parser:
                 chain.append(top)
         return chain[depth]
 
-    def _base_term(self) -> Term:
-        """A term that does not start with ``S``."""
-        tokens, i = self.tokens, self.i
-        text = tokens[i]
-        if text == "(":
-            self.i = i + 1
-            left = self.term()
-            op = tokens[self.i]
-            if op != "+" and op != "*":
-                raise self._unexpected("'+' or '*'")
-            self.i += 1
-            right = self.term()
-            self.close()
-            return plus(left, right) if op == "+" else times(left, right)
-        if text == "f":
-            return FuncApp(*self._application("arguments"))
-        m = _VAR_RE.match(text)
-        if m is not None:
-            self.i = i + 1
-            return Var(self._index(m.group(1), i))
-        m = _CONST_RE.match(text)
-        if m is not None:
-            self.i = i + 1
-            return Const(self._index(m.group(1), i))
-        if text == "0":
-            self.i = i + 1
-            return ZERO
-        if _INT_RE.match(text) is not None:
-            raise _Fail(f"bare numeral {text!r} is not a term; only '0' abbreviates a1", i, 0)
-        if not text:
-            raise _Fail("expected a term", i, 0)
-        raise _Fail(f"expected a term, found {_shown(text)!r}", i, self.j)
+    def _operator(self, left: Term, start: Optional[int], ops: tuple, _) -> Term:
+        """The operator after the left term of ``(t + u)`` or ``(t * u)``
+        (``ops`` is _TERM_OPS), or of an equality that starts at token
+        ``start`` (``ops`` is ``("=",)``); descends into the right term."""
+        op = self.tokens[self.i]
+        if op not in ops:
+            raise self._unexpected(" or ".join(map(repr, ops)))
+        self.i += 1
+        self.stack.append((_Parser._equality, left, start, None) if op == "=" else
+                          (_Parser._closing, _OPERATIONS[op], left, None))
+        return self._term()
+
+    def _equality(self, right: Term, left: Term, start: int, _) -> Atom:
+        self.eq_start = start
+        return eq(left, right)
+
+    def _closing(self, node, build: Callable, first, key: Optional[str]):
+        """``build(first, node)`` once the ')' of its pair is read, entered
+        in the parse table under ``key`` unless that is None."""
+        self.close()
+        node = build(first, node)
+        if key is not None:
+            self.table[key] = node
+        return node
+
+    def _read(self, pattern: re.Pattern, wanted: str) -> tuple:
+        """The digits of the token at the cursor, which ``pattern`` must
+        match, and its index; the cursor moves past it."""
+        i = self.i
+        m = pattern.match(self.tokens[i])
+        if m is None:
+            raise self._unexpected(wanted)
+        self.i = i + 1
+        return m[1], i
 
     def _index(self, digits: str, k: int) -> int:
         value = int(digits)
@@ -784,73 +892,91 @@ class _Parser:
             raise _Fail("index must be >= 1", k, 0)
         return value
 
-    def _application(self, what: str) -> tuple:
-        """``k, n, terms`` of ``f{k,n}(...)`` or ``A{k,n}(...)``."""
-        tokens, start = self.tokens, self.i
+    def _application(self, cls: type) -> None:
+        """Reads ``f{k,n}(`` or ``A{k,n}(`` and pushes the argument list."""
+        start = self.i
         self.i = start + 1
         self.expect("{")
-        k_at = self.i
-        if _INT_RE.match(tokens[k_at]) is None:
-            raise self._unexpected("a letter index")
-        self.i = k_at + 1
+        k = self._read(_INT_RE, "a letter index")
         self.expect(",")
-        n_at = self.i
-        if _INT_RE.match(tokens[n_at]) is None:
-            raise self._unexpected("an arity")
-        self.i = n_at + 1
+        n = self._read(_INT_RE, "an arity")
         self.expect("}")
-        k, n = self._index(tokens[k_at], k_at), self._index(tokens[n_at], n_at)
+        k, n = self._index(*k), self._index(*n)
         self.expect("(")
-        terms = [self.term()]
-        while tokens[self.i] == ",":
+        self.stack.append((_Parser._argument, [], (cls, start, k, n), None))
+
+    def _argument(self, t: Term, terms: list, head: tuple, _):
+        """One more argument; descends into the next one after a ','."""
+        terms.append(t)
+        if self.tokens[self.i] == ",":
             self.i += 1
-            terms.append(self.term())
+            self.stack.append((_Parser._argument, terms, head, None))
+            return self._term()
         self.close()
+        cls, start, k, n = head
         if len(terms) != n:
-            raise _Fail(f"arity mismatch: {tokens[start]}{{{k},{n}}} applied to "
-                        f"{len(terms)} {what}", start, 0)
-        return k, n, tuple(terms)
+            raise _Fail(f"arity mismatch: {cls._head}{{{k},{n}}} applied to "
+                        f"{len(terms)} {cls._items}", start, 0)
+        return cls(k, n, tuple(terms))
 
     # formulas -----------------------------------------------------------
 
-    def _equality(self) -> Atom:
-        start = self.i
-        left = self.term()
-        self.expect("=")
-        atom = eq(left, self.term())
-        self.eq_start = start
-        return atom
+    def _wff(self):
+        """Descends into a formula; a run of '~' is one frame."""
+        tokens, stack = self.tokens, self.stack
+        while True:
+            i = self.i
+            text = tokens[i]
+            if text == "(":
+                node = self._open(i)
+                if node is not None:
+                    return node
+            elif text == "~":
+                k = i + 1
+                while tokens[k] == "~":
+                    k += 1
+                stack.append((_Parser._negations, k - i, None, None))
+                self.i = k
+            elif text == "A":
+                self._application(Atom)
+                return self._term()
+            elif _starts_term(text):
+                stack.append((_Parser._operator, i, ("=",), None))
+                return self._term()
+            elif not text:
+                raise _Fail("expected a formula", i, 0)
+            else:
+                raise _Fail(f"expected a formula, found {_shown(text)!r}", i, self.j)
 
-    def wff(self) -> SurfaceWff:
-        tokens, i = self.tokens, self.i
-        text = tokens[i]
-        if text == "(":
-            return self._parenthesized()
-        if text == "~":
-            self.i = i + 1
-            return Not(self.wff())
-        if text == "A":
-            return Atom(*self._application("terms"))
-        if _starts_term(text):
-            return self._equality()
-        if not text:
-            raise _Fail("expected a formula", i, 0)
-        raise _Fail(f"expected a formula, found {_shown(text)!r}", i, self.j)
+    def _negations(self, w: SurfaceWff, count: int, _, __) -> SurfaceWff:
+        for _ in range(count):
+            w = Not(w)
+        return w
 
-    def _parenthesized(self) -> SurfaceWff:
-        """A formula at a '(', read through the parse table where it can be.
+    def _open(self, i: int):
+        """A formula at the '(' at token i, read through the parse table
+        where it can be: the node of a table hit, the first term of a bare
+        equality, or None once the frame of the pair is pushed.
 
         Where the matching ')' is not followed by '=', the parse reads only
         the tokens of the pair, so it is the same wherever they appear: the
         table is keyed by their text, cut at that ')' when it lies inside a
         run, and a hit moves the cursor past the ')'.  Elsewhere a bare
-        equality may run past the pair, and the table is not used.
+        equality ``term = term`` may run past the pair, and the table is not
+        used.  A term that starts at this '(' ends at its matching ')', so
+        the equality is attempted only where an '=' follows that ')' (or
+        the '(' has none); when it fails, the pair holds a formula.
 
         Parentheses are matched at the first '(' formula, and only when the
         rest of the text from there is no key of the table: a key is the
         text of a matched pair, so such a rest is one pair, and a hit.
+
+        A pair longer than ``_LONGEST_KEY`` characters is read without the
+        table.  The keys of nested pairs overlap, so in a formula nested
+        n deep their lengths would add up to about n/2 times the length of
+        the text: 750 MB for 10^4 nested '->'.
         """
-        tokens, i = self.tokens, self.i
+        tokens = self.tokens
         if self.after is None:
             self.joined = joined = "\x00".join(tokens)
             start = sum(map(len, tokens[:i])) + i
@@ -862,82 +988,61 @@ class _Parser:
             # token k starts at lengths[k] + k in the joined text
             self.lengths = list(accumulate(map(len, tokens), initial=0))
         after = self.after.get(i)
-        if after is None:
-            return self._read_parenthesized(True)
-        k, j = after
-        if not j and tokens[k] == "=":
-            return self._read_parenthesized(True)
-        lengths = self.lengths
-        end = lengths[k] + k + j if j else lengths[k] + k - 1
-        key = self.joined[lengths[i] + i:end]
-        node = self.table.get(key)
-        if node is None:
-            node = self.table[key] = self._read_parenthesized(False)
-        else:
-            self.i, self.j = k, j
-        return node
+        if after is not None and (after[1] or tokens[after[0]] != "="):
+            k, j = after
+            lengths = self.lengths
+            start = lengths[i] + i
+            end = lengths[k] + k + j if j else lengths[k] + k - 1
+            key = self.joined[start:end] if end - start <= _LONGEST_KEY else None
+            node = self.table.get(key)
+            if node is not None:
+                self.i, self.j = k, j
+                return node
+            self._grouped(i, key)
+            return None
+        self.stack.append((_Parser._attempted, i, None, None))
+        self.stack.append((_Parser._operator, i, ("=",), None))
+        return self._term()
 
-    def _read_parenthesized(self, bare: bool) -> SurfaceWff:
-        """An equality, a quantifier or a binary node at a '('.
+    def _attempted(self, atom: Atom, _, __, ___) -> Atom:
+        return atom
 
-        A bare equality ``term = term`` is tried first only where it can
-        succeed: a term that starts at this '(' ends at its matching ')',
-        so it needs an '=' right after that, which ``bare`` says (it is
-        also set where the '(' has no matching ')').  Otherwise the pair
-        holds a quantifier, or a formula and then ')' or a connective.  A
-        formula that is an equality read from right after the '(' and is
-        followed by ')' is the equality ``( term = term )``.
-        """
-        tokens, i = self.tokens, self.i
-        if bare:
-            try:
-                return self._equality()
-            except _Fail:
-                self.i, self.j = i, 0
-        nxt = tokens[i + 1]
+    def _grouped(self, i: int, key: Optional[str]) -> None:
+        """Pushes the frame of the quantifier or binary formula at the '('
+        at token i, whose node goes into the table under ``key``, and
+        moves the cursor to its first subformula."""
+        nxt = self.tokens[i + 1]
         if nxt == "all" or nxt == "ex":
             self.i = i + 2
-            v = self._variable()
-            body = self.wff()
-            self.close()
-            return ForAll(v, body) if nxt == "all" else Exists(v, body)
-        self.i = i + 1
-        left = self.wff()
-        op = tokens[self.i]
+            v = self._index(*self._read(_VAR_RE, "a variable"))
+            self.stack.append((_Parser._closing, ForAll if nxt == "all" else Exists, v, key))
+        else:
+            self.i = i + 1
+            self.stack.append((_Parser._connective, i, key, None))
+
+    def _connective(self, left: SurfaceWff, i: int, key: Optional[str], _):
+        """What follows the first formula of the pair at token i: ')' after
+        an equality read from right after the '(', which is then the
+        equality ``( term = term )``, or a connective, whose right formula
+        it descends into."""
+        op = self.tokens[self.i]
         if op[:1] == ")" and self.eq_start == i + 1:
-            self.close()
-            return left
-        node = _BIN_NODES.get(op)
-        if node is None:
+            return self._closing(left, _second, None, key)
+        cls = _BIN_NODES.get(op)
+        if cls is None:
             raise self._unexpected("a binary connective")
         self.i += 1
-        right = self.wff()
-        self.close()
-        return node(left, right)
-
-    def _variable(self) -> int:
-        i = self.i
-        m = _VAR_RE.match(self.tokens[i])
-        if m is None:
-            raise self._unexpected("a variable")
-        self.i = i + 1
-        return self._index(m.group(1), i)
-
-    def finish(self) -> None:
-        text = self.tokens[self.i]
-        if text:
-            raise _Fail(f"unexpected trailing input {_shown(text)!r}", self.i, self.j)
+        self.stack.append((_Parser._closing, cls, left, key))
+        return self._wff()
 
 
 def _parse(text: str, rule: Callable, table: Optional[dict] = None):
     p = _Parser(_lex(text), table)
     try:
-        out = rule(p)
-        p.finish()
+        return p.run(rule)
     except _Fail as exc:
         message, k, j = exc.args
         raise ParseError(message, _token_start(text, k, j)) from None
-    return out
 
 
 def parse_wff(text: str, table: Optional[dict] = None) -> SurfaceWff:
@@ -949,15 +1054,17 @@ def parse_wff(text: str, table: Optional[dict] = None) -> SurfaceWff:
     object.  It also maps each base term of a successor chain (``0``, a
     variable, ``(t + u)``, ``f{..}(...)``) to the chain ``[t, S(t), ...]``
     built on it, so ``S^k(t)`` costs no node once a deeper chain on t is
-    built, and equal chains are one object.  Calls that pass one dict
-    share it; by default each call starts a fresh one.  A table holds only
-    nodes of successful parses, and no call keeps it.
+    built, and equal chains are one object; and the text of each variable
+    and constant to its node, built once.  Calls that pass one dict
+    share it; by default each call starts a fresh one.  Each entry is what
+    a successful parse of its key gives, even when the call that made it
+    failed later, and no call keeps the table.
     """
-    return _parse(text, _Parser.wff, table)
+    return _parse(text, _Parser._wff, table)
 
 
 def parse_term(text: str) -> Term:
-    return _parse(text, _Parser.term)
+    return _parse(text, _Parser._term)
 
 
 def parse_core(text: str) -> Wff:
@@ -969,26 +1076,80 @@ def parse_core(text: str) -> Wff:
 # printer
 
 
-_INFIX = {(1, 2): " + ", (2, 2): " * "}
+def _resugared(w: SurfaceWff) -> Optional[tuple]:
+    """The pieces of w folded back into ex, &, | or <->, last piece first
+    as :func:`_print` takes them, if w has the shape of their expansion."""
+    t = type(w)
+    if t is Not:
+        body = w.body
+        # ~(all v ~A)  prints as  (ex v A)
+        if type(body) is ForAll and type(body.body) is Not:
+            return ")", body.body.body, f"(ex x{body.var} "
+        if type(body) is Implies:
+            ante, cons = body.antecedent, body.consequent
+            # ~((A -> B) -> ~(B -> A))  prints as  (A <-> B)
+            if (type(ante) is Implies and type(cons) is Not
+                    and type(cons.body) is Implies
+                    and ante.antecedent == cons.body.consequent
+                    and ante.consequent == cons.body.antecedent):
+                return ")", ante.consequent, " <-> ", ante.antecedent, "("
+            # ~(A -> ~B)  prints as  (A & B)
+            if type(cons) is Not:
+                return ")", cons.body, " & ", ante, "("
+    # (~A -> B)  prints as  (A | B)
+    elif t is Implies and type(w.antecedent) is Not:
+        return ")", w.consequent, " | ", w.antecedent.body, "("
+    return None
+
+
+def _pieces(w) -> tuple:
+    """The text of a node other than a variable or constant, as pieces in
+    the order :func:`_print` takes them, last first: strings, and the nodes
+    whose text goes between them."""
+    t = type(w)
+    if t is FuncApp and w.letter == 1 and w.arity == 1:
+        # a successor chain is three pieces, at any depth
+        depth = 0
+        while type(w) is FuncApp and w.letter == 1 and w.arity == 1:
+            w, depth = w._args[0], depth + 1
+        return ")" * depth, w, "S(" * depth
+    if t is Atom or t is FuncApp:
+        args, op = w._args, w._infix.get((w.letter, w.arity))
+        if op is not None:
+            return ")", args[1], op, args[0], "("
+        pieces = [")", *(piece for arg in reversed(args) for piece in (arg, ", "))]
+        pieces[-1] = f"{w._head}{{{w.letter},{w.arity}}}("
+        return pieces
+    if t.__base__ is _Connective:
+        return (w._a, "~") if w._b is None else (")", w._b, w._op, w._a, "(")
+    if t.__base__ is _Quantifier:
+        return ")", w.body, f"{w._op}{w.var} "
+    raise TypeError(f"not a syntax node: {w!r}")
+
+
+def _print(w, resugar: bool = False) -> str:
+    """The canonical text of a node, written from one stack that holds the
+    pieces still to write."""
+    out, stack = [], [w]
+    write = out.append
+    while stack:
+        w = stack.pop()
+        t = type(w)
+        if t is str:
+            write(w)
+        elif t is Var:
+            write(f"x{w.index}")
+        elif t is Const:
+            write("0" if w.index == 1 else f"a{w.index}")
+        else:
+            stack += (resugar and _resugared(w)) or _pieces(w)
+    return "".join(out)
 
 
 def print_term(t: Term) -> str:
-    # A successor chain is printed in a loop, so numerals of any depth print.
-    depth = 0
-    while isinstance(t, FuncApp) and t.letter == 1 and t.arity == 1:
-        t = t.args[0]
-        depth += 1
-    if isinstance(t, Var):
-        inner = f"x{t.index}"
-    elif isinstance(t, Const):
-        inner = "0" if t.index == 1 else f"a{t.index}"
-    elif isinstance(t, FuncApp):
-        args = [print_term(a) for a in t.args]
-        op = _INFIX.get((t.letter, t.arity))
-        inner = f"({op.join(args)})" if op else f"f{{{t.letter},{t.arity}}}({', '.join(args)})"
-    else:
+    if not isinstance(t, _Term):
         raise TypeError(f"not a term: {t!r}")
-    return "S(" * depth + inner + ")" * depth
+    return _print(t)
 
 
 def print_wff(w: SurfaceWff, resugar: bool = False) -> str:
@@ -998,52 +1159,6 @@ def print_wff(w: SurfaceWff, resugar: bool = False) -> str:
     into ex/&/|/<-> for display; reparsing and lowering still yields the
     original core formula.
     """
-
-    def p(w: SurfaceWff) -> str:
-        if resugar:
-            s = _print_resugared(w, p)
-            if s is not None:
-                return s
-        if isinstance(w, Atom):
-            if w.letter == 1 and w.arity == 2:
-                return f"({print_term(w.terms[0])} = {print_term(w.terms[1])})"
-            inner = ", ".join(print_term(t) for t in w.terms)
-            return f"A{{{w.letter},{w.arity}}}({inner})"
-        if isinstance(w, Not):
-            return f"~{p(w.body)}"
-        if isinstance(w, Implies):
-            return f"({p(w.antecedent)} -> {p(w.consequent)})"
-        if isinstance(w, ForAll):
-            return f"(all x{w.var} {p(w.body)})"
-        if isinstance(w, Exists):
-            return f"(ex x{w.var} {p(w.body)})"
-        if isinstance(w, And):
-            return f"({p(w.left)} & {p(w.right)})"
-        if isinstance(w, Or):
-            return f"({p(w.left)} | {p(w.right)})"
-        if isinstance(w, Iff):
-            return f"({p(w.left)} <-> {p(w.right)})"
+    if not isinstance(w, _Formula):
         raise TypeError(f"not a formula: {w!r}")
-
-    return p(w)
-
-
-def _print_resugared(w: SurfaceWff, p: Callable) -> Optional[str]:
-    # ~(all v ~A)  prints as  (ex v A)
-    if isinstance(w, Not) and isinstance(w.body, ForAll) and isinstance(w.body.body, Not):
-        return f"(ex x{w.body.var} {p(w.body.body.body)})"
-    if isinstance(w, Not) and isinstance(w.body, Implies):
-        ante, cons = w.body.antecedent, w.body.consequent
-        # ~((A -> B) -> ~(B -> A))  prints as  (A <-> B)
-        if (isinstance(ante, Implies) and isinstance(cons, Not)
-                and isinstance(cons.body, Implies)
-                and ante.antecedent == cons.body.consequent
-                and ante.consequent == cons.body.antecedent):
-            return f"({p(ante.antecedent)} <-> {p(ante.consequent)})"
-        # ~(A -> ~B)  prints as  (A & B)
-        if isinstance(cons, Not):
-            return f"({p(ante)} & {p(cons.body)})"
-    # (~A -> B)  prints as  (A | B)
-    if isinstance(w, Implies) and isinstance(w.antecedent, Not):
-        return f"({p(w.antecedent.body)} | {p(w.consequent)})"
-    return None
+    return _print(w, resugar)

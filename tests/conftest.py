@@ -7,6 +7,7 @@ from foarith.models.
 """
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -95,6 +96,27 @@ def std_eval(w, env, bound, cutoff=False):
 
 # ---------------------------------------------------------------------------
 # seeded random formula generators
+
+
+def in_fresh_thread(fn):
+    """fn() run in a new thread, which starts at recursion depth 0 as a CLI
+    process would, whatever depth the test runner has reached; the
+    recursion limit stays the interpreter's.  What fn raised is raised
+    again here."""
+    result, errors = [], []
+
+    def run():
+        try:
+            result.append(fn())
+        except BaseException as exc:  # raised again in the caller's thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    if errors:
+        raise errors[0]
+    return result[0]
 
 
 def random_term(rng, depth=2, vars_=(1, 2)):

@@ -65,18 +65,28 @@ def test_parse_deep_numeral_equation(capsys):
     assert out == f"({numeral} = {numeral})\n"
 
 
-def test_parse_too_deep_exits_2(capsys, monkeypatch):
-    text = "~" * 3000 + "(0 = 0)"
-    code, out, err = invoke(capsys, "parse", text)
-    assert code == 2 and out == ""
-    assert err == "error: formula nested too deeply (recursion limit reached)\n"
-    monkeypatch.setattr(sys, "argv", ["foarith", "parse", text])
+def _run_and_main(capsys, monkeypatch, *argv):
+    """The exit code, stdout and stderr of ``run`` and of ``main``, which
+    must agree."""
+    code, out, err = invoke(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["foarith", *argv])
     with pytest.raises(SystemExit) as exc:
         main()
     captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert captured.err == err
+    assert (exc.value.code, captured.out, captured.err) == (code, out, err)
+    return code, out, err
+
+
+def test_parse_deep_negations_round_trip(capsys, monkeypatch):
+    # no part of the syntax layer recurses, so nesting needs no frames
+    text = "~" * 3000 + "(0 = 0)"
+    assert _run_and_main(capsys, monkeypatch, "parse", text) == (0, text + "\n", "")
+
+
+def test_parse_error_exits_2_from_run_and_main(capsys, monkeypatch):
+    code, out, err = _run_and_main(capsys, monkeypatch, "parse", "(0 = ")
+    assert code == 2 and out == ""
+    assert err == "error: expected a term (at position 5)\n"
 
 
 def test_parse_requires_exactly_one_source(capsys, tmp_path):

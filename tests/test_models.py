@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_core_wff, random_surface_wff, std_eval
+from conftest import in_fresh_thread, random_core_wff, random_surface_wff, std_eval
 from foarith.arith import goldbach_sentence, numeral
+from foarith.cli import run
 from foarith.kernel import build_theory_N
 from foarith.models import (
     ModelError,
@@ -30,6 +31,7 @@ from foarith.syntax import (
     lower,
     parse_core,
     plus,
+    print_wff,
     substitute,
     succ,
 )
@@ -393,8 +395,8 @@ def test_eval_golden_outcomes(group):
 # ---------------------------------------------------------------------------
 # deep formulas
 #
-# Built with constructors (the parser still recurses).  Each expected list
-# was recorded before the evaluator generated Python source: outcomes at
+# Built with constructors, as they were when each expected list was
+# recorded, before the evaluator generated Python source: outcomes at
 # envs {x1=0, x2=0} and {x1=3, x2=1}, each honest and under the cutoff.
 
 
@@ -451,6 +453,34 @@ def test_deep_formula_outcomes(shape):
     thread.start()
     thread.join()
     assert got == _DEPTH_OUTCOMES[shape]
+
+
+def _nested_universals(n):
+    w = eq(Var(1), Var(2))
+    for k in range(n):
+        w = ForAll(k % 3 + 1, w)
+    return w
+
+
+def test_universals_nested_past_the_recursion_limit_are_refused(capsys):
+    # The generated code calls one function per chain of universals, so
+    # some thousands of them nest deeper than the interpreter allows.
+    model = coded_model(18, 1)
+
+    def outcome(n):
+        try:
+            return eval_bounded(model, _nested_universals(n), {}, bound=2).truth.value
+        except ModelError as exc:
+            return str(exc)
+
+    assert in_fresh_thread(lambda: outcome(3000)) == "false"
+    assert in_fresh_thread(lambda: outcome(10 ** 4)) == "formula nested too deeply to evaluate"
+    text = print_wff(_nested_universals(10 ** 4))
+    argv = ["model", "eval", "--alpha", "18", "--u", "1", "--bound", "2", "--wff", text]
+    assert in_fresh_thread(lambda: run(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula nested too deeply to evaluate\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given
 
 from conftest import (
     core_wffs,
+    in_fresh_thread,
     random_core_wff,
     random_generic_term,
     random_proof_corpus,
@@ -20,7 +21,7 @@ from conftest import (
 from parse_edge_cases import PARSE_EDGE_CASES, parse_outcome
 from foarith import syntax
 from foarith.arith import decode_numeral, numeral
-from foarith.kernel import UNKNOWN, Proof, ProofLine
+from foarith.kernel import UNKNOWN, Proof, ProofLine, SchemeId, check_proof, match_scheme
 from foarith.proofio import builtin_theories, format_proof, parse_proof_file
 from foarith.syntax import (
     ANY_TERM,
@@ -470,6 +471,47 @@ def test_deep_nodes_hash_and_compare():
     assert pairs[0][0] != eq(big, big.args[0])
     assert pairs[1][0] != _deep_not(10 ** 4, B)
     assert pairs[1][0] != pairs[1][0].body
+
+
+def _deep_formulas():
+    """(formula, free variables) pairs, each 10^4 or more levels deep."""
+    n = 10 ** 4
+    implies, plus_term = eq(X1, ZERO), X1
+    for k in range(n):
+        implies = Implies(eq(Var(k % 3 + 1), X1), implies)
+        plus_term = plus(plus_term, Var(k % 3 + 1))
+    return [(eq(numeral(10 ** 5), X1), {1}), (_deep_not(n, eq(X1, ZERO)), {1}),
+            (implies, {1, 2, 3}), (eq(plus_term, succ(ZERO)), {1, 2, 3})]
+
+
+def test_deep_formulas_round_trip_through_every_walker():
+    def check():
+        t = succ(X2)
+        for w, free in _deep_formulas():
+            text = print_wff(w)
+            parsed = parse_wff(text)
+            assert parsed is not w and hash(parsed) == hash(w) and parsed == w
+            assert print_wff(parsed) == text
+            assert lower(parse_wff(print_wff(w, resugar=True))) == w
+            assert is_core(parsed) and lower(parsed) is parsed
+            assert free_vars(parsed) == free
+            instance = substitute(parsed, 1, t)
+            assert free_vars(instance) == (free - {1}) | {2}
+            assert match_substitution_result(parsed, 1, instance) == Witness(t)
+            assert match_scheme(SchemeId.K1, Implies(w, Implies(B, parsed))) is not None
+            k5 = match_scheme(SchemeId.K5, Implies(ForAll(1, parsed), instance))
+            assert k5 is not None and k5.parts["term"] == t
+            proof = parse_proof_file(f"theory: K\n1. ({text} -> ((x2 = 0) -> {text})) ; K1\n")
+            assert check_proof(proof).accepted
+
+    in_fresh_thread(check)
+
+
+def test_is_core_is_false_on_terms_and_non_nodes():
+    for x in (X1, ZERO, succ(X1), plus(X1, times(X2, X3)), None, 0, "(x1 = 0)", (A,)):
+        assert is_core(x) is False
+    assert is_core(A) is True and is_core(Not(ForAll(1, Implies(A, B)))) is True
+    assert is_core(Not(Or(A, B))) is False and is_core(ForAll(1, Exists(2, A))) is False
 
 
 # ---------------------------------------------------------------------------
