@@ -109,7 +109,7 @@ def _emit_json(command: str, **fields) -> None:
 
 
 def _read_proof(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:     # a leading BOM is dropped
         return parse_proof_file(fh.read())
 
 
@@ -122,7 +122,7 @@ def _read_inline_or_file(inline: Optional[str], path: Optional[str],
     if inline is not None and path is not None:
         raise ValueError(f"give the {what} inline or as a file, not both")
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     if inline is None:
         raise ValueError(f"missing {what}")
@@ -184,8 +184,9 @@ def _cmd_discover(ns) -> int:
     failures = check_proof(result.proof).failures if result.ok else result.failures
     lines = result.proof.lines if result.ok else ()
     if ns.json:
+        table: dict = {}
         _emit_json("discover", file=ns.prooffile, accepted=not failures,
-                   lines=[{"line": k, "wff": print_wff(line.wff),
+                   lines=[{"line": k, "wff": print_wff(line.wff, table=table),
                            "justification": format_justification(line.justification)}
                           for k, line in enumerate(lines, 1)],
                    failures=[{"line": f.line, "reason": f.reason} for f in failures])

@@ -1,6 +1,7 @@
 """Line-oriented proof file format.
 
-A proof file is UTF-8 text.  Blank lines and ``#`` comments are ignored.
+A proof file is UTF-8 text (the command line drops a leading byte order
+mark).  Blank lines and ``#`` comments are ignored.
 The header consists of optional axiom declarations followed by a theory
 line, then the numbered proof lines::
 
@@ -68,6 +69,9 @@ def builtin_theories() -> dict:
 _AXIOM_RE = re.compile(r"axiom\s+([^\s:]+)\s*:\s*(.+)\Z")
 _THEORY_RE = re.compile(r"theory\s*:\s*(\S+)\Z")
 _NUMBERED_RE = re.compile(r"(\d+)\.\s*(.+?)\s*;\s*(\S.*?)\s*\Z")
+# The same match, on a line whose formula holds no ';', found without
+# trying the ';' after each character of the formula.
+_PLAIN_NUMBERED_RE = re.compile(r"(\d+)\.\s*([^;]*[^;\s])\s*;\s*(\S.*?)\s*\Z")
 _MP_RE = re.compile(r"MP\s+(\d+)\s+(\d+)\Z")
 _GEN_RE = re.compile(r"GEN\s+(\d+)\s+x(\d+)\Z")
 _AX_RE = re.compile(r"AX\s+(\S+)\Z")
@@ -109,7 +113,8 @@ def format_justification(just: Justification) -> str:
 
 def parse_proof_file(text: str) -> Proof:
     """Read a proof file.  Its formulas share one parse table, so each
-    repeated parenthesized subformula is parsed once and is one object."""
+    repeated parenthesized subformula is parsed once and is one object,
+    and a line is lexed only where it does not restate an earlier one."""
     theories = builtin_theories()
     table: dict = {}
     theory: Optional[Theory] = None
@@ -122,7 +127,7 @@ def parse_proof_file(text: str) -> Proof:
         if not stripped or stripped.startswith("#"):
             continue
 
-        m = _NUMBERED_RE.match(stripped)
+        m = _PLAIN_NUMBERED_RE.match(stripped) or _NUMBERED_RE.match(stripped)
         if m is not None:
             if theory is None:
                 raise ProofFileError("proof line before the theory declaration", lineno)
@@ -184,20 +189,23 @@ def parse_proof_file(text: str) -> Proof:
 
 
 def format_proof(proof: Proof) -> str:
-    """Render a proof in the file format; parseable back by parse_proof_file."""
+    """Render a proof in the file format; parseable back by parse_proof_file.
+    Its formulas share one print table, so each repeated parenthesized
+    subformula is printed once."""
     out = []
+    table: dict = {}
     theory = proof.theory
     builtin = builtin_theories()
     if theory.name in builtin:
         out.append(f"theory: {theory.name}")
     elif theory.parent is not None and theory.parent.name in builtin:
         for name, wff in theory.own_axioms:
-            out.append(f"axiom {name}: {print_wff(wff)}")
+            out.append(f"axiom {name}: {print_wff(wff, table=table)}")
         out.append(f"theory: {theory.parent.name}")
     else:
         raise ValueError(
             f"theory {theory.name!r} is not serializable (not built on K, N or N-eq)")
     for number, line in enumerate(proof.lines, 1):
-        out.append(f"{number}. {print_wff(line.wff)} ; "
+        out.append(f"{number}. {print_wff(line.wff, table=table)} ; "
                    f"{format_justification(line.justification)}")
     return "\n".join(out) + "\n"

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import accumulate, islice, repeat
-from operator import is_
+from itertools import accumulate, count, islice
+from operator import add, is_
 from types import FunctionType
 from typing import Callable, Optional, Union
 
@@ -74,7 +74,9 @@ class _Node:
     explicit stack that settles identical or differently hashed subtrees at
     once.  Neither recurses, so both work at any depth.  Assigning or
     deleting a field raises :class:`dataclasses.FrozenInstanceError`; the
-    cached hash depends on it.  ``str`` is the canonical text.
+    cached hash depends on it.  ``str`` is the canonical text, and a node
+    pickles as that text; ``repr`` walks a stack too, and ``copy`` and
+    ``deepcopy`` give the node itself, which cannot change.
 
     The eleven node classes come in four shapes, each a base class that
     holds the slots and the ``__init__``: a leaf (Var, Const), an
@@ -122,11 +124,40 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        """``Class(field=value, ...)``, as a dataclass writes it, built from
+        one stack of the pieces still to write."""
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                out.append(x)
+            elif isinstance(x, _Node):
+                pieces = [f"{type(x).__qualname__}("]
+                for k, field in enumerate(x._fields):
+                    value = getattr(x, field)
+                    pieces.append(f", {field}=" if k else f"{field}=")
+                    if type(value) is tuple:        # the arguments of an application
+                        pieces.append("(")
+                        for arg in value:
+                            pieces += arg, ", "
+                        pieces[-1] = ",)" if len(value) == 1 else ")"
+                    else:
+                        pieces.append(value)
+                pieces.append(")")
+                stack += reversed(pieces)
+            else:
+                out.append(repr(x))
+        return "".join(out)
 
     def __reduce__(self):
-        return type(self), tuple(map(getattr, repeat(self), self._fields))
+        # the canonical text, which the parser reads back to an equal node
+        return (parse_wff if isinstance(self, _Formula) else parse_term), (_print(self),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __str__(self) -> str:
         return _print(self)
@@ -640,10 +671,25 @@ _TERM_OPS = tuple(_OPERATIONS)
 # The longest pair text the parse table keys (see _Parser._open); no
 # repeated pair of the proof files that perfbench generates is over 1 KB.
 _LONGEST_KEY = 4096
+# A pair of at least this many characters is also filed under its source
+# text, found by this many of its first characters (see _raw_hits).
+_RAW_PREFIX = 24
+# Where a parse table keeps its raw table; no token or pair text equals it.
+_RAW_KEYS = object()
 
 
 def _second(_, node):
     return node
+
+
+class _Hit(str):
+    """A token that stands for a pair of the text found in the raw table.
+
+    Its text is the pair's tokens up to its last run of ')', joined as the
+    parse table joins them, so the tokens of a text with hits join as
+    those of the text do.  The run of ')' that follows it starts with the
+    ``closes`` ')' that end the pair, whose formula is ``node``.
+    """
 
 
 class _Fail(Exception):
@@ -701,8 +747,8 @@ class _Parser:
     Each construct they enter leaves a frame on ``stack``: a run of '~', a
     '(' formula, an equality, a '(t op u)' term, the argument list of
     ``f{..}(..)`` or ``A{..}(..)``, or a run of 'S('.  They stop at the
-    first node they read whole (a variable, a constant, or a parse-table
-    hit) and return it.  :meth:`run` hands each finished node to the
+    first node they read whole (a variable, a constant, a parse-table hit
+    or a raw hit) and return it.  :meth:`run` hands each finished node to the
     frame on top, ``(resume, a, b, key)``: ``resume(self, node, a, b,
     key)`` either finishes its construct and returns the node built, or
     pushes a frame for the rest and descends again.  Nesting therefore
@@ -716,12 +762,21 @@ class _Parser:
     the current token needs no bounds check.  A failure raises
     :class:`_Fail` with a token index and member; the caller turns it into
     a :class:`ParseError` with a position.
+
+    ``text`` is the source text, given when the table is shared: the
+    pairs that end the formula then go into its raw table too, once the
+    parse succeeds (see :meth:`file_raw`).  Where the tokens hold raw
+    hits, ``shape`` holds each as a run of as many 'S(' as the ')' that end
+    it, which is how it opens and closes for :func:`_pairs`.
     """
 
-    def __init__(self, tokens: list, table: Optional[dict] = None):
-        self.tokens = tokens
+    def __init__(self, tokens: list, table: Optional[dict] = None,
+                 text: Optional[str] = None, shape: Optional[list] = None):
+        self.tokens, self.shape = tokens, shape
         self.i = self.j = 0
         self.table = {} if table is None else table
+        self.text = text
+        self.ending = None if text is None else []     # (end, key) of the pairs that end it
         # built at the first '(' formula
         self.after = self.joined = self.lengths = None
         self.eq_start = -1      # where the last equality read began
@@ -943,6 +998,13 @@ class _Parser:
             elif _starts_term(text):
                 stack.append((_Parser._operator, i, ("=",), None))
                 return self._term()
+            elif type(text) is _Hit:
+                # the run after the hit starts with the hit's own ')'
+                if text.closes < len(tokens[i + 1]):
+                    self.i, self.j = i + 1, text.closes
+                else:
+                    self.i = i + 2
+                return text.node
             elif not text:
                 raise _Fail("expected a formula", i, 0)
             else:
@@ -984,7 +1046,7 @@ class _Parser:
             if node is not None:
                 self.i = len(tokens) - 1
                 return node
-            self.after = _pairs(tokens)
+            self.after = _pairs(tokens if self.shape is None else self.shape)
             # token k starts at lengths[k] + k in the joined text
             self.lengths = list(accumulate(map(len, tokens), initial=0))
         after = self.after.get(i)
@@ -998,11 +1060,53 @@ class _Parser:
             if node is not None:
                 self.i, self.j = k, j
                 return node
+            # the pair that ends the formula, or ends just before its last ')'
+            if key is not None and self.ending is not None and end >= len(self.joined) - 2:
+                self.ending.append((end, key))
             self._grouped(i, key)
             return None
         self.stack.append((_Parser._attempted, i, None, None))
         self.stack.append((_Parser._operator, i, ("=",), None))
         return self._term()
+
+    def file_raw(self) -> None:
+        """Files the outermost pair of the formula and the last pair inside
+        it, the one its own ')' follows, in the raw table under their source
+        text, where that is long enough to be found and short enough to
+        keep.  The raw table maps the first ``_RAW_PREFIX`` characters of
+        each such text to the texts that start with them, each with its key
+        in the parse table.
+
+        These are the pairs a later line of a proof restates: a line whole
+        (as K1's antecedent, Gen's body or MP's minor premise), or the
+        consequent of one (as MP's conclusion); a pair deeper in a line is
+        found through its key once the text around it is lexed.  Their text
+        is found without matching parentheses: the outermost pair runs from
+        the first '(' to the end, and the last one inside ends at the last
+        ')' but one, and starts at the c-th '(' from the end when its key
+        holds c of them.
+        """
+        if not self.ending:
+            return
+        text, last = self.text, len(self.joined) - 1
+        top = len(text.rstrip())
+        raw = self.table.get(_RAW_KEYS)
+        if raw is None:
+            raw = self.table[_RAW_KEYS] = {}
+        for end, key in self.ending:
+            if end == last:
+                begin, end = text.find("("), top
+            else:
+                begin = len(text.rsplit("(", key.count("("))[0])
+                end = text.rfind(")", 0, top - 1) + 1
+            if _RAW_PREFIX <= end - begin <= _LONGEST_KEY:
+                known = text[begin:end]
+                prefix = known[:_RAW_PREFIX]
+                same = raw.get(prefix)
+                if same is None:
+                    raw[prefix] = [(known, key)]
+                else:
+                    same.append((known, key))
 
     def _attempted(self, atom: Atom, _, __, ___) -> Atom:
         return atom
@@ -1036,13 +1140,95 @@ class _Parser:
         return self._wff()
 
 
+def _raw_hits(text: str, table: dict, opens: list) -> list:
+    """The pairs of ``text`` that the raw table of ``table`` knows, as
+    (offset, source text, key) triples, leftmost first and none inside
+    another; ``opens`` are the offsets of the '(' of the text where a pair
+    may start.
+
+    Each '(' outside a hit is looked up once, by the ``_RAW_PREFIX``
+    characters from it on; at most one of the texts found there can start
+    at it, since a pair's text fixes where its '(' closes.
+    """
+    get = table[_RAW_KEYS].get
+    hits, end = [], 0
+    for p in opens:
+        if p >= end:
+            same = get(text[p:p + _RAW_PREFIX])
+            if same:
+                for known, key in same:
+                    if text.startswith(known, p) and key in table:
+                        hits.append((p, known, key))
+                        end = p + len(known)
+                        break
+    return hits
+
+
+def _lex_around(text: str, hits: list, table: dict) -> tuple:
+    """The tokens of ``text``, with each hit one :class:`_Hit` token, and
+    the same tokens with each hit a run of as many 'S(' as ')' end it.
+
+    The text is lexed once with each hit written as the letter ``a`` and
+    the run of ')' that ends the pair, so those ')' begin the run of ')'
+    after the hit, as in the tokens of ``text``.  A lone ``a`` is no token
+    of a text that parses, so where the letters of a hit do not lex alone
+    (a letter before the hit joins them) or a token of the text is ``a``,
+    the parse fails, and the text is parsed again without hits.
+    """
+    pieces, found, pos = [], [], 0
+    for p, known, key in hits:
+        cut = key.rindex("\x00")
+        closes = len(key) - cut - 1
+        pieces += text[pos:p], "a" + ")" * closes
+        found.append((key, cut, closes))
+        pos = p + len(known)
+    pieces.append(text[pos:])
+    tokens = _lex("".join(pieces))
+    shape = tokens.copy()
+    k = 0
+    for key, cut, closes in found:
+        try:
+            k = tokens.index("a", k)
+        except ValueError:
+            raise _Fail("a hit is not one token", 0, 0) from None
+        tokens[k] = hit = _Hit(key[:cut])
+        hit.node, hit.closes = table[key], closes
+        shape[k] = "S(" * closes
+    return tokens, shape
+
+
 def _parse(text: str, rule: Callable, table: Optional[dict] = None):
-    p = _Parser(_lex(text), table)
+    if table is None:
+        p = _Parser(_lex(text))
+    else:
+        raw = table.get(_RAW_KEYS)
+        if raw:
+            whole = text.strip()
+            for known, key in raw.get(whole[:_RAW_PREFIX], ()):
+                if known == whole and key in table:
+                    return table[key]       # the text is one known pair
+            # the offset of each '(' but those an 'S' takes into a successor run
+            parts = text.replace("S(", "S\x01").split("(")
+            hits = _raw_hits(text, table, [*map(add, accumulate(map(len, parts[:-1])), count())])
+            if hits:
+                try:
+                    tokens, shape = _lex_around(text, hits, table)
+                    p = _Parser(tokens, table, text, shape)
+                    node = p.run(rule)
+                except (_Fail, ParseError):
+                    pass        # the error is found again without the hits
+                else:
+                    p.file_raw()
+                    return node
+        p = _Parser(_lex(text), table, text)
     try:
-        return p.run(rule)
+        node = p.run(rule)
     except _Fail as exc:
         message, k, j = exc.args
         raise ParseError(message, _token_start(text, k, j)) from None
+    if table is not None:
+        p.file_raw()
+    return node
 
 
 def parse_wff(text: str, table: Optional[dict] = None) -> SurfaceWff:
@@ -1059,6 +1245,16 @@ def parse_wff(text: str, table: Optional[dict] = None) -> SurfaceWff:
     share it; by default each call starts a fresh one.  Each entry is what
     a successful parse of its key gives, even when the call that made it
     failed later, and no call keeps the table.
+
+    A shared table also holds a raw table: the source text of each pair
+    the parse read whole, if that is the formula or lies directly inside
+    its outermost pair and has 24 to 4096 characters.  A later call finds
+    those texts in its own text before lexing and reads each as one token
+    that carries its node, so it lexes, matches and parses only the text
+    between them, and a text that is one of them costs a lookup.  A text
+    whose parse used such a hit and failed is parsed again without them,
+    so every error message and position is that of a parse without a
+    table.
     """
     return _parse(text, _Parser._wff, table)
 
@@ -1127,9 +1323,20 @@ def _pieces(w) -> tuple:
     raise TypeError(f"not a syntax node: {w!r}")
 
 
-def _print(w, resugar: bool = False) -> str:
+def _print(w, resugar: bool = False, texts: Optional[dict] = None) -> str:
     """The canonical text of a node, written from one stack that holds the
-    pieces still to write."""
+    pieces still to write.
+
+    With ``texts``, a pair (a connective or quantifier whose text is
+    parenthesized) found in it is written from its text there, and each
+    pair written in at most ``_LONGEST_KEY`` pieces and characters goes
+    into it.  A marker ``(pair, start)`` under the pair's pieces on the
+    stack says where its text begins in ``out``.  Pairs only are kept, and
+    only short ones, as in the parse table: so the texts a formula nested
+    n deep leaves there do not add up to n/2 times its length.  Atoms and
+    terms are written as they come: they take few pieces, and an equal
+    copy that the parser did not share would cost a deep ``==`` to find.
+    """
     out, stack = [], [w]
     write = out.append
     while stack:
@@ -1141,8 +1348,23 @@ def _print(w, resugar: bool = False) -> str:
             write(f"x{w.index}")
         elif t is Const:
             write("0" if w.index == 1 else f"a{w.index}")
-        else:
+        elif texts is None or t is FuncApp or t is Atom:
             stack += (resugar and _resugared(w)) or _pieces(w)
+        elif t is tuple:
+            w, start = w
+            if len(out) - start <= _LONGEST_KEY:
+                text = "".join(out[start:])
+                if len(text) <= _LONGEST_KEY:
+                    texts[w] = text
+        else:
+            text = texts.get(w)
+            if text is not None:
+                write(text)
+                continue
+            pieces = (resugar and _resugared(w)) or _pieces(w)
+            if pieces[-1][0] == "(":
+                stack.append((w, len(out)))
+            stack += pieces
     return "".join(out)
 
 
@@ -1152,13 +1374,19 @@ def print_term(t: Term) -> str:
     return _print(t)
 
 
-def print_wff(w: SurfaceWff, resugar: bool = False) -> str:
+def print_wff(w: SurfaceWff, resugar: bool = False, table: Optional[dict] = None) -> str:
     """Render a formula so that parsing the output reproduces it.
 
     With ``resugar`` the printer folds recognizable expansion patterns back
     into ex/&/|/<-> for display; reparsing and lowering still yields the
     original core formula.
+
+    ``table`` is the print table.  Calls that pass one dict share it: the
+    text of each parenthesized subformula but an atom (of at most 4096
+    characters) is kept there, per setting of ``resugar``, and a
+    subformula reached again, in that call or a later one, is written from
+    it.  By default no text is kept, and no call keeps the table.
     """
     if not isinstance(w, _Formula):
         raise TypeError(f"not a formula: {w!r}")
-    return _print(w, resugar)
+    return _print(w, resugar, None if table is None else table.setdefault(bool(resugar), {}))

@@ -100,6 +100,19 @@ def test_parse_requires_exactly_one_source(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("parse", "--file"), ("model", "eval", "--alpha", "18",
+                                                         "--u", "2", "--bound", "3", "--wff-file")],
+                         ids=["parse", "model-eval"])
+def test_formula_file_may_start_with_a_bom(capsys, tmp_path, command):
+    path = tmp_path / "w.txt"
+    path.write_bytes("\ufeff(0 = 0)\n".encode("utf-8"))
+    code, out, err = invoke(capsys, *command, str(path))
+    assert code == 0 and err == ""
+    path.write_bytes("(0 = \ufeff0)\n".encode("utf-8"))      # not at the start: still an error
+    code, out, err = invoke(capsys, *command, str(path))
+    assert (code, out, err) == (2, "", "error: unexpected character '\\ufeff' (at position 5)\n")
+
+
 # ---------------------------------------------------------------------------
 # check / discover
 
@@ -138,6 +151,19 @@ def test_check_json_schema(capsys):
     assert doc["accepted"] is True
     assert [line["line"] for line in doc["lines"]] == [1, 2, 3, 4, 5]
     assert all(line["ok"] for line in doc["lines"])
+
+
+def test_proof_file_may_start_with_a_bom(capsys, tmp_path):
+    text = (DATA / "imp_refl.proof").read_text(encoding="utf-8")
+    path = tmp_path / "bom.proof"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    assert invoke(capsys, "check", str(path)) == (0, "accepted (5 lines)\n", "")
+    code, out, _ = invoke(capsys, "discover", str(path))
+    assert code == 0 and out.startswith("theory: K\n1. ")
+    # a BOM anywhere else is still a character the file may not hold
+    path.write_bytes(text.replace("theory: K", "theory: K\n\ufefftheory: K").encode("utf-8"))
+    code, out, err = invoke(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", "error: line 3: unrecognized line '\\ufefftheory: K'\n")
 
 
 def test_check_missing_file_exits_2(capsys):

@@ -118,6 +118,26 @@ def test_error_bad_wff_carries_line_number():
         parse_proof_file("theory: K\n2 is not here\n")
 
 
+@pytest.mark.parametrize("line, outcome", [
+    ("1. (0=0) ; x ; K1", "line 2: unrecognized justification 'x ; K1'"),
+    ("1. ;(0 = 0) ; K1", "line 2: bad wff: unexpected character ';' (at position 0)"),
+    ("1. ; K1", "line 2: bad wff: expected a formula (at position 1)"),
+    ("1.  ;  ; K1", "line 2: bad wff: unexpected character ';' (at position 0)"),
+    ("1. (0 = 0) ;", "line 2: unrecognized line '1. (0 = 0) ;'"),
+    ("1. (0 = 0) ; ; ?", "line 2: unrecognized justification '; ?'"),
+    ("1.(0 = 0);   ?  ", None),
+])
+def test_numbered_line_splits_at_its_first_semicolon(line, outcome):
+    # the formula ends at the first ';' that some justification follows,
+    # and is never empty
+    if outcome is None:
+        assert parse_proof_file(f"theory: K\n{line}\n").lines[0].justification == UNKNOWN
+    else:
+        with pytest.raises(ProofFileError) as exc:
+            parse_proof_file(f"theory: K\n{line}\n")
+        assert str(exc.value) == outcome
+
+
 def test_format_parse_round_trip():
     proof = parse_proof_file((DATA / "extension.proof").read_text())
     again = parse_proof_file(format_proof(proof))

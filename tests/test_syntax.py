@@ -1,8 +1,10 @@
+import collections
 import copy
 import hashlib
 import pickle
 import random
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -22,7 +24,7 @@ from parse_edge_cases import PARSE_EDGE_CASES, parse_outcome
 from foarith import syntax
 from foarith.arith import decode_numeral, numeral
 from foarith.kernel import UNKNOWN, Proof, ProofLine, SchemeId, check_proof, match_scheme
-from foarith.proofio import builtin_theories, format_proof, parse_proof_file
+from foarith.proofio import ProofFileError, builtin_theories, format_proof, parse_proof_file
 from foarith.syntax import (
     ANY_TERM,
     And,
@@ -325,6 +327,122 @@ def test_proof_file_shares_equal_subformulas():
 
 
 # ---------------------------------------------------------------------------
+# raw table
+#
+# A parse that shares a table also files the source text of each pair near
+# the top of its formula, and a later text is lexed around the pairs it
+# finds there.  Equal texts must still give equal trees and one object per
+# repeated subformula, however their repeats are spaced, and a text that
+# fails must fail as it does without a table.
+
+
+def _spaced(rng, text):
+    """text with whitespace added after '(', ')' and ',', and inside runs
+    of 'S(' and ')'; no line breaks, so it stays one line of a proof file."""
+    text = re.sub(r"S\(", lambda m: rng.choice(["S(", "S (", "S\t("]), text)
+    return re.sub(r"[(),]", lambda m: m.group() + rng.choice(["", " ", "\t", " \t "]), text)
+
+
+@pytest.fixture
+def raw_hits(monkeypatch):
+    """The number of raw hits found so far in each text."""
+    found = collections.Counter()
+    find = syntax._raw_hits
+
+    def counted(text, *args):
+        hits = find(text, *args)
+        found[text] += len(hits)
+        return hits
+
+    monkeypatch.setattr(syntax, "_raw_hits", counted)
+    return found
+
+
+def test_proof_file_with_respaced_repeats_shares_subformulas(raw_hits):
+    rng = random.Random(37)
+    n = builtin_theories()["N"]
+    for size in (10, 40, 120):
+        lines = random_proof_corpus(rng, n, size)
+        texts = [print_wff(w) if rng.random() < 0.5 else _spaced(rng, print_wff(w))
+                 for w in lines]
+        proof = parse_proof_file("theory: N\n" + "".join(
+            f"{k}. {t} ; ?\n" for k, t in enumerate(texts, 1)))
+        assert [line.wff for line in proof.lines] == lines
+        first = {}
+        for line in proof.lines:
+            for w in _parenthesized_subformulas(line.wff):
+                assert first.setdefault(w, w) is w, print_wff(w)
+    assert raw_hits.total() > 20
+
+
+def test_malformed_line_after_raw_hits_fails_as_without_a_table(raw_hits):
+    rng = random.Random(41)
+    n = builtin_theories()["N"]
+    failed = failed_after_hits = 0
+    for _ in range(120):
+        lines = random_proof_corpus(rng, n, 16)
+        texts = [print_wff(w) for w in lines]
+        k = rng.randrange(1, len(texts))
+        texts[k] = _mutate(rng, texts[k]).replace("\n", "").strip()   # what the line holds
+        if not texts[k]:
+            continue
+        file = "theory: N\n" + "".join(f"{i}. {t} ; ?\n" for i, t in enumerate(texts[:k + 1], 1))
+        try:
+            fresh = lower(parse_wff(texts[k]))
+        except ParseError as exc:
+            with pytest.raises(ProofFileError) as err:
+                parse_proof_file(file)
+            assert str(err.value) == f"line {k + 2}: bad wff: {exc}"
+            assert err.value.__cause__.pos == exc.pos
+            failed += 1
+            failed_after_hits += raw_hits[texts[k]] > 0
+        else:
+            assert parse_proof_file(file).lines[k].wff == fresh
+    assert failed > 40 and failed_after_hits > 20
+
+
+# ---------------------------------------------------------------------------
+# print table
+#
+# Printing through a shared table writes each repeated pair from its stored
+# text; the output must be the bytes printing without one gives.
+
+
+def test_print_table_gives_the_same_text():
+    rng = random.Random(43)
+    n = builtin_theories()["N"]
+    for size in (10, 40, 120):
+        lines = random_proof_corpus(rng, n, size)
+        proof = Proof(n, tuple(ProofLine(w, UNKNOWN) for w in lines))
+        parsed = parse_proof_file(format_proof(proof))
+        assert parsed.lines == proof.lines
+        table = {}
+        for ws in (lines, [line.wff for line in parsed.lines]):
+            for resugar in (False, True):
+                plain = [print_wff(w, resugar) for w in ws]
+                assert [print_wff(w, resugar, table) for w in ws] == plain
+                assert [print_wff(w, resugar, {}) for w in ws] == plain
+        assert format_proof(proof) == "theory: N\n" + "".join(
+            f"{k}. {print_wff(w)} ; ?\n" for k, w in enumerate(lines, 1))
+
+
+def test_print_table_keeps_no_text_per_level_of_a_deep_formula():
+    deep = _deep_not(10 ** 4, eq(X1, ZERO))
+    proof = Proof(builtin_theories()["K"], (ProofLine(deep, UNKNOWN),))
+    expected = f"theory: K\n1. {print_wff(deep)} ; ?\n"
+    tracemalloc.start()
+    try:
+        text = format_proof(proof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == expected
+    # the text of every level would take 10^8 / 2 characters; the pieces
+    # of the one text take about 0.1 MB
+    assert peak < 10 ** 6
+
+
+# ---------------------------------------------------------------------------
 # successor chains
 #
 # A run of "S(" is one token, and each parse keeps, per base term, the
@@ -471,6 +589,21 @@ def test_deep_nodes_hash_and_compare():
     assert pairs[0][0] != eq(big, big.args[0])
     assert pairs[1][0] != _deep_not(10 ** 4, B)
     assert pairs[1][0] != pairs[1][0].body
+
+
+def test_deep_nodes_repr_pickle_and_copy():
+    def check():
+        n, m = 10 ** 4, 10 ** 5
+        nots, big = _deep_not(n, eq(X1, ZERO)), numeral(m)
+        assert repr(nots) == "Not(body=" * n + repr(eq(X1, ZERO)) + ")" * n
+        assert repr(big) == ("FuncApp(letter=1, arity=1, args=(" * m + "Const(index=1)"
+                             + ",))" * m)
+        for w in (nots, big, eq(big, X1)):
+            again = pickle.loads(pickle.dumps(w))
+            assert again == w and type(again) is type(w)
+            assert copy.copy(w) is w and copy.deepcopy(w) is w
+
+    in_fresh_thread(check)
 
 
 def _deep_formulas():
