@@ -214,7 +214,7 @@ def _cmd_goldbach_scan(ns) -> int:
     elif ns.csv:
         print(report.to_csv(), end="")
     else:
-        line = (f"limit={report.limit} members={len(report.members)} "
+        line = (f"limit={report.limit} members={report.member_count} "
                 f"verified={'yes' if report.verified else 'NO'}")
         if report.first_failure is not None:
             line += f" first_failure={report.first_failure}"

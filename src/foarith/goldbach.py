@@ -11,6 +11,11 @@ tests; ``scan`` decides by a least-prime search over a sieve, and its
 partition counts come from an FFT autoconvolution of the same sieve,
 checked against that verdict whenever they are computed.
 
+``scan`` works on arrays only.  The search applies its first primes as
+shifted slices of one boolean mask, the autoconvolution transforms the
+odd-index flags alone, and the report turns the admissible evens into a
+Python list only when ``ScanReport.members`` is first read.
+
 The trial-division functions need no numpy, so numpy is imported inside
 the array functions: only a process that scans or enumerates by sieve
 loads it.
@@ -69,10 +74,18 @@ def _sieve(limit: int) -> np.ndarray:
 
 
 def _admissible(flags: np.ndarray) -> np.ndarray:
-    """Admissible evens below flags.size, read off the prime sieve flags."""
+    """Admissible evens below flags.size, read off the prime sieve flags.
+
+    An even 2k below flags.size has k < half; from k = 8 on, its half k
+    and its 2k - 3 run through two views of the flags in step.
+    """
     import numpy as np
-    evens = np.arange(16, flags.size, 2)
-    return evens[~flags[evens // 2] & ~flags[evens - 3]]
+    half = (flags.size + 1) // 2
+    either_prime = flags[8:half] | flags[13:2 * half - 4:2]
+    evens = np.flatnonzero(~either_prime)
+    evens *= 2
+    evens += 16
+    return evens
 
 
 def admissible_evens(limit: int) -> list:
@@ -91,21 +104,38 @@ def partitions(alpha: int) -> list:
 def _pair_counts(flags: np.ndarray) -> np.ndarray:
     """Ordered prime-pair counts by sum, via FFT autoconvolution.
 
-    conv[s] = #{(p, q) : p + q = s, both prime, order significant}.  The
-    values stay far below 2**53, so rounding the float convolution back to
-    integers is exact as long as every value lies within 0.25 of an
-    integer; a larger residual raises ValueError instead of miscounting.
+    conv[s] = #{(p, q) : p + q = s, both prime, order significant}, for
+    s < flags.size.  Only the odd-index flags are transformed, at half
+    the length of the whole array: odd q and r give (2i + 1) + (2j + 1) =
+    2(i + j) + 2.  The sums with the even prime, 2 + q, q + 2 and 2 + 2,
+    are added as a shift.  The values stay far below 2**53, so rounding
+    the float convolution back to integers is exact as long as every
+    value lies within 0.25 of an integer; a larger residual raises
+    ValueError instead of miscounting.
     """
     import numpy as np
     n = flags.size
-    size = 1 << (2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(flags.astype(np.float64), size)
-    conv = np.fft.irfft(spectrum * spectrum, size)[:n]
-    counts = np.rint(conv)
-    residual = float(np.abs(conv - counts).max())
-    if residual >= 0.25:
-        raise ValueError(f"FFT rounding residual {residual:.3g} is too large for exact counts")
-    return counts.astype(np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    even = counts[2::2]          # even[m] counts the sum 2m + 2
+    if even.size:
+        odd = flags[1::2]        # odd[j] flags 2j + 1
+        size = 1 << (2 * odd.size - 1).bit_length()
+        spectrum = np.fft.rfft(odd.astype(np.float64), size)
+        spectrum *= spectrum
+        conv = np.fft.irfft(spectrum, size)[:even.size]
+        rounded = np.rint(conv)
+        residual = float(np.abs(conv - rounded).max())
+        if residual >= 0.25:
+            raise ValueError(f"FFT rounding residual {residual:.3g} is too large for exact counts")
+        even[:] = rounded
+    if n > 2 and flags[2]:
+        counts[5::2] += 2 * flags[3:n - 2:2]
+        counts[4:5] += 1
+    return counts
+
+
+# the primes that _unresolved applies to every number at once
+_DENSE_PRIMES = 32
 
 
 def _unresolved(flags: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -115,11 +145,26 @@ def _unresolved(flags: np.ndarray, members: np.ndarray) -> np.ndarray:
     the primes p in ascending order and drop every member n still open
     for which n - p is prime.  A member still open once 2p > n has no
     partition.  The loop ends at the largest least prime.
+
+    The first ``_DENSE_PRIMES`` primes, which resolve most members, act on
+    a mask over every number up to the largest member, one shifted slice
+    each.  That also drops an n below 2p when n - p is prime, which is
+    right: n was resolved already at the smaller prime n - p.  The members
+    left open go on one prime at a time, from the next prime on.
     """
     import numpy as np
-    left = members
+    if members.size == 0:
+        return members
+    n = int(members[-1]) + 1
+    primes = np.flatnonzero(flags[:n // 2 + 1])     # a least prime is at most n/2
+    composite = ~flags[:n]
+    open_ = np.zeros(n, dtype=bool)
+    open_[members] = True
+    for p in primes[:_DENSE_PRIMES].tolist():
+        open_[p:] &= composite[:n - p]
+    left = members[open_[members]]
     failed = []
-    for p in np.flatnonzero(flags):
+    for p in primes[_DENSE_PRIMES:]:
         if left.size == 0:
             break
         # left is ascending, so the members below 2p are a prefix; with
@@ -137,22 +182,28 @@ def _unresolved(flags: np.ndarray, members: np.ndarray) -> np.ndarray:
 class ScanReport:
     """The verdict of ``scan``; the partition counts are computed on first use.
 
-    ``verified`` and ``first_failure`` come from the least-prime search.
-    The first read of ``partition_counts``, ``to_json_dict``, ``to_json``
-    or ``to_csv`` runs the FFT route and checks that its zero counts fall
-    on exactly the members the search left unresolved, raising ValueError
-    otherwise.
+    ``verified`` and ``first_failure`` come from the least-prime search,
+    and ``member_count`` counts the admissible evens it went through.
+    The list ``members`` is built on its first read.  The first read of
+    ``partition_counts``, ``to_json_dict``, ``to_json`` or ``to_csv`` runs
+    the FFT route and checks that its zero counts fall on exactly the
+    members the search left unresolved, raising ValueError otherwise.
     """
 
     def __init__(self, limit: int, flags: np.ndarray, members: np.ndarray,
                  unresolved: np.ndarray):
         self.limit = limit
-        self.members = members.tolist()
+        self.member_count = members.size
         self.first_failure: Optional[int] = int(unresolved[0]) if unresolved.size else None
         self.verified = self.first_failure is None
         self._flags = flags
         self._members = members
         self._unresolved = unresolved
+
+    @cached_property
+    def members(self) -> list:
+        """The admissible evens up to ``limit``, ascending."""
+        return self._members.tolist()
 
     @cached_property
     def _counts(self) -> np.ndarray:
@@ -207,7 +258,7 @@ class ScanReport:
     def to_csv(self) -> str:
         import numpy as np
         rows = np.column_stack((self._members, self._counts)).ravel().tolist()
-        return "alpha,count\n" + "%d,%d\n" * len(self.members) % tuple(rows)
+        return "alpha,count\n" + "%d,%d\n" * self.member_count % tuple(rows)
 
 
 def _json_block(brackets: str, row: str, values, count: int) -> str:

@@ -132,6 +132,90 @@ def test_least_prime_search_on_numbers_with_and_without_pairs():
     assert np.flatnonzero(_pair_counts(flags)[4:] == 0).tolist() == [n - 4 for n in expected]
 
 
+def reference_unresolved(flags, members):
+    # the least-prime search one prime at a time over plain lists, with
+    # no dense phase
+    prime = flags.tolist()
+    left, failed = members.tolist(), []
+    for p in np.flatnonzero(flags).tolist():
+        if not left:
+            break
+        failed += [n for n in left if n < 2 * p]
+        left = [n for n in left if n >= 2 * p and not prime[n - p]]
+    return failed + left
+
+
+def least_prime_ranks(flags, members):
+    # the rank, among the primes of flags, of the least prime that splits
+    # each member, for the members that have one
+    primes = np.flatnonzero(flags).tolist()
+    ranks = (next((k for k, p in enumerate(primes) if 2 * p <= n and flags[n - p]), None)
+             for n in members.tolist())
+    return {rank for rank in ranks if rank is not None}
+
+
+def test_least_prime_search_matches_one_prime_at_a_time():
+    # With primes removed from the flags, the least primes move past the
+    # dense phase and members fail on both sides of its last prime.
+    rng = np.random.default_rng(15)
+    full = _sieve(3000)
+    ranks, failures = set(), []
+    for keep in (1.0, 0.6, 0.3, 0.15):
+        flags = full & (rng.random(full.size) < keep)
+        boundary = np.flatnonzero(flags)[goldbach._DENSE_PRIMES - 1:][:2].tolist()
+        for members in (np.arange(0, 3001), np.arange(0, 3001, 2), _admissible(full)):
+            expected = reference_unresolved(flags, members)
+            assert _unresolved(flags, members).tolist() == expected, (keep, members.size)
+            ranks |= least_prime_ranks(flags, members)
+            failures += [(2 * boundary[0] - n, 2 * boundary[1] - n) for n in expected]
+    dense = goldbach._DENSE_PRIMES
+    assert {dense - 2, dense - 1, dense, dense + 1} <= ranks
+    assert any(before > 0 for before, _ in failures)               # set aside in the dense phase
+    assert any(before <= 0 < at for before, at in failures)        # at the first prime after it
+    assert any(at <= 0 for _, at in failures)                      # later in the loop
+
+
+def test_least_prime_search_on_odd_small_and_no_members():
+    flags = _sieve(2001)
+    odd = np.arange(1, 2002, 2)
+    # an odd n is a sum of two primes exactly when n - 2 is prime
+    expected = [n for n in odd.tolist() if n < 4 or not flags[n - 2]]
+    assert _unresolved(flags, odd).tolist() == expected == reference_unresolved(flags, odd)
+    # members below 2p for the first primes, and flags with fewer primes
+    # than the dense phase takes
+    for limit in (0, 1, 2, 3, 4, 5, 9, 30, 50):
+        small = np.arange(0, limit + 1)
+        for flags in (_sieve(limit), _sieve(limit) & (np.arange(limit + 1) != 2)):
+            assert (_unresolved(flags, small).tolist()
+                    == reference_unresolved(flags, small)), limit
+    empty = np.array([], dtype=np.int64)
+    assert _unresolved(flags, empty).size == 0
+
+
+def full_length_pair_counts(flags):
+    # the autoconvolution of every flag, at twice the length of the odd one
+    size = 1 << (2 * flags.size - 1).bit_length()
+    spectrum = np.fft.rfft(flags.astype(np.float64), size)
+    return np.rint(np.fft.irfft(spectrum * spectrum, size)[:flags.size]).astype(np.int64)
+
+
+def test_pair_counts_match_brute_force_at_every_size():
+    primes = [p for p in range(301) if is_prime(p)]
+    ordered = [0] * 301
+    for p in primes:
+        for q in primes:
+            if p + q <= 300:
+                ordered[p + q] += 1
+    for size in range(301):
+        assert _pair_counts(_sieve(size - 1)).tolist() == ordered[:size], size
+
+
+def test_pair_counts_match_full_length_transform():
+    for limit in (10**5 - 1, 10**5):
+        flags = _sieve(limit)
+        assert np.array_equal(_pair_counts(flags), full_length_pair_counts(flags)), limit
+
+
 def test_scan_counts_disagreeing_with_least_prime_search_raise(monkeypatch):
     monkeypatch.setattr(goldbach, "_unresolved", lambda flags, members: members[-1:])
     report = scan(2000)
@@ -185,3 +269,28 @@ def test_least_prime_search_keeps_no_dead_arrays():
         tracemalloc.stop()
     assert unresolved.size == 0
     assert peak < 4 * members.nbytes, (peak, members.nbytes)
+
+
+def test_scan_builds_member_list_on_first_read():
+    report = scan(10**5)
+    assert report.verified
+    assert "members" not in vars(report)
+    assert report.member_count == len(admissible_evens(10**5))
+    assert report.members == admissible_evens(10**5)
+    assert report.members is report.members
+
+
+def test_text_scan_keeps_no_member_list():
+    # A text scan reads the count and the verdict only.  The member list
+    # built in the report's constructor used to put the peak at about six
+    # times the member array at this size.
+    members = _admissible(_sieve(10**6))
+    tracemalloc.start()
+    try:
+        report = scan(10**6)
+        line = (report.member_count, report.verified, report.first_failure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line == (members.size, True, None)
+    assert peak < 3 * members.nbytes, (peak, members.nbytes)
