@@ -465,6 +465,14 @@ def test_model_axioms_rejects_bad_alpha(capsys):
     assert code == 2 and "admissible" in err
 
 
+@pytest.mark.parametrize("options", [(), ("--cutoff",)], ids=["honest", "cutoff"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_model_axioms_rejects_negative_bound(capsys, json_flag, options):
+    code, out, err = invoke(capsys, *json_flag, "model", "axioms", "--alpha", "18",
+                            "--u", "3/2", "--bound", "-1", *options)
+    assert (code, out, err) == (2, "", "error: bound must be >= 0\n")
+
+
 @pytest.mark.parametrize("command", [
     ("model", "axioms", "--alpha", "18", "--bound", "5"),
     ("model", "eval", "--alpha", "18", "--bound", "5", "--wff", "(0 = 0)"),

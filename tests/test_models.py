@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import in_fresh_thread, random_core_wff, random_surface_wff, std_eval
+from foarith import models
 from foarith.arith import goldbach_sentence, numeral
 from foarith.cli import run
 from foarith.kernel import build_theory_N
@@ -24,6 +25,7 @@ from foarith.syntax import (
     And,
     Const,
     ForAll,
+    Iff,
     Implies,
     Not,
     Var,
@@ -293,6 +295,44 @@ def test_coded_evaluator_matches_standard_oracle(rng):
             assert got.truth.value == want, (w, env, cutoff)
 
 
+def _unshared(w):
+    """A copy of a core formula in which no connective or quantifier node
+    occurs twice."""
+    if isinstance(w, Not):
+        return Not(_unshared(w.body))
+    if isinstance(w, Implies):
+        return Implies(_unshared(w.antecedent), _unshared(w.consequent))
+    if isinstance(w, ForAll):
+        return ForAll(w.var, _unshared(w.body))
+    return w
+
+
+def test_shared_subformulas_evaluate_as_their_copies(rng):
+    # lower() writes A <-> B with A and B each occurring twice; the
+    # evaluator compiles such a subformula once per scope and calls it
+    # from each occurrence
+    a = Not(eq(Var(1), Var(2)))
+    iff = lower(Iff(ForAll(1, a), ForAll(2, a)))
+    assert models._Compiler({}, False).source(iff)[0].count("for ") == 2
+    r = eval_bounded(coded_model(18, 2), iff, {1: 1, 2: 2}, bound=3, domain_cutoff=True)
+    assert (r.truth, r.witness) == (ThreeValued.TRUE, {1: 2, 2: 1})
+    faulty = coded_model(18, 2, succ_index=lambda n: 2 if n == 0 else n + 1)
+    shared = 0
+    for k in range(60):
+        a, b = (random_surface_wff(rng, 3, (1, 2, 3)) for _ in range(2))
+        # the same subformula in one scope, and under different binders
+        w = lower((Iff(a, b), ForAll(rng.choice((1, 2, 3)), Iff(a, Iff(b, a))),
+                   Implies(ForAll(1, a), ForAll(2, Iff(a, b))))[k % 3])
+        shared += bool(models._repeated(w))
+        env = {v: rng.randrange(4) for v in (1, 2, 3)}
+        for model in (coded_model(24, HALF + 1), faulty):
+            for bound in (0, 3):
+                for cutoff in (False, True):
+                    assert _outcome(model, w, env, bound, cutoff) == \
+                        _outcome(model, _unshared(w), env, bound, cutoff), (w, bound, cutoff)
+    assert shared >= 30
+
+
 # ---------------------------------------------------------------------------
 # golden evaluator outcomes
 #
@@ -515,6 +555,68 @@ def test_check_axioms_detects_corrupted_add():
     bad = coded_model(18, 2, add_index=lambda m_, n_: m_ + n_ + (m_ == 3))
     checks = check_axioms(bad, 50)
     assert any(c.result.truth is ThreeValued.FALSE for c in checks)
+
+
+def test_check_axioms_detects_corrupted_mul():
+    bad = coded_model(18, 2, mul_index=lambda m_, n_: m_ * n_ + (m_ == 2 and n_ == 3))
+    checks = check_axioms(bad, 50)
+    falsified = {c.axiom: c.result.witness for c in checks
+                 if c.result.truth is ThreeValued.FALSE}
+    assert falsified == {"N6": {1: 2, 2: 2}}  # 2 * S(2) is 7, (2 * 2) + 2 is 6
+
+
+@pytest.mark.parametrize("ops", [{}, {"add_index": lambda m_, n_: m_ + n_}],
+                         ids=["default", "overridden"])
+@pytest.mark.parametrize("cutoff", [False, True], ids=["honest", "cutoff"])
+def test_check_axioms_rejects_negative_bound(ops, cutoff):
+    with pytest.raises(ModelError, match=r"^bound must be >= 0$"):
+        check_axioms(coded_model(18, 2, **ops), -1, domain_cutoff=cutoff)
+
+
+def test_check_axioms_on_a_default_model_compiles_nothing(monkeypatch):
+    class Compiled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Compiled
+
+    monkeypatch.setattr(models, "_Compiler", refuse)
+    monkeypatch.setattr(builtins, "compile", refuse)
+    for cutoff in (False, True):
+        checks = check_axioms(coded_model(18, 2), 10, domain_cutoff=cutoff)
+        assert [c.result.truth for c in checks] == \
+            [ThreeValued.TRUE if cutoff else ThreeValued.UNKNOWN] * 6
+    with pytest.raises(Compiled):  # an override still compiles on every call
+        check_axioms(coded_model(18, 2, mul_index=lambda m_, n_: m_ * n_), 10)
+
+
+# each computes its operation as the default does, but is called, not inlined
+_IDENTITY_OVERRIDES = ({"succ_index": lambda n: n + 1},
+                       {"add_index": lambda m_, n_: m_ + n_},
+                       {"mul_index": lambda m_, n_: m_ * n_})
+
+
+def test_stored_axiom_code_agrees_with_a_per_call_compile():
+    u = Fraction(3, 2)
+    axioms = list(N.axioms().items())
+    stored = {cutoff: [dict(names) for _, _, names in models._AXIOM_CODE[cutoff]]
+              for cutoff in (False, True)}
+    bounds = (55, 0, 20, 1, 7, 2)
+    # consecutive calls differ in bound and in cutoff, so state that one
+    # call left in a namespace would change what the next one sees
+    for k, bound in enumerate(bounds * 2):
+        cutoff = (k + k // len(bounds)) % 2 == 1
+        checks = check_axioms(coded_model(18, u), bound, domain_cutoff=cutoff)
+        assert [c.axiom for c in checks] == [name for name, _ in axioms]
+        for i, (check, (name, wff)) in enumerate(zip(checks, axioms)):
+            model = coded_model(18, u, **_IDENTITY_OVERRIDES[(k + i) % 3])
+            compiled = eval_bounded(model, wff, {}, bound=bound, domain_cutoff=cutoff)
+            assert (check.result.truth, check.result.witness) == \
+                (compiled.truth, compiled.witness), (name, bound, cutoff)
+            if bound <= 7:
+                assert check.result.truth.value == std_eval(wff, {}, bound, cutoff)
+    assert {cutoff: [dict(names) for _, _, names in models._AXIOM_CODE[cutoff]]
+            for cutoff in (False, True)} == stored
 
 
 def test_axiom_check_json_shape():
