@@ -5,25 +5,27 @@ alpha/2 and alpha - 3 are composite.  ``scan`` verifies that every
 admissible even up to a limit has at least one Goldbach partition, by
 the least prime that splits it, and counts the partitions on demand.
 
-Three independent routes are kept on purpose.  ``is_prime`` and
-``partitions`` use plain trial division and serve as the oracle in
-tests; ``scan`` decides by a least-prime search over a sieve, and its
-partition counts come from an FFT autoconvolution of the same sieve,
-checked against that verdict whenever they are computed.
+Three independent routes are kept on purpose.  ``is_prime`` uses plain
+trial division; ``partitions`` strikes a ``bytearray`` of odd flags and
+reads off the pairs whose two flags are both set; ``scan`` decides by a
+least-prime search over a numpy sieve, and its partition counts come
+from an FFT autoconvolution of the same sieve, checked against that
+verdict whenever they are computed.  The tests keep trial division as
+the oracle of all three.
 
 ``scan`` works on arrays only.  The search applies its first primes as
 shifted slices of one boolean mask, the autoconvolution transforms the
 odd-index flags alone, and the report turns the admissible evens into a
-Python list only when ``ScanReport.members`` is first read.
+Python list only when ``ScanReport.members`` is first read;
+``ScanReport.to_json`` writes straight from the arrays.
 
-The trial-division functions need no numpy, so numpy is imported inside
-the array functions: only a process that scans or enumerates by sieve
-loads it.
+``is_prime`` and ``partitions`` need no numpy, so numpy is imported
+inside the array functions: only a process that scans or enumerates by
+sieve loads it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from functools import cached_property
@@ -93,12 +95,49 @@ def admissible_evens(limit: int) -> list:
     return _admissible(_sieve(limit)).tolist()
 
 
+# the largest alpha that ``partitions`` sieves for: its odd flags take
+# alpha/2 bytes, 10**8 at this limit
+PARTITIONS_LIMIT = 2 * 10**8
+
+
 def partitions(alpha: int) -> list:
-    """All pairs (p, q) with p <= q, p + q = alpha, both prime, p ascending."""
+    """All pairs (p, q) with p <= q, p + q = alpha, both prime, p ascending.
+
+    From alpha = 6 on both primes are odd.  ``odd[j]`` flags 2j + 1 below
+    alpha; p = 2i + 1 pairs with q = alpha - p, whose flag is odd[m - i].
+    One AND of the first half of the flags with the mirrored second half
+    marks the i at which both are prime.  Raises ValueError for an alpha
+    above ``PARTITIONS_LIMIT``, before any flag is allocated.
+    """
     if alpha % 2 != 0 or alpha < 4:
         raise ValueError(f"alpha must be an even number >= 4, got {alpha}")
-    return [(p, alpha - p) for p in range(2, alpha // 2 + 1)
-            if is_prime(p) and is_prime(alpha - p)]
+    if alpha > PARTITIONS_LIMIT:
+        raise ValueError(f"alpha must be at most {PARTITIONS_LIMIT}, got {alpha}")
+    if alpha == 4:
+        return [(2, 2)]
+    m = alpha // 2 - 1                  # odd[m] flags alpha - 1
+    odd = bytearray([1]) * (m + 1)
+    odd[0] = 0
+    for i in range(1, (math.isqrt(alpha) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes((m - start) // p + 1)
+    k = (alpha // 2 - 1) // 2           # the largest i with 2i + 1 <= alpha/2
+    # read as "big", the top k + 1 flags come in mirrored order
+    both = (int.from_bytes(odd[:k + 1], "little")
+            & int.from_bytes(odd[m - k:], "big")).to_bytes(k + 1, "little")
+    pairs = []
+    i = both.find(1)
+    while i >= 0:
+        pairs.append((2 * i + 1, alpha - 2 * i - 1))
+        i = both.find(1, i + 1)
+    return pairs
+
+
+def _fft_length(n: int) -> int:
+    """The least length of the form 2**a or 3 * 2**a that is at least n >= 1."""
+    return min(1 << (n - 1).bit_length(), 3 << ((n - 1) // 3).bit_length())
 
 
 def _pair_counts(flags: np.ndarray) -> np.ndarray:
@@ -107,11 +146,13 @@ def _pair_counts(flags: np.ndarray) -> np.ndarray:
     conv[s] = #{(p, q) : p + q = s, both prime, order significant}, for
     s < flags.size.  Only the odd-index flags are transformed, at half
     the length of the whole array: odd q and r give (2i + 1) + (2j + 1) =
-    2(i + j) + 2.  The sums with the even prime, 2 + q, q + 2 and 2 + 2,
-    are added as a shift.  The values stay far below 2**53, so rounding
-    the float convolution back to integers is exact as long as every
-    value lies within 0.25 of an integer; a larger residual raises
-    ValueError instead of miscounting.
+    2(i + j) + 2.  The transform length is the least 2**a or 3 * 2**a that
+    holds the whole linear convolution, so no sum wraps around.  The sums
+    with the even prime, 2 + q, q + 2 and 2 + 2, are added as a shift.
+    The values stay far below 2**53, so rounding the float convolution
+    back to integers is exact as long as every value lies within 0.25 of
+    an integer; a larger residual raises ValueError instead of
+    miscounting.
     """
     import numpy as np
     n = flags.size
@@ -119,7 +160,7 @@ def _pair_counts(flags: np.ndarray) -> np.ndarray:
     even = counts[2::2]          # even[m] counts the sum 2m + 2
     if even.size:
         odd = flags[1::2]        # odd[j] flags 2j + 1
-        size = 1 << (2 * odd.size - 1).bit_length()
+        size = _fft_length(2 * odd.size - 1)
         spectrum = np.fft.rfft(odd.astype(np.float64), size)
         spectrum *= spectrum
         conv = np.fft.irfft(spectrum, size)[:even.size]
@@ -240,33 +281,32 @@ class ScanReport:
     def to_json(self, head: dict) -> str:
         """``head`` then ``to_json_dict()``, in the bytes of ``json.dumps(indent=2)``.
 
-        The member list and the count map are written by one %-format
-        each; the other values go through ``json.dumps``.
+        Written from the arrays: each member is formatted once, for the
+        member list and for its key in the count map, and each count's
+        text, with the punctuation up to the next key, comes from a table
+        indexed by the count.
         """
-        fields = []
-        for key, value in {**head, **self.to_json_dict()}.items():
-            if key == "members":
-                text = _json_block("[]", "%d", value, len(value))
-            elif key == "partition_counts":
-                text = _json_block("{}", '"%s": %d',
-                                   itertools.chain.from_iterable(value.items()), len(value))
-            else:
-                text = json.dumps(value)
-            fields.append(f"  {json.dumps(key)}: {text}")
-        return "{\n" + ",\n".join(fields) + "\n}"
+        fields = {key: json.dumps(value) for key, value in head.items()}
+        fields.update(limit=json.dumps(self.limit), members="[]",
+                      verified=json.dumps(self.verified),
+                      first_failure=json.dumps(self.first_failure), partition_counts="{}")
+        if self.member_count:
+            members = list(map(str, self._members.tolist()))
+            counts = self._counts
+            table = ['": %d,\n    "' % count for count in range(int(counts.max()) + 1)]
+            rows = [None] * (2 * len(members))
+            rows[::2] = members
+            rows[1::2] = map(table.__getitem__, counts.tolist())
+            fields["members"] = "[\n    " + ",\n    ".join(members) + "\n  ]"
+            fields["partition_counts"] = ('{\n    "' + "".join(rows)[:-len(',\n    "')]
+                                          + "\n  }")
+        return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}"
+                                  for key, text in fields.items()) + "\n}"
 
     def to_csv(self) -> str:
         import numpy as np
         rows = np.column_stack((self._members, self._counts)).ravel().tolist()
         return "alpha,count\n" + "%d,%d\n" * self.member_count % tuple(rows)
-
-
-def _json_block(brackets: str, row: str, values, count: int) -> str:
-    """A JSON array or object of ``count`` rows, nested one level at indent 2."""
-    if count == 0:
-        return brackets
-    rows = ",\n    ".join([row] * count) % tuple(values)
-    return f"{brackets[0]}\n    {rows}\n  {brackets[1]}"
 
 
 def scan(limit: int) -> ScanReport:

@@ -3,7 +3,8 @@
 The standard-model evaluator below is the independent oracle for the
 coded-model evaluator: it works on plain Python ints, knows nothing about
 codings, and reports verdicts as bare strings.  Keep it free of imports
-from foarith.models.
+from foarith.models.  ``reference_partitions`` is the trial-division
+oracle for the sieve behind ``goldbach.partitions``.
 """
 
 import random
@@ -92,6 +93,17 @@ def std_eval(w, env, bound, cutoff=False):
         raise ValueError(f"not core: {w!r}")
 
     return ev(w, dict(env))
+
+
+# ---------------------------------------------------------------------------
+# trial-division Goldbach partitions
+
+
+def reference_partitions(alpha):
+    """All pairs (p, q) with p <= q, p + q = alpha, both prime, p ascending,
+    by trial division of every p <= alpha/2."""
+    return [(p, alpha - p) for p in range(2, alpha // 2 + 1)
+            if goldbach.is_prime(p) and goldbach.is_prime(alpha - p)]
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,37 @@ def test_goldbach_partitions_bad_alpha(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_goldbach_partitions_refuses_above_the_limit_without_allocating(capsys, monkeypatch):
+    def no_flags(*args):
+        raise AssertionError("partitions allocated its flags")
+
+    monkeypatch.setattr(goldbach, "bytearray", no_flags, raising=False)
+    code, out, err = invoke(capsys, "goldbach", "partitions", "100000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: alpha must be at most {goldbach.PARTITIONS_LIMIT}, got 100000000000\n"
+
+
+# SHA-256 of the stdout of `goldbach partitions A` in each format, for the
+# evens A from 4 to 300 and a few above 10^4 in that order, recorded while
+# partitions still ran trial division.
+PARTITION_ALPHAS = [*range(4, 301, 2), 10002, 41386, 61944, 100000, 100002]
+GOLDEN_PARTITION_DIGESTS = {
+    "text": "6f5ec6427270b6ded13f344146f04d0fffa9631e11fa8804eaa4e9bb5f2f1042",
+    "json": "ce7894b4eb8a745ec05dc1263351ac21075fd7fb7927b7ba2ba416b88d7717c2",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_PARTITION_DIGESTS))
+def test_goldbach_partitions_golden_output(capsys, fmt):
+    argv = ["--json"] if fmt == "json" else []
+    digest = hashlib.sha256()
+    for alpha in PARTITION_ALPHAS:
+        code, out, err = invoke(capsys, *argv, "goldbach", "partitions", str(alpha))
+        assert code == 0 and err == "", alpha
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_PARTITION_DIGESTS[fmt]
+
+
 def test_goldbach_scan_text(capsys):
     code, out, _ = invoke(capsys, "goldbach", "scan", "--limit", "60")
     assert code == 0
@@ -526,6 +557,8 @@ def test_only_the_scan_loads_numpy():
         "import sys, foarith, foarith.cli as cli\n"
         "assert cli.run(['check', 'tests/data/imp_refl.proof']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded by check'\n"
+        "assert cli.run(['goldbach', 'partitions', '61944']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by partitions'\n"
         "assert cli.run(['goldbach', 'scan', '--limit', '1000']) == 0\n"
         "assert 'numpy' in sys.modules, 'numpy not loaded by scan'\n"
     )

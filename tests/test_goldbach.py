@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reference_partitions
 
 from foarith import goldbach
 from foarith.goldbach import (
     _admissible,
+    _fft_length,
     _pair_counts,
     _sieve,
     _unresolved,
@@ -78,6 +80,41 @@ def test_partitions_rejects_bad_input():
         partitions(2)
 
 
+def test_partitions_match_trial_division_to_5000():
+    for alpha in range(4, 5001, 2):
+        assert partitions(alpha) == reference_partitions(alpha), alpha
+
+
+def test_partitions_match_trial_division_around_prime_squares():
+    # The flags end at alpha - 1 and p is struck from p*p on, so near p*p
+    # the first strike of p falls at either end of the flags; at 2p*p the
+    # two mirrored halves of the flags meet at p*p.
+    evens = set()
+    for p in (3, 5, 7, 11, 13, 31, 97):
+        evens |= {p * p + d for d in (-3, -1, 1, 3)}
+        evens |= {2 * p * p + d for d in (-2, 0, 2)}
+    for alpha in sorted(evens):
+        assert partitions(alpha) == reference_partitions(alpha), alpha
+
+
+@pytest.mark.parametrize("alpha", [41386, 61944, 10**5, 10**5 + 2])
+def test_partitions_match_trial_division_at_large_evens(alpha):
+    assert partitions(alpha) == reference_partitions(alpha)
+
+
+def test_partitions_refuse_above_the_limit_before_allocating(monkeypatch):
+    def no_flags(*args):
+        raise AssertionError("partitions allocated its flags")
+
+    monkeypatch.setattr(goldbach, "bytearray", no_flags, raising=False)
+    limit = goldbach.PARTITIONS_LIMIT
+    for alpha in (limit + 2, 10**11):
+        with pytest.raises(ValueError, match=f"alpha must be at most {limit}, got {alpha}"):
+            partitions(alpha)
+    with pytest.raises(AssertionError, match="allocated"):   # the limit itself is sieved
+        partitions(limit)
+
+
 def test_partitions_complete_and_duplicate_free():
     for alpha in range(4, 200, 2):
         pairs = partitions(alpha)
@@ -105,7 +142,7 @@ def test_scan_vacuous_below_16():
 def test_scan_counts_match_partition_oracle():
     report = scan(2000)
     for alpha in report.members:
-        assert report.partition_counts[alpha] == len(partitions(alpha)), alpha
+        assert report.partition_counts[alpha] == len(reference_partitions(alpha)), alpha
 
 
 def test_least_prime_fft_and_trial_division_agree_to_2000():
@@ -114,7 +151,7 @@ def test_least_prime_fft_and_trial_division_agree_to_2000():
     unresolved = set(_unresolved(flags, members).tolist())
     counts = scan(2000).partition_counts
     for alpha in members.tolist():
-        has_pair = bool(partitions(alpha))
+        has_pair = bool(reference_partitions(alpha))
         assert (alpha not in unresolved) == has_pair, alpha
         assert (counts[alpha] > 0) == has_pair, alpha
 
@@ -210,10 +247,33 @@ def test_pair_counts_match_brute_force_at_every_size():
         assert _pair_counts(_sieve(size - 1)).tolist() == ordered[:size], size
 
 
-def test_pair_counts_match_full_length_transform():
-    for limit in (10**5 - 1, 10**5):
+def test_fft_length_is_the_least_power_of_two_or_three_times_one():
+    lengths = sorted({2**a for a in range(22)} | {3 * 2**a for a in range(21)})
+    for n in range(1, 5000):
+        assert _fft_length(n) == next(size for size in lengths if size >= n), n
+
+
+# limits either side of the switches between a power of two and three
+# times one: the odd flags of limit L transform at _fft_length(2 * ((L + 1) // 2) - 1)
+FFT_LENGTHS = {10**5 - 1: 131072, 10**5: 131072, 131071: 131072, 131073: 196608,
+               194324: 196608, 196607: 196608, 196609: 262144}
+
+
+def test_pair_counts_match_full_length_transform(monkeypatch):
+    sizes = []
+    rfft = np.fft.rfft
+
+    def recording_rfft(a, n):
+        sizes.append(n)
+        return rfft(a, n)
+
+    for limit, length in FFT_LENGTHS.items():
         flags = _sieve(limit)
-        assert np.array_equal(_pair_counts(flags), full_length_pair_counts(flags)), limit
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "rfft", recording_rfft)
+            counts = _pair_counts(flags)
+        assert sizes.pop() == length, limit
+        assert np.array_equal(counts, full_length_pair_counts(flags)), limit
 
 
 def test_scan_counts_disagreeing_with_least_prime_search_raise(monkeypatch):
@@ -232,6 +292,19 @@ def test_scan_rejects_inexact_fft_rounding(monkeypatch):
     report = scan(2000)
     with pytest.raises(ValueError, match="rounding residual 0.4"):
         report.partition_counts
+
+
+def test_scan_json_rejects_inexact_fft_rounding_at_three_times_a_power_of_two(monkeypatch):
+    irfft, sizes = np.fft.irfft, []
+
+    def shifted_irfft(spectrum, n):
+        sizes.append(n)
+        return irfft(spectrum, n) + 0.4
+
+    monkeypatch.setattr(np.fft, "irfft", shifted_irfft)
+    with pytest.raises(ValueError, match="rounding residual 0.4"):
+        scan(194324).to_json({})
+    assert sizes == [196608]
 
 
 def test_scan_reports_first_failure(scan_fails_at_18_and_48):
@@ -253,6 +326,17 @@ def test_report_serialization():
     lines = csv.strip().splitlines()
     assert lines[0] == "alpha,count"
     assert "18,2" in lines
+
+
+@pytest.mark.parametrize("limit, members", [(15, 0), (23, 1), (194324, 72563)])
+def test_to_json_matches_json_dumps_of_to_json_dict(limit, members):
+    report = scan(limit)
+    assert report.member_count == members
+    head = {"schema": 1, "command": "goldbach-scan"}
+    assert report.to_json(head) == json.dumps({**head, **report.to_json_dict()}, indent=2)
+    # a head key that the report also writes keeps its place and takes the report's value
+    head = {"verified": "head", "schema": 1}
+    assert report.to_json(head) == json.dumps({**head, **report.to_json_dict()}, indent=2)
 
 
 def test_least_prime_search_keeps_no_dead_arrays():
