@@ -62,8 +62,19 @@ def is_admissible(alpha: int) -> bool:
             and not is_prime(alpha // 2) and not is_prime(alpha - 3))
 
 
+# the largest limit that ``scan`` sieves for: a scan takes about 7 bytes
+# per unit of limit, 1.4 GB at this limit
+SCAN_LIMIT = 2 * 10**8
+
+
 def _sieve(limit: int) -> np.ndarray:
-    """Boolean array, index i True iff i is prime, for 0 <= i <= limit."""
+    """Boolean array, index i True iff i is prime, for 0 <= i <= limit.
+
+    Raises ValueError for a limit above ``SCAN_LIMIT``, before numpy is
+    imported or any flag is allocated.
+    """
+    if limit > SCAN_LIMIT:
+        raise ValueError(f"limit must be at most {SCAN_LIMIT}, got {limit}")
     import numpy as np
     if limit < 2:
         return np.zeros(max(limit + 1, 0), dtype=bool)
@@ -310,7 +321,8 @@ class ScanReport:
 
 
 def scan(limit: int) -> ScanReport:
-    """Verify Goldbach on every admissible even up to limit."""
+    """Verify Goldbach on every admissible even up to limit, which may be
+    at most ``SCAN_LIMIT``."""
     flags = _sieve(limit)
     members = _admissible(flags)
     return ScanReport(limit, flags, members, _unresolved(flags, members))

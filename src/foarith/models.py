@@ -214,9 +214,6 @@ class CodedModel:
         self._own(y)
         return self.encode(self._mul(x.index, y.index))
 
-    def constant(self, index: int) -> CodedNat:
-        return self.one if _constant_index(index) else self.zero
-
     def _own(self, c: CodedNat) -> None:
         if not isinstance(c, CodedNat) or c.model is not self:
             raise ModelError("operand belongs to a different model")

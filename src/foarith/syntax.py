@@ -1028,10 +1028,7 @@ class _Parser:
         used.  A term that starts at this '(' ends at its matching ')', so
         the equality is attempted only where an '=' follows that ')' (or
         the '(' has none); when it fails, the pair holds a formula.
-
-        Parentheses are matched at the first '(' formula, and only when the
-        rest of the text from there is no key of the table: a key is the
-        text of a matched pair, so such a rest is one pair, and a hit.
+        Parentheses are matched at the first '(' formula.
 
         A pair longer than ``_LONGEST_KEY`` characters is read without the
         table.  The keys of nested pairs overlap, so in a formula nested
@@ -1040,12 +1037,7 @@ class _Parser:
         """
         tokens = self.tokens
         if self.after is None:
-            self.joined = joined = "\x00".join(tokens)
-            start = sum(map(len, tokens[:i])) + i
-            node = self.table.get(joined[start:-1])     # the sentinel is ""
-            if node is not None:
-                self.i = len(tokens) - 1
-                return node
+            self.joined = "\x00".join(tokens)
             self.after = _pairs(tokens if self.shape is None else self.shape)
             # token k starts at lengths[k] + k in the joined text
             self.lengths = list(accumulate(map(len, tokens), initial=0))

@@ -385,6 +385,13 @@ def test_goldbach_scan_rejects_chunks(capsys):
     assert "unrecognized arguments: --chunks 4" in err
 
 
+def test_goldbach_scan_refuses_above_the_limit_without_numpy(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)     # any import of numpy now fails
+    code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "100000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: limit must be at most {goldbach.SCAN_LIMIT}, got 100000000000\n"
+
+
 @pytest.mark.parametrize("exc, message", [
     (MemoryError(), "out of memory"),
     (MemoryError("Unable to allocate 93.1 GiB"), "Unable to allocate 93.1 GiB"),

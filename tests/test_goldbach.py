@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,17 @@ def test_partitions_refuse_above_the_limit_before_allocating(monkeypatch):
             partitions(alpha)
     with pytest.raises(AssertionError, match="allocated"):   # the limit itself is sieved
         partitions(limit)
+
+
+def test_scan_refuses_above_the_limit_before_importing_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)     # any import of numpy now fails
+    limit = goldbach.SCAN_LIMIT
+    for too_large in (limit + 1, 10**11):
+        for refuse in (scan, admissible_evens):
+            with pytest.raises(ValueError, match=f"limit must be at most {limit}, got {too_large}"):
+                refuse(too_large)
+    with pytest.raises(ImportError):                  # the limit itself is sieved
+        scan(limit)
 
 
 def test_partitions_complete_and_duplicate_free():

@@ -402,6 +402,61 @@ def test_malformed_line_after_raw_hits_fails_as_without_a_table(raw_hits):
 
 
 # ---------------------------------------------------------------------------
+# once per pair
+#
+# Between the token-keyed table (repeats within a line) and the raw table
+# (repeats across lines), each distinct parenthesized formula of a parse
+# is read once: one frame pushed by _Parser._grouped per distinct text.
+
+
+@pytest.fixture
+def grouped(monkeypatch):
+    """The number of parenthesized formulas read so far, repeats included."""
+    found = collections.Counter()
+    read = syntax._Parser._grouped
+
+    def counted(self, *args):
+        found["pairs"] += 1
+        return read(self, *args)
+
+    monkeypatch.setattr(syntax._Parser, "_grouped", counted)
+    return found
+
+
+def _distinct_pairs(ws):
+    return len({print_wff(s) for w in ws for s in _parenthesized_subformulas(w)})
+
+
+def test_each_distinct_pair_is_read_once(grouped):
+    a = "((x2 = x3) -> ~(x3 = 0))"
+    b = "(all x2 (x3 = x2))"
+    c = "~(all x3 ((x2 + x3) = 0))"
+    k2 = f"(({a} -> ({b} -> {c})) -> (({a} -> {b}) -> ({a} -> {c})))"
+    w = parse_wff(k2)
+    assert grouped["pairs"] == _distinct_pairs([w]) == 13
+    grouped.clear()
+    lines = [a, f"({c} -> {a})", f"(({b} -> {c}) -> {a})"]
+    proof = parse_proof_file("theory: K\n" + "".join(
+        f"{k}. {t} ; ?\n" for k, t in enumerate(lines, 1)))
+    assert grouped["pairs"] == _distinct_pairs(line.wff for line in proof.lines) == 10
+
+
+def test_corpus_pairs_are_read_once_per_line_and_per_file(grouped):
+    rng = random.Random(47)
+    n = builtin_theories()["N"]
+    for size in (10, 40, 120):
+        lines = random_proof_corpus(rng, n, size)
+        for w in lines:
+            grouped.clear()
+            assert parse_wff(print_wff(w)) == w
+            assert grouped["pairs"] == _distinct_pairs([w]), print_wff(w)
+        grouped.clear()
+        proof = parse_proof_file(format_proof(Proof(n, tuple(ProofLine(w, UNKNOWN) for w in lines))))
+        assert [line.wff for line in proof.lines] == lines
+        assert grouped["pairs"] == _distinct_pairs(lines)
+
+
+# ---------------------------------------------------------------------------
 # print table
 #
 # Printing through a shared table writes each repeated pair from its stored
