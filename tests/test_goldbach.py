@@ -11,6 +11,7 @@ from foarith import goldbach
 from foarith.goldbach import (
     _admissible,
     _fft_length,
+    _odd_flags,
     _pair_counts,
     _sieve,
     _unresolved,
@@ -40,9 +41,10 @@ def test_is_prime_agrees_with_naive_oracle():
 
 
 def test_sieve_agrees_with_trial_division():
-    flags = _sieve(10_000)
-    for n in range(10_001):
-        assert bool(flags[n]) == is_prime(n), n
+    for limit in [*range(-3, 201), 10_000]:
+        odd = _odd_flags(limit)
+        assert list(odd) == [is_prime(n) for n in range(1, limit + 1, 2)], limit
+        assert _sieve(limit).tolist() == list(map(bool, odd)), limit
 
 
 def test_is_admissible_goldens():
@@ -103,6 +105,14 @@ def test_partitions_match_trial_division_at_large_evens(alpha):
     assert partitions(alpha) == reference_partitions(alpha)
 
 
+def test_partitions_in_small_blocks_match_trial_division(monkeypatch):
+    # with 7 flags a block, the mirrored halves meet inside a block, at
+    # a block's edge and in a block of one flag
+    monkeypatch.setattr(goldbach, "_AND_BLOCK", 7)
+    for alpha in [*range(4, 2001, 2), 41386, 61944]:
+        assert partitions(alpha) == reference_partitions(alpha), alpha
+
+
 def test_partitions_refuse_above_the_limit_before_allocating(monkeypatch):
     def no_flags(*args):
         raise AssertionError("partitions allocated its flags")
@@ -159,47 +169,50 @@ def test_scan_counts_match_partition_oracle():
 
 def test_least_prime_fft_and_trial_division_agree_to_2000():
     flags = _sieve(2000)
-    members = _admissible(flags)
+    members = _admissible(flags, 2000)
     unresolved = set(_unresolved(flags, members).tolist())
     counts = scan(2000).partition_counts
-    for alpha in members.tolist():
-        has_pair = bool(reference_partitions(alpha))
-        assert (alpha not in unresolved) == has_pair, alpha
-        assert (counts[alpha] > 0) == has_pair, alpha
+    for m in members.tolist():
+        has_pair = bool(reference_partitions(2 * m))
+        assert (m not in unresolved) == has_pair, 2 * m
+        assert (counts[2 * m] > 0) == has_pair, 2 * m
 
 
 def test_least_prime_search_on_numbers_with_and_without_pairs():
-    # every even from 4 has a pair, 4 = 2 + 2 and 6 = 3 + 3 only with
-    # p = n/2; an odd n has one exactly when n - 2 is prime.  With an odd
-    # sieve size, a negative n - p would wrap to an odd index, often prime.
-    flags = _sieve(2000)
-    numbers = np.arange(4, 2001)
-    expected = [n for n in numbers.tolist()
-                if not any(is_prime(p) and is_prime(n - p) for p in range(2, n // 2 + 1))]
-    assert expected and expected[0] == 11
-    assert _unresolved(flags, numbers).tolist() == expected
-    assert np.flatnonzero(_pair_counts(flags)[4:] == 0).tolist() == [n - 4 for n in expected]
+    # every even from 6 is a sum of two odd primes, 6 = 3 + 3 only with
+    # p = n/2, and 2 and 4 are not.  With either parity of the limit, a
+    # negative n - p would wrap to a high index, often prime.
+    for limit in (2000, 2001):
+        flags = _sieve(limit)
+        halves = np.arange(1, limit // 2 + 1)
+        expected = [m for m in halves.tolist()
+                    if not any(is_prime(p) and is_prime(2 * m - p) for p in range(3, m + 1, 2))]
+        assert expected == [1, 2]
+        assert _unresolved(flags, halves).tolist() == expected, limit
+        # the count of the sum 2m is at m - 1
+        zero = np.flatnonzero(_pair_counts(flags)[:limit // 2] == 0)
+        assert zero.tolist() == [m - 1 for m in expected], limit
 
 
 def reference_unresolved(flags, members):
-    # the least-prime search one prime at a time over plain lists, with
-    # no dense phase
+    # the least-prime search one odd prime at a time over plain lists of
+    # the evens 2m, with no dense phase; flags[j] flags 2j + 1
     prime = flags.tolist()
-    left, failed = members.tolist(), []
-    for p in np.flatnonzero(flags).tolist():
+    left, failed = (2 * members).tolist(), []
+    for p in (2 * np.flatnonzero(flags) + 1).tolist():
         if not left:
             break
         failed += [n for n in left if n < 2 * p]
-        left = [n for n in left if n >= 2 * p and not prime[n - p]]
-    return failed + left
+        left = [n for n in left if n >= 2 * p and not prime[(n - p) // 2]]
+    return [n // 2 for n in failed + left]
 
 
 def least_prime_ranks(flags, members):
-    # the rank, among the primes of flags, of the least prime that splits
-    # each member, for the members that have one
-    primes = np.flatnonzero(flags).tolist()
-    ranks = (next((k for k, p in enumerate(primes) if 2 * p <= n and flags[n - p]), None)
-             for n in members.tolist())
+    # the rank, among the odd primes of flags, of the least prime that
+    # splits each even 2m, for the evens that have one
+    primes = (2 * np.flatnonzero(flags) + 1).tolist()
+    ranks = (next((k for k, p in enumerate(primes) if p <= m and flags[m - (p + 1) // 2]), None)
+             for m in members.tolist())
     return {rank for rank in ranks if rank is not None}
 
 
@@ -211,12 +224,12 @@ def test_least_prime_search_matches_one_prime_at_a_time():
     ranks, failures = set(), []
     for keep in (1.0, 0.6, 0.3, 0.15):
         flags = full & (rng.random(full.size) < keep)
-        boundary = np.flatnonzero(flags)[goldbach._DENSE_PRIMES - 1:][:2].tolist()
-        for members in (np.arange(0, 3001), np.arange(0, 3001, 2), _admissible(full)):
+        boundary = (2 * np.flatnonzero(flags)[goldbach._DENSE_PRIMES - 1:][:2] + 1).tolist()
+        for members in (np.arange(0, 1501), _admissible(full, 3000)):
             expected = reference_unresolved(flags, members)
             assert _unresolved(flags, members).tolist() == expected, (keep, members.size)
             ranks |= least_prime_ranks(flags, members)
-            failures += [(2 * boundary[0] - n, 2 * boundary[1] - n) for n in expected]
+            failures += [(2 * boundary[0] - 2 * m, 2 * boundary[1] - 2 * m) for m in expected]
     dense = goldbach._DENSE_PRIMES
     assert {dense - 2, dense - 1, dense, dense + 1} <= ranks
     assert any(before > 0 for before, _ in failures)               # set aside in the dense phase
@@ -224,17 +237,12 @@ def test_least_prime_search_matches_one_prime_at_a_time():
     assert any(at <= 0 for _, at in failures)                      # later in the loop
 
 
-def test_least_prime_search_on_odd_small_and_no_members():
-    flags = _sieve(2001)
-    odd = np.arange(1, 2002, 2)
-    # an odd n is a sum of two primes exactly when n - 2 is prime
-    expected = [n for n in odd.tolist() if n < 4 or not flags[n - 2]]
-    assert _unresolved(flags, odd).tolist() == expected == reference_unresolved(flags, odd)
+def test_least_prime_search_on_small_and_no_members():
     # members below 2p for the first primes, and flags with fewer primes
     # than the dense phase takes
-    for limit in (0, 1, 2, 3, 4, 5, 9, 30, 50):
-        small = np.arange(0, limit + 1)
-        for flags in (_sieve(limit), _sieve(limit) & (np.arange(limit + 1) != 2)):
+    for limit in (0, 1, 2, 3, 4, 5, 6, 9, 30, 50):
+        small, full = np.arange(0, limit // 2 + 1), _sieve(limit)
+        for flags in (full, full & (np.arange(full.size) != 1)):      # without 3
             assert (_unresolved(flags, small).tolist()
                     == reference_unresolved(flags, small)), limit
     empty = np.array([], dtype=np.int64)
@@ -242,21 +250,27 @@ def test_least_prime_search_on_odd_small_and_no_members():
 
 
 def full_length_pair_counts(flags):
-    # the autoconvolution of every flag, at twice the length of the odd one
-    size = 1 << (2 * flags.size - 1).bit_length()
-    spectrum = np.fft.rfft(flags.astype(np.float64), size)
-    return np.rint(np.fft.irfft(spectrum * spectrum, size)[:flags.size]).astype(np.int64)
+    # the autoconvolution of the odd flags spread over every number, at a
+    # power of two at least twice that length, read at the even sums 2s + 2
+    every = np.zeros(2 * flags.size)
+    every[1::2] = flags
+    size = 1 << (2 * every.size - 1).bit_length()
+    spectrum = np.fft.rfft(every, size)
+    conv = np.fft.irfft(spectrum * spectrum, size)[2:every.size + 1:2]
+    return np.rint(conv).astype(np.int64)
 
 
 def test_pair_counts_match_brute_force_at_every_size():
-    primes = [p for p in range(301) if is_prime(p)]
+    primes = [p for p in range(3, 301) if is_prime(p)]
     ordered = [0] * 301
     for p in primes:
         for q in primes:
             if p + q <= 300:
                 ordered[p + q] += 1
     for size in range(301):
-        assert _pair_counts(_sieve(size - 1)).tolist() == ordered[:size], size
+        # the odd flags of size - 1 count the even sums 2s + 2 up to size
+        evens = ordered[2:size + 1:2]
+        assert _pair_counts(_sieve(size - 1)).tolist() == evens, size
 
 
 def test_fft_length_is_the_least_power_of_two_or_three_times_one():
@@ -356,7 +370,7 @@ def test_least_prime_search_keeps_no_dead_arrays():
     # an empty one, which kept every round's array alive to the end: the
     # peak was about seven times the member array at this size.
     flags = _sieve(1_000_000)
-    members = _admissible(flags)
+    members = _admissible(flags, 1_000_000)
     tracemalloc.start()
     try:
         unresolved = _unresolved(flags, members)
@@ -380,7 +394,7 @@ def test_text_scan_keeps_no_member_list():
     # A text scan reads the count and the verdict only.  The member list
     # built in the report's constructor used to put the peak at about six
     # times the member array at this size.
-    members = _admissible(_sieve(10**6))
+    members = _admissible(_sieve(10**6), 10**6)
     tracemalloc.start()
     try:
         report = scan(10**6)
