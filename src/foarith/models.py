@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -59,15 +60,29 @@ class ModelError(ValueError):
     """Bad model construction or evaluation request."""
 
 
+# a slope is printed in reports and errors, and Python prints an int of at
+# most this many digits by default
+_SLOPE_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")     # the exponent ending a decimal
+
+
 def _to_fraction(u) -> Fraction:
+    """u as an exact rational.  A text whose digits and exponent add up to
+    more than _SLOPE_DIGITS is refused before Fraction expands it."""
     if isinstance(u, Fraction):
         return u
-    if isinstance(u, (int, str, float)):
-        try:
-            return Fraction(u)
-        except ZeroDivisionError:
-            raise ModelError(f"slope parameter {u!r} has a zero denominator") from None
-    raise ModelError(f"cannot interpret {u!r} as a slope parameter")
+    if not isinstance(u, (int, str, float)):
+        raise ModelError(f"cannot interpret {u!r} as a slope parameter")
+    if isinstance(u, str):
+        exponent = _EXPONENT.search(u)
+        power = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        digits = sum(map(str.isdigit, u[:exponent.start()] if exponent else u))
+        if len(power) > 4 or digits + int(power or 0) > _SLOPE_DIGITS:
+            raise ModelError(f"slope parameter {u!r} needs more than {_SLOPE_DIGITS} digits")
+    try:
+        return Fraction(u)
+    except ZeroDivisionError:
+        raise ModelError(f"slope parameter {u!r} has a zero denominator") from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +290,7 @@ _FALSE = EvalResult(ThreeValued.FALSE)
 _UNKNOWN = EvalResult(ThreeValued.UNKNOWN)
 
 def _merge(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    out.update(b)
-    return out
+    return {**a, **b} if a and b else a or b
 
 
 def _implies(ta, wa, tb, wb):
@@ -292,6 +301,16 @@ def _implies(ta, wa, tb, wb):
     if ta is True and tb is False:
         return False, _merge(wa, wb)
     return None, None
+
+
+def _differ(ta, wa, tb, wb):
+    """``(A -> B) -> ~(B -> A)``, which lower() writes under a negation for
+    ``A <-> B``, from A's and B's verdicts, as its three implications give it."""
+    tx, wx = (True, wa) if ta is False else _implies(ta, wa, tb, wb)
+    if tx is False:
+        return True, wx
+    tq, wq = (True, wb) if tb is False else _implies(tb, wb, ta, wa)
+    return _implies(tx, wx, None if tq is None else not tq, wq)
 
 
 def _raising(message: str):
@@ -345,25 +364,6 @@ def _params(names) -> str:
     return ", ".join(sorted(names, key=lambda name: (name[0] == "v", int(name[1:]))))
 
 
-def _repeated(w: Wff) -> set:
-    """The ids of the formulas with a quantifier or connective at the
-    top that occur more than once in ``w`` (lower() shares both sides of
-    a biconditional between their two occurrences)."""
-    seen, repeated = set(), set()
-    stack = [w]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            repeated.add(id(node))
-        elif isinstance(node, Implies):
-            seen.add(id(node))
-            stack += (node.antecedent, node.consequent)
-        elif isinstance(node, (Not, ForAll)):
-            seen.add(id(node))
-            stack.append(node.body)
-    return repeated
-
-
 class _Compiler:
     """Turns a core formula into the source of Python functions.
 
@@ -376,19 +376,20 @@ class _Compiler:
     chain of them, is a function of its free variables whose loops
     return (False, witness) at the first counterexample; one that
     ignores the variable of an enclosing quantifier is memoized on its
-    free variables in a table of this call.  A node that occurs more than
-    once in the formula is compiled once per scope it occurs in, and its
-    later occurrences repeat that piece.  The source is built from
-    integers and fixed identifiers only; error messages and override
-    functions are entries of ``ns``.  The domain is the name ``_D``,
-    which the run supplies, so the code does not depend on the bound.
-    ``overrides`` maps "succ", "add" or "mul" to the index function that
-    replaces the default operation.
+    free variables in a table of this call.  ``(A -> B) -> ~(B -> A)``,
+    as lower() writes ``A <-> B`` with A and B shared, is one piece per
+    side and one ``_differ``, so nested biconditionals grow the source
+    linearly; any other repeated node is compiled again.  The source is
+    built from integers and fixed identifiers only; error messages and
+    override functions are entries of ``ns``.  The domain is the name
+    ``_D``, which the run supplies, so the code does not depend on the
+    bound.  ``overrides`` maps "succ", "add" or "mul" to the index
+    function that replaces the default operation.
     """
 
     def __init__(self, overrides: Mapping, cutoff: bool):
         self.defs: list = []
-        self.ns = {"_merge": _merge, "_implies": _implies,
+        self.ns = {"_merge": _merge, "_implies": _implies, "_differ": _differ,
                    **{f"_{name}": fn for name, fn in overrides.items()}}
         self.exhausted = "True" if cutoff else "None"
         self.fresh = itertools.count()
@@ -445,26 +446,12 @@ class _Compiler:
     # -- statements
 
     def _block(self, lines: list, t: str, w: str, depth: int, names: frozenset) -> _Block:
-        block = _Block(lines, t, w, depth, names)
-        return self._split(block) if depth > _MAX_BLOCK_DEPTH else block
-
-    def _split(self, b: _Block) -> _Block:
-        """The block as a function of its own, and one line calling it."""
-        call = self._function(f"_g{next(self.fresh)}", b.names, b.lines + [f"return {b.t}, {b.w}"])
-        k = next(self.fresh)
-        return _Block([f"t{k}, w{k} = {call}"], f"t{k}", f"w{k}", 0, b.names)
-
-    def _share(self, shared: dict, key: tuple, piece):
-        """A subformula that occurs again in the same scope: each later
-        occurrence repeats this piece's text, so a block longer than a
-        memoized universal's four lines becomes one call first.  A
-        repeated block sets the same locals again, to the same values:
-        occurrences in one scope read the same variables in the same
-        iteration of the same loops."""
-        if isinstance(piece, _Block) and len(piece.lines) > 4:
-            piece = self._split(piece)
-        shared[key] = piece
-        return piece
+        """The lines as a block, or, nested too deeply, as a function of
+        their own and one line calling it."""
+        if depth > _MAX_BLOCK_DEPTH:
+            call = self._function(f"_g{next(self.fresh)}", names, lines + [f"return {t}, {w}"])
+            lines, depth = [f"{t}, {w} = {call}"], 0
+        return _Block(lines, t, w, depth, names)
 
     def _negation(self, b):
         if isinstance(b, _Expr):
@@ -474,24 +461,36 @@ class _Compiler:
                    else f"None if {b.t} is None else not {b.t}")
         return _Block(b.lines + [f"{t} = {negated}"], t, b.w, b.depth, b.names)
 
+    def _sides(self, a, b, t: str) -> tuple:
+        """Both pieces as blocks: an expression antecedent is held in ``t``
+        before the consequent's lines run, so it is still evaluated first."""
+        if isinstance(a, _Expr):
+            a = _Block([f"{t} = {a.text}"], t, "None", 0, a.names)
+        if isinstance(b, _Expr):
+            b = _Block([], b.text, "None", 0, b.names)
+        return a, b
+
     def _implication(self, a, b):
         if isinstance(a, _Expr) and isinstance(b, _Expr):
             return self._expr("(not {} or {})", a, b)
         k = next(self.fresh)
         t, w = f"t{k}", f"w{k}"
-        names = a.names | b.names
-        if isinstance(a, _Expr):
-            # a true: the consequent's verdict; a false: True
-            lines = [f"{t}, {w} = True, None", f"if {a.text}:"] \
-                + _indent(b.lines + [f"{t}, {w} = {b.t}, {b.w}"])
-            return self._block(lines, t, w, b.depth + 1, names)
+        a, b = self._sides(a, b, t)
         # a false: True; otherwise the consequent is evaluated
         lines = a.lines + [f"if {a.t} is False:", f"    {t}, {w} = True, {a.w}", "else:"]
-        if isinstance(b, _Expr):
-            lines.append(f"    {t}, {w} = _implies({a.t}, {a.w}, {b.text}, None)")
-            return self._block(lines, t, w, max(a.depth, 1), names)
         lines += _indent(b.lines + [f"{t}, {w} = _implies({a.t}, {a.w}, {b.t}, {b.w})"])
-        return self._block(lines, t, w, max(a.depth, b.depth + 1), names)
+        return self._block(lines, t, w, max(a.depth, b.depth + 1), a.names | b.names)
+
+    def _difference(self, a, b):
+        """``(A -> B) -> ~(B -> A)``, each side evaluated once and A first,
+        as the three implications evaluate A first and B on every path."""
+        if isinstance(a, _Expr) and isinstance(b, _Expr):
+            return self._expr("({} != {})", a, b)
+        k = next(self.fresh)
+        t, w = f"t{k}", f"w{k}"
+        a, b = self._sides(a, b, t)
+        lines = a.lines + b.lines + [f"{t}, {w} = _differ({a.t}, {a.w}, {b.t}, {b.w})"]
+        return self._block(lines, t, w, max(a.depth, b.depth), a.names | b.names)
 
     def _universal(self, variables: tuple, loops: tuple, enclosing: int, name: str,
                    body) -> _Block:
@@ -529,10 +528,6 @@ class _Compiler:
         # (combine method, number of pieces it takes, *leading arguments)
         out: list = []
         work: list = [("visit", w, {}, 0)]
-        repeated = _repeated(w)
-        # (id, scope) of a repeated node: its piece; a scope's loop names
-        # are fresh, so its items tell it apart from every other scope
-        shared: dict = {}
         while work:
             item = work.pop()
             if item[0] != "visit":
@@ -542,12 +537,6 @@ class _Compiler:
                 out.append(combine(*extra, *pieces))
                 continue
             _, node, scope, enclosing = item
-            if id(node) in repeated:
-                key = (id(node), tuple(scope.items()))
-                if key in shared:
-                    out.append(shared[key])
-                    continue
-                work.append((self._share, 1, shared, key))
             if isinstance(node, Var):
                 name = scope.get(node.index, f"x{node.index}")
                 out.append(_Expr(name, 0, frozenset((name,))))
@@ -590,9 +579,17 @@ class _Compiler:
                     work.append((self._negation, 1))
                 work.append(("visit", node, scope, enclosing))
             elif isinstance(node, Implies):
-                work.append((self._implication, 2))
-                work.append(("visit", node.consequent, scope, enclosing))
-                work.append(("visit", node.antecedent, scope, enclosing))
+                x, y = node.antecedent, node.consequent
+                q = y.body if isinstance(y, Not) else None
+                # (A -> B) -> ~(B -> A) with A and B shared, as lower() writes it
+                if isinstance(x, Implies) and isinstance(q, Implies) \
+                        and q.antecedent is x.consequent and q.consequent is x.antecedent:
+                    work.append((self._difference, 2))
+                    x, y = x.antecedent, x.consequent
+                else:
+                    work.append((self._implication, 2))
+                work.append(("visit", y, scope, enclosing))
+                work.append(("visit", x, scope, enclosing))
             elif isinstance(node, ForAll):
                 name = "_root" if node is w else f"_u{next(self.fresh)}"
                 variables, loops, scope = [], [], dict(scope)
@@ -668,11 +665,10 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
     overriding index functions called.  A universal is a loop that
     returns its first counterexample; one that does not depend on an
     enclosing quantifier's variable is memoized on its free variables
-    for the rest of the call.  A subformula holding a quantifier that
-    occurs more than once in one scope, as each side of a lowered
-    biconditional does, is compiled once there: later occurrences call
-    the function written for the first, or repeat its few lines.
-    Evaluation order is the formula's, so an
+    for the rest of the call.  Each side of a lowered biconditional,
+    which lower() shares between its two places, is compiled and
+    evaluated once, so time and source grow linearly with nested
+    ``<->``.  Evaluation order is the formula's, so an
     uninterpretable symbol raises ModelError only when reached.  Code
     nested deeper than Python's compiler allows is split into functions;
     a formula whose functions would nest past the interpreter's recursion

@@ -370,36 +370,36 @@ def times(left: Term, right: Term) -> FuncApp:
 
 
 def _fold(w: SurfaceWff, build: Callable, leaf: Callable):
-    """The value of the formula w, computed bottom-up on explicit stacks.
+    """The value of the formula w, computed bottom-up in one pass on one
+    explicit stack.
 
-    The first pass lists the nodes of w in pre-order.  ``leaf(node)``
-    gives the value of a node that the walk is not to go below, and None
-    for the others.  The second pass takes the list backwards, so each
-    node comes after its children, and ``build(node, values)`` gives the
-    value of a node from theirs, in field order.
+    ``leaf(node)`` gives the value of a node that the walk is not to go
+    below, and None for the others; ``build(node, values)`` gives the
+    value of one of the others from its children's, in field order.
+    Each distinct node is valued once, and a node that occurs again (as
+    each side of a lowered biconditional does) reuses that value, so the
+    walk is linear in the distinct nodes and a shared input gives a
+    shared result.
     """
     if not isinstance(w, _Formula):
         raise TypeError(f"not a formula: {w!r}")
-    order, stack = [], [w]
-    add, pop, extend = order.append, stack.pop, stack.extend
+    values: dict = {}           # id of a node: its value
+    stack = [w]
+    pop, extend = stack.pop, stack.extend
     while stack:
-        w = pop()
-        value = leaf(w)
-        if value is None:
-            parts = _parts(w)
-            add((w, len(parts)))
-            extend(parts)
-        else:
-            add((value, -1))
-    values: list = []
-    for w, n in reversed(order):
-        if n >= 0:
-            k = len(values) - n
-            parts = values[k:]
-            del values[k:]
-            w = build(w, parts)
-        values.append(w)
-    return values[0]
+        node = pop()
+        if node is None:        # the children of the node below it have values
+            node, parts = pop()
+            values[id(node)] = build(node, [values[id(part)] for part in parts])
+        elif id(node) not in values:
+            value = leaf(node)
+            if value is None:
+                parts = _parts(node)
+                extend(((node, parts), None))
+                extend(parts)
+            else:
+                values[id(node)] = value
+    return values[id(w)]
 
 
 def _rebuilt(w, parts):

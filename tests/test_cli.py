@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +520,17 @@ def test_model_axioms_rejects_negative_bound(capsys, json_flag, options):
 def test_model_rejects_zero_denominator_u(capsys, command, json_flag):
     code, out, err = invoke(capsys, *json_flag, *command, "--u", "1/0")
     assert (code, out, err) == (2, "", "error: slope parameter '1/0' has a zero denominator\n")
+
+
+@pytest.mark.parametrize("u", ["1e999999999", "1e-999999999"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_model_refuses_a_slope_of_too_many_digits(capsys, u, json_flag):
+    # the exponent is read before its power of ten is formed
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *json_flag, "model", "eval", "--alpha", "18", "--u", u,
+                            "--bound", "3", "--wff", "(0 = 0)")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: slope parameter '{u}' needs more than 4300 digits\n")
 
 
 def test_model_json_u_is_the_models_slope(capsys):

@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import random
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from foarith.models import (
 )
 from foarith.syntax import (
     And,
+    Atom,
     Const,
     ForAll,
     Iff,
@@ -81,6 +83,18 @@ def test_coding_rejects_bad_parameters():
         default_coding(17, 2)      # odd
     with pytest.raises(ModelError):
         default_coding(18, HALF)   # u < 1
+
+
+def test_decimal_slopes_read_as_fraction_reads_them():
+    for text in ("1", "1.5", " 2 ", "-12.5e-1", "1_000.5_5E+1_0", "+7", "1.", "00001e0000003",
+                 "1e4299", "4.2e-4298", "3/2"):
+        assert models._to_fraction(text) == Fraction(text), text
+    # digits and exponent past 4300 together are refused before Fraction
+    # forms the power of ten, counted as written
+    for text in ("1e4300", "1e-4300", "1e999999999", "-1e-999999999", "1e" + "9" * 5000,
+                 "1" * 4301, "1/" + "3" * 4300, "1" + "0" * 5000 + "e-4999", "0e999999999"):
+        with pytest.raises(ModelError, match="needs more than 4300 digits"):
+            models._to_fraction(text)
 
 
 def test_slope_counts_sum_to_index():
@@ -296,8 +310,9 @@ def test_coded_evaluator_matches_standard_oracle(rng):
 
 
 def _unshared(w):
-    """A copy of a core formula in which no connective or quantifier node
-    occurs twice."""
+    """A copy of a core formula in which no formula node occurs twice."""
+    if isinstance(w, Atom):
+        return Atom(w.letter, w.arity, w.terms)
     if isinstance(w, Not):
         return Not(_unshared(w.body))
     if isinstance(w, Implies):
@@ -307,10 +322,27 @@ def _unshared(w):
     return w
 
 
+def _lowered_biconditionals(w):
+    """How many implications in w have the shape (A -> B) -> ~(B -> A)
+    with A and B each one object, as lower() writes A <-> B."""
+    count, stack = 0, [w]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Implies):
+            x, y = node.antecedent, node.consequent
+            count += (isinstance(x, Implies) and isinstance(y, Not)
+                      and isinstance(y.body, Implies) and y.body.antecedent is x.consequent
+                      and y.body.consequent is x.antecedent)
+            stack += (x, y)
+        elif isinstance(node, (Not, ForAll)):
+            stack.append(node.body)
+    return count
+
+
 def test_shared_subformulas_evaluate_as_their_copies(rng):
     # lower() writes A <-> B with A and B each occurring twice; the
-    # evaluator compiles such a subformula once per scope and calls it
-    # from each occurrence
+    # evaluator compiles and evaluates each side once, while the
+    # unshared copies take the path of three separate implications
     a = Not(eq(Var(1), Var(2)))
     iff = lower(Iff(ForAll(1, a), ForAll(2, a)))
     assert models._Compiler({}, False).source(iff)[0].count("for ") == 2
@@ -323,7 +355,8 @@ def test_shared_subformulas_evaluate_as_their_copies(rng):
         # the same subformula in one scope, and under different binders
         w = lower((Iff(a, b), ForAll(rng.choice((1, 2, 3)), Iff(a, Iff(b, a))),
                    Implies(ForAll(1, a), ForAll(2, Iff(a, b))))[k % 3])
-        shared += bool(models._repeated(w))
+        shared += bool(_lowered_biconditionals(w))
+        assert _lowered_biconditionals(_unshared(w)) == 0
         env = {v: rng.randrange(4) for v in (1, 2, 3)}
         for model in (coded_model(24, HALF + 1), faulty):
             for bound in (0, 3):
@@ -331,6 +364,40 @@ def test_shared_subformulas_evaluate_as_their_copies(rng):
                     assert _outcome(model, w, env, bound, cutoff) == \
                         _outcome(model, _unshared(w), env, bound, cutoff), (w, bound, cutoff)
     assert shared >= 30
+
+
+def _nested_biconditionals(n, quantified):
+    """lower() of n nested <->: each level pairs the formula so far with a
+    new side, which holds a universal when ``quantified``.  The formula
+    has 2**n occurrences of its innermost atom but O(n) distinct nodes."""
+    w = eq(Var(1), Var(2))
+    for k in range(n):
+        side = eq(plus(Var(1), Var(2)), numeral(k % 3))
+        if quantified:
+            side = ForAll(3, Not(eq(plus(Var(3), Var(k % 2 + 1)), numeral(k % 4))))
+        w = Iff(side, w) if k % 2 else Iff(w, side)
+    return lower(w)
+
+
+@pytest.mark.parametrize("quantified", [False, True], ids=["quantifier-free", "quantified"])
+def test_nested_biconditionals_evaluate_in_linear_time(quantified):
+    # each side of a lowered <-> is compiled and evaluated once, so the
+    # source and the time grow linearly with the nesting, not as 2**n
+    model = coded_model(18, 1)
+    for n in range(9):
+        w = _nested_biconditionals(n, quantified)
+        for env in ({1: 0, 2: 0}, {1: 1, 2: 2}, {1: 2, 2: 1}):
+            for cutoff in (False, True):
+                got = eval_bounded(model, w, env, bound=3, domain_cutoff=cutoff)
+                assert got.truth.value == std_eval(w, env, 3, cutoff=cutoff), (n, env, cutoff)
+    sizes = {n: len(models._Compiler({}, False).source(_nested_biconditionals(n, quantified))[0])
+             for n in (32, 64)}
+    assert sizes[64] <= 2.2 * sizes[32], sizes
+    w = _nested_biconditionals(64, quantified)
+    start = time.perf_counter()
+    for cutoff in (False, True):
+        eval_bounded(model, w, {1: 1, 2: 2}, bound=3, domain_cutoff=cutoff)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

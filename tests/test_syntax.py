@@ -4,6 +4,7 @@ import hashlib
 import pickle
 import random
 import re
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -748,6 +749,39 @@ def test_lower_reuses_unchanged_core_subtrees():
         for s in _nodes(w):
             if is_core(s):
                 assert id(s) in kept, print_wff(s)
+
+
+def _biconditional(a, b):
+    """a <-> b as lower() writes it, with a and b each one object in both places."""
+    return Not(Implies(Implies(a, b), Not(Implies(b, a))))
+
+
+def _sides(w):
+    """The two sides of a formula of the shape _biconditional writes,
+    checked to be shared between their two places."""
+    x, y = w.body.antecedent, w.body.consequent.body
+    assert y.antecedent is x.consequent and y.consequent is x.antecedent
+    return x.antecedent, x.consequent
+
+
+def test_walkers_value_each_shared_node_once():
+    # 64 nested biconditionals hold 2**64 occurrences of their innermost
+    # formula: lower, free_vars and substitute value each distinct node
+    # once, and what they build keeps the sharing
+    w = Or(eq(X1, X2), eq(X2, ZERO))       # not core, so lower rebuilds every level
+    for k in range(64):
+        w = _biconditional(w, ForAll(3, eq(plus(X1, X3), X2)) if k % 2 else eq(X3, X2))
+    start = time.perf_counter()
+    core = lower(w)
+    free = free_vars(w)
+    instance = substitute(core, 2, succ(X1))
+    assert time.perf_counter() - start < 1
+    assert is_core(core) and free == {1, 2, 3} and free_vars(instance) == {1, 3}
+    innermost = lower(Or(eq(X1, X2), eq(X2, ZERO)))
+    for node, want in ((core, innermost), (instance, substitute(innermost, 2, succ(X1)))):
+        for _ in range(64):
+            node, _ = _sides(node)
+        assert node == want
 
 
 # ---------------------------------------------------------------------------
