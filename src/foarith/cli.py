@@ -35,6 +35,14 @@ __all__ = ["build_parser", "run", "main"]
 
 SCHEMA_VERSION = 1
 
+# the most steps that ``model limits`` takes: the slope 1 + 2**-k has a
+# denominator of about 0.3k digits, and the JSON table prints them all
+STEPS_LIMIT = 4096
+
+# the most digits of an ``--env`` value; Python reads an int of at most
+# this many digits by default
+ENV_DIGITS = 4300
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -138,11 +146,14 @@ def _parse_env(spec: str) -> dict:
         name = name.strip()
         value = value.strip()
         if not sep or not name.startswith("x") or not name[1:].isdecimal() \
-                or int(name[1:]) < 1 or not value.isdecimal():
+                or len(name) - 1 > ENV_DIGITS or int(name[1:]) < 1 or not value.isdecimal():
             raise ValueError(f"bad assignment {part!r}; expected x<i>=<n>")
         index = int(name[1:])
         if index in env:
             raise ValueError(f"repeated assignment {part!r}; x{index} is already assigned")
+        if len(value) > ENV_DIGITS:
+            raise ValueError(f"bad assignment to x{index}: {len(value)} digits, "
+                             f"at most {ENV_DIGITS} allowed")
         env[index] = int(value)
     return env
 
@@ -277,6 +288,8 @@ def _cmd_model_eval(ns) -> int:
 def _cmd_model_limits(ns) -> int:
     if ns.steps < 1:
         raise ValueError("steps must be >= 1")
+    if ns.steps > STEPS_LIMIT:
+        raise ValueError(f"steps must be at most {STEPS_LIMIT}, got {ns.steps}")
     us = [1 + Fraction(1, 2 ** k) for k in range(1, ns.steps + 1)]
     us.append(Fraction(1))
     rows = limit_table(ns.alpha, ns.nmax, us)

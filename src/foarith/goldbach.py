@@ -11,9 +11,10 @@ flags are both set.  ``scan`` holds each even as its half and decides
 by a least-prime search over a numpy view of the flags; its partition
 counts come from an FFT autoconvolution of the same flags, checked
 against that verdict whenever they are computed, and its member list
-is built only when ``ScanReport.members`` is first read.  ``is_prime``
-uses plain trial division, and the tests keep it as the oracle of both
-readouts.
+is built only when ``ScanReport.members`` is first read.  The JSON and
+CSV texts of a scan are written as bytes by numpy, a block of rows at a
+time, with no Python object per member.  ``is_prime`` uses plain trial
+division, and the tests keep it as the oracle of both readouts.
 
 ``is_prime`` and ``partitions`` need no numpy, so numpy is imported
 inside the array functions: only a process that scans or enumerates by
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -151,8 +152,17 @@ def partitions(alpha: int) -> list:
 
 
 def _fft_length(n: int) -> int:
-    """The least length of the form 2**a or 3 * 2**a that is at least n >= 1."""
-    return min(1 << (n - 1).bit_length(), 3 << ((n - 1) // 3).bit_length())
+    """The least length 2**a * 3**b * 5**c that is at least n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five                      # 3**b * 5**c
+        while odd < best:
+            # the least odd * 2**a that is at least n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def _pair_counts(flags: np.ndarray) -> np.ndarray:
@@ -160,8 +170,9 @@ def _pair_counts(flags: np.ndarray) -> np.ndarray:
 
     For the odd flags, conv[s] = #{(q, r) : q + r = 2s + 2, both odd
     primes, order significant}, for s < flags.size: (2i + 1) + (2j + 1) =
-    2(i + j) + 2.  The transform length is the least 2**a or 3 * 2**a
-    that holds the whole linear convolution, so no sum wraps around.  The
+    2(i + j) + 2.  The transform length is the least 2**a * 3**b * 5**c
+    that holds the whole linear convolution, so no sum wraps around; numpy
+    transforms such lengths in a time close to that of a power of two.  The
     values stay far below 2**53, so rounding the float convolution back
     to integers is exact as long as every value lies within 0.25 of an
     integer; a larger residual raises ValueError instead of miscounting.
@@ -237,7 +248,9 @@ class ScanReport:
     read of ``partition_counts``, ``to_json_dict``, ``to_json`` or
     ``to_csv`` runs the FFT route and checks that its zero counts fall on
     exactly the members the search left unresolved, raising ValueError
-    otherwise.
+    otherwise.  ``to_json`` and ``to_csv`` write their rows from the
+    arrays with ``_rows``; ``to_json_dict`` and ``partition_counts`` build
+    Python objects.
     """
 
     def __init__(self, limit: int, flags: np.ndarray, members: np.ndarray,
@@ -290,32 +303,96 @@ class ScanReport:
     def to_json(self, head: dict) -> str:
         """``head`` then ``to_json_dict()``, in the bytes of ``json.dumps(indent=2)``.
 
-        Written from the arrays: each member is formatted once, for the
-        member list and for its key in the count map, and each count's
-        text, with the punctuation up to the next key, comes from a table
-        indexed by the count.
+        Written from the arrays by ``_rows``: a member's row in the
+        member list is its digits and the separator up to the next one,
+        and its row in the count map adds its count and the punctuation
+        up to the next key; the last separator of each is cut.
         """
-        fields = {key: json.dumps(value) for key, value in head.items()}
-        fields.update(limit=json.dumps(self.limit), members="[]",
-                      verified=json.dumps(self.verified),
-                      first_failure=json.dumps(self.first_failure), partition_counts="{}")
+        fields = {key: [json.dumps(value)] for key, value in head.items()}
+        fields.update(limit=[json.dumps(self.limit)], members=["[]"],
+                      verified=[json.dumps(self.verified)],
+                      first_failure=[json.dumps(self.first_failure)], partition_counts=["{}"])
         if self.member_count:
-            members = list(map(str, (2 * self._members).tolist()))
-            counts = self._counts
-            table = ['": %d,\n    "' % count for count in range(int(counts.max()) + 1)]
-            rows = [None] * (2 * len(members))
-            rows[::2] = members
-            rows[1::2] = map(table.__getitem__, counts.tolist())
-            fields["members"] = "[\n    " + ",\n    ".join(members) + "\n  ]"
-            fields["partition_counts"] = ('{\n    "' + "".join(rows)[:-len(',\n    "')]
-                                          + "\n  }")
-        return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text}"
-                                  for key, text in fields.items()) + "\n}"
+            members = _rows(self._members, None, ",\n    ", "")
+            members[-1] = members[-1][:-len(",\n    ")]
+            counts = _rows(self._members, self._counts, '": ', ',\n    "')
+            counts[-1] = counts[-1][:-len(',\n    "')]
+            fields["members"] = ["[\n    ", *members, "\n  ]"]
+            fields["partition_counts"] = ['{\n    "', *counts, "\n  }"]
+        pieces = ["{"]
+        for key, text in fields.items():
+            pieces += ("\n  ", json.dumps(key), ": ", *text, ",")
+        pieces[-1] = "\n}"
+        return "".join(pieces)
 
     def to_csv(self) -> str:
-        import numpy as np
-        rows = np.column_stack((2 * self._members, self._counts)).ravel().tolist()
-        return "alpha,count\n" + "%d,%d\n" * self.member_count % tuple(rows)
+        rows = _rows(self._members, self._counts, ",", "\n") if self.member_count else []
+        return "".join(["alpha,count\n", *rows])
+
+
+# the rows that _rows formats at once, which bounds its temporaries
+_ROW_BLOCK = 1 << 16
+
+
+@cache
+def _digit_pairs() -> np.ndarray:
+    """The texts "00" to "99" as 100 uint16 values, each holding its two bytes."""
+    import numpy as np
+    return np.frombuffer("".join(map("{:02d}".format, range(100))).encode(), dtype=np.uint16)
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The values below 10**width as zero-padded decimal digits, one row each.
+
+    The digits are taken two at a time: each divmod by 100 gives the
+    next pair from the right, which is read from ``_digit_pairs``.
+    Returns a ``(values.size, width)`` array of ASCII bytes.
+    """
+    import numpy as np
+    table = _digit_pairs()
+    pairs = np.empty((values.size, (width + 1) // 2), dtype=np.uint16)
+    rest = values.astype(np.int32)
+    for k in range(pairs.shape[1] - 1, -1, -1):
+        rest, low = np.divmod(rest, 100)
+        pairs[:, k] = table.take(low)
+    return pairs.view(np.uint8)[:, 2 * pairs.shape[1] - width:]
+
+
+def _rows(halves: np.ndarray, counts: Optional[np.ndarray], between: str, after: str) -> list:
+    """One row of text for each even 2m of the halves m, as one str per block.
+
+    A row is the even's digits and ``between``, then, when ``counts`` is
+    given, the digits of the even's count and ``after``.  The halves are
+    ascending, so the evens of each decimal width are a run; each block
+    is at most ``_ROW_BLOCK`` rows of one run and is written into a
+    ``uint8`` array, one fixed-width row per even.  A count is written
+    at the width of the block's largest one, its leading zeros set to 0
+    bytes, and the 0 bytes are dropped from the block at once.
+    """
+    import numpy as np
+    between_bytes = np.frombuffer(between.encode(), dtype=np.uint8)
+    after_bytes = np.frombuffer(after.encode(), dtype=np.uint8)
+    blocks, start = [], 0
+    for width in range(1, len(str(2 * int(halves[-1]))) + 1):
+        end = int(np.searchsorted(halves, 10**width // 2))     # the evens below 10**width
+        for lo in range(start, end, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, end)
+            count_width = 0 if counts is None else len(str(int(counts[lo:hi].max())))
+            row = np.empty((hi - lo, width + between_bytes.size + count_width
+                            + after_bytes.size), dtype=np.uint8)
+            row[:, :width] = _digits(2 * halves[lo:hi], width)
+            at = width + between_bytes.size
+            row[:, width:at] = between_bytes
+            row[:, at + count_width:] = after_bytes
+            if counts is not None:
+                digits = row[:, at:at + count_width]
+                digits[...] = _digits(counts[lo:hi], count_width)
+                for column in range(count_width - 1):
+                    digits[:, column] *= counts[lo:hi] >= 10**(count_width - 1 - column)
+                row = row[row != 0]
+            blocks.append(row.tobytes().decode())
+        start = end
+    return blocks
 
 
 def scan(limit: int) -> ScanReport:

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from foarith import goldbach
+from foarith import cli, goldbach
 from foarith.cli import main, run
+from foarith.models import AxiomCheck, EvalResult, ThreeValued
 
 DATA = Path(__file__).parent / "data"
 
@@ -479,6 +480,57 @@ def test_model_eval_rejects_non_decimal_digits(capsys, env):
     assert code == 2 and f"bad assignment {env!r}" in err
 
 
+def test_model_eval_false_with_and_without_counterexample(capsys):
+    for wff, line in (("(0 = S(0))", "False\n"),
+                      ("(all x1 (x1 = 0))", "False, counterexample x1=1\n")):
+        code, out, err = invoke(capsys, "model", "eval", "--alpha", "18", "--u", "1",
+                                "--bound", "5", "--wff", wff)
+        assert (code, out, err) == (0, line, ""), wff
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_model_eval_names_the_variable_of_an_over_long_value(capsys, json_flag):
+    # the digits are counted before int() reads them
+    argv = (*json_flag, "model", "eval", "--alpha", "18", "--u", "1", "--bound", "5",
+            "--wff", "(x1 = 0)", "--env")
+    code, out, err = invoke(capsys, *argv, "x2=1,x1=" + "7" * 5000)
+    assert (code, out, err) == (2, "", "error: bad assignment to x1: 5000 digits, "
+                                       "at most 4300 allowed\n")
+    code, out, err = invoke(capsys, *argv, "x1=" + "7" * 4300)
+    assert code == 0 and err == ""
+    # so are the digits of an index
+    code, out, err = invoke(capsys, *argv, "x" + "7" * 5000 + "=1")
+    assert (code, out) == (2, "") and err.startswith("error: bad assignment 'x777")
+
+
+def test_model_axioms_cutoff_report(capsys):
+    code, out, err = invoke(capsys, "model", "axioms", "--alpha", "18", "--u", "3/2",
+                            "--bound", "5", "--cutoff")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"N{k}: true\n" for k in range(1, 7))
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_model_axioms_false_report(capsys, monkeypatch, json_flag):
+    # coded_model(alpha, u) overrides no operation, so its operations are
+    # the transported ones and N1..N6 never come out False from the
+    # command line; the report of a False verdict is checked on a stub
+    def one_false(model, bound, domain_cutoff):
+        return [AxiomCheck("N1", EvalResult(ThreeValued.UNKNOWN)),
+                AxiomCheck("N2", EvalResult(ThreeValued.FALSE, {2: 3, 1: 0}))]
+
+    monkeypatch.setattr(cli, "check_axioms", one_false)
+    code, out, err = invoke(capsys, *json_flag, "model", "axioms", "--alpha", "18",
+                            "--u", "3/2", "--bound", "5")
+    assert (code, err) == (1, "")
+    if json_flag:
+        assert json.loads(out)["report"][1] == {"axiom": "N2", "verdict": "false",
+                                                "witness": {"x1": 0, "x2": 3}}
+    else:
+        assert out == ("N1: unknown (no counterexample <= 5)\n"
+                       "N2: FALSE (counterexample x1=0, x2=3)\n")
+
+
 def test_model_axioms_unknown_report(capsys):
     code, out, _ = invoke(capsys, "model", "axioms", "--alpha", "18", "--u", "2",
                           "--bound", "30")
@@ -557,6 +609,29 @@ def test_model_limits_json(capsys):
     doc = json.loads(out)
     assert doc["command"] == "model-limits"
     assert doc["rows"][0] == {"u": "3/2", "n": 0, "psi": "0", "deviation": "0"}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_model_limits_rejects_zero_steps(capsys, json_flag):
+    code, out, err = invoke(capsys, *json_flag, "model", "limits", "--alpha", "18",
+                            "--nmax", "2", "--steps", "0")
+    assert (code, out, err) == (2, "", "error: steps must be >= 1\n")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_model_limits_refuses_too_many_steps_before_building_slopes(capsys, monkeypatch,
+                                                                    json_flag):
+    argv = (*json_flag, "model", "limits", "--alpha", "18", "--nmax", "0", "--steps")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "Fraction", None)     # building a slope now fails
+        for steps in (cli.STEPS_LIMIT + 1, 15000):
+            code, out, err = invoke(capsys, *argv, str(steps))
+            assert (code, out, err) == (
+                2, "", f"error: steps must be at most {cli.STEPS_LIMIT}, got {steps}\n")
+    code, out, err = invoke(capsys, *argv, str(cli.STEPS_LIMIT))
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"] if json_flag else out.splitlines()[1:]
+    assert len(rows) == cli.STEPS_LIMIT + 1
 
 
 # ---------------------------------------------------------------------------

@@ -273,16 +273,18 @@ def test_pair_counts_match_brute_force_at_every_size():
         assert _pair_counts(_sieve(size - 1)).tolist() == evens, size
 
 
-def test_fft_length_is_the_least_power_of_two_or_three_times_one():
-    lengths = sorted({2**a for a in range(22)} | {3 * 2**a for a in range(21)})
+def test_fft_length_is_the_least_5_smooth_number():
+    lengths = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(7))
     for n in range(1, 5000):
         assert _fft_length(n) == next(size for size in lengths if size >= n), n
 
 
-# limits either side of the switches between a power of two and three
-# times one: the odd flags of limit L transform at _fft_length(2 * ((L + 1) // 2) - 1)
-FFT_LENGTHS = {10**5 - 1: 131072, 10**5: 131072, 131071: 131072, 131073: 196608,
-               194324: 196608, 196607: 196608, 196609: 262144}
+# limits either side of switches in the length, to lengths with 2, 3 or 5
+# as a factor, one of them odd: the odd flags of limit L transform at
+# _fft_length(2 * ((L + 1) // 2) - 1)
+FFT_LENGTHS = {99999: 100000, 100000: 100000, 100001: 101250, 131072: 131072,
+               131073: 131220, 177147: 177147, 177149: 180000, 194324: 194400,
+               196608: 196608, 196609: 196830, 199874: 200000, 200001: 202500}
 
 
 def test_pair_counts_match_full_length_transform(monkeypatch):
@@ -320,7 +322,7 @@ def test_scan_rejects_inexact_fft_rounding(monkeypatch):
         report.partition_counts
 
 
-def test_scan_json_rejects_inexact_fft_rounding_at_three_times_a_power_of_two(monkeypatch):
+def test_scan_json_rejects_inexact_fft_rounding_at_a_length_not_a_power_of_two(monkeypatch):
     irfft, sizes = np.fft.irfft, []
 
     def shifted_irfft(spectrum, n):
@@ -330,7 +332,7 @@ def test_scan_json_rejects_inexact_fft_rounding_at_three_times_a_power_of_two(mo
     monkeypatch.setattr(np.fft, "irfft", shifted_irfft)
     with pytest.raises(ValueError, match="rounding residual 0.4"):
         scan(194324).to_json({})
-    assert sizes == [196608]
+    assert sizes == [194400]          # 2**5 * 3**5 * 5**2
 
 
 def test_scan_reports_first_failure(scan_fails_at_18_and_48):
@@ -363,6 +365,36 @@ def test_to_json_matches_json_dumps_of_to_json_dict(limit, members):
     # a head key that the report also writes keeps its place and takes the report's value
     head = {"verified": "head", "schema": 1}
     assert report.to_json(head) == json.dumps({**head, **report.to_json_dict()}, indent=2)
+
+
+# 0, 15, 16 and 23 have no member or one; the evens cross from 2 to 3,
+# 3 to 4, 4 to 5 and 5 to 6 digits at 100, 1000, 10000 and 100000, and
+# the largest count reaches 10, 100, 1000 and 10000 at 114, 2310, 39270
+# and 570570
+WRITER_LIMITS = [0, 15, 16, 23, 98, 100, 113, 114, 998, 1000, 2308, 2310, 9998, 10000,
+                 10002, 39268, 39270, 99998, 100000, 100002, 570568, 570570]
+
+
+def reference_outputs(report, head):
+    csv = "alpha,count\n" + "".join("%d,%d\n" % row for row in report.partition_counts.items())
+    return json.dumps({**head, **report.to_json_dict()}, indent=2), csv
+
+
+@pytest.mark.parametrize("limit", WRITER_LIMITS)
+def test_writers_match_json_dumps_and_percent_format(limit):
+    report = scan(limit)
+    head = {"schema": 1, "command": "goldbach-scan"}
+    assert (report.to_json(head), report.to_csv()) == reference_outputs(report, head)
+
+
+def test_writers_match_json_dumps_and_percent_format_in_small_blocks(monkeypatch):
+    # with 7 rows a block, blocks end inside a run of one width, at its
+    # end, and hold one row; their counts differ in width
+    monkeypatch.setattr(goldbach, "_ROW_BLOCK", 7)
+    head = {"schema": 1, "command": "goldbach-scan"}
+    for limit in [*range(0, 200), 998, 1000, 2310, 10002]:
+        report = scan(limit)
+        assert (report.to_json(head), report.to_csv()) == reference_outputs(report, head), limit
 
 
 def test_least_prime_search_keeps_no_dead_arrays():
