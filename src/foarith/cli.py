@@ -21,6 +21,7 @@ from .arith import goldbach_sentence
 from .goldbach import partitions, scan
 from .kernel import check_proof, resolve_unknowns
 from .models import (
+    DIGITS_LIMIT,
     ThreeValued,
     check_axioms,
     coded_model,
@@ -38,10 +39,6 @@ SCHEMA_VERSION = 1
 # the most steps that ``model limits`` takes: the slope 1 + 2**-k has a
 # denominator of about 0.3k digits, and the JSON table prints them all
 STEPS_LIMIT = 4096
-
-# the most digits of an ``--env`` value; Python reads an int of at most
-# this many digits by default
-ENV_DIGITS = 4300
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,13 +113,13 @@ def _emit_json(command: str, **fields) -> None:
     print(json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2))
 
 
-def _read_proof(path: str):
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8-sig") as fh:     # a leading BOM is dropped
-        return parse_proof_file(fh.read())
+        return fh.read()
 
 
-def _witness_text(witness: dict) -> str:
-    return ", ".join(f"x{i}={n}" for i, n in sorted(witness.items()))
+def _witness_text(result) -> str:
+    return ", ".join(f"{name}={n}" for name, n in (result.witness_json() or {}).items())
 
 
 def _read_inline_or_file(inline: Optional[str], path: Optional[str],
@@ -130,8 +127,7 @@ def _read_inline_or_file(inline: Optional[str], path: Optional[str],
     if inline is not None and path is not None:
         raise ValueError(f"give the {what} inline or as a file, not both")
     if path is not None:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        return _read_text(path)
     if inline is None:
         raise ValueError(f"missing {what}")
     return inline
@@ -146,14 +142,14 @@ def _parse_env(spec: str) -> dict:
         name = name.strip()
         value = value.strip()
         if not sep or not name.startswith("x") or not name[1:].isdecimal() \
-                or len(name) - 1 > ENV_DIGITS or int(name[1:]) < 1 or not value.isdecimal():
+                or len(name) - 1 > DIGITS_LIMIT or int(name[1:]) < 1 or not value.isdecimal():
             raise ValueError(f"bad assignment {part!r}; expected x<i>=<n>")
         index = int(name[1:])
         if index in env:
             raise ValueError(f"repeated assignment {part!r}; x{index} is already assigned")
-        if len(value) > ENV_DIGITS:
+        if len(value) > DIGITS_LIMIT:
             raise ValueError(f"bad assignment to x{index}: {len(value)} digits, "
-                             f"at most {ENV_DIGITS} allowed")
+                             f"at most {DIGITS_LIMIT} allowed")
         env[index] = int(value)
     return env
 
@@ -174,7 +170,7 @@ def _cmd_parse(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
-    proof = _read_proof(ns.prooffile)
+    proof = parse_proof_file(_read_text(ns.prooffile))
     verdict = check_proof(proof)
     if ns.json:
         _emit_json("check", file=ns.prooffile, theory=proof.theory.name,
@@ -191,7 +187,7 @@ def _cmd_check(ns) -> int:
 
 
 def _cmd_discover(ns) -> int:
-    result = resolve_unknowns(_read_proof(ns.prooffile))
+    result = resolve_unknowns(parse_proof_file(_read_text(ns.prooffile)))
     failures = check_proof(result.proof).failures if result.ok else result.failures
     lines = result.proof.lines if result.ok else ()
     if ns.json:
@@ -255,7 +251,7 @@ def _cmd_model_axioms(ns) -> int:
             truth = c.result.truth
             if truth is ThreeValued.FALSE:
                 print(f"{c.axiom}: FALSE (counterexample "
-                      f"{_witness_text(c.result.witness)})")
+                      f"{_witness_text(c.result)})")
             elif truth is ThreeValued.TRUE:
                 print(f"{c.axiom}: true")
             else:
@@ -274,10 +270,10 @@ def _cmd_model_eval(ns) -> int:
                    wff=print_wff(wff), verdict=result.truth.value,
                    witness=result.witness_json())
     elif result.truth is ThreeValued.TRUE:
-        suffix = f", witness {_witness_text(result.witness)}" if result.witness else ""
+        suffix = f", witness {_witness_text(result)}" if result.witness else ""
         print(f"True{suffix}")
     elif result.truth is ThreeValued.FALSE:
-        suffix = (f", counterexample {_witness_text(result.witness)}"
+        suffix = (f", counterexample {_witness_text(result)}"
                   if result.witness else "")
         print(f"False{suffix}")
     else:

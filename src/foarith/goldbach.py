@@ -289,15 +289,12 @@ class ScanReport:
         return dict(zip(self.members, self._counts.tolist()))
 
     def to_json_dict(self) -> dict:
-        counts = self._counts.tolist()
-        # one %-format of every member, split, costs far less than str() each
-        keys = ("%d," * len(counts) % tuple(self.members)).split(",")
         return {
             "limit": self.limit,
             "members": list(self.members),
             "verified": self.verified,
             "first_failure": self.first_failure,
-            "partition_counts": dict(zip(keys, counts)),
+            "partition_counts": dict(zip(map(str, self.members), self._counts.tolist())),
         }
 
     def to_json(self, head: dict) -> str:

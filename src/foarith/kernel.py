@@ -55,7 +55,7 @@ __all__ = [
     "SchemeMatch", "match_scheme", "recognize_scheme",
     "Scheme", "ProperAxiom", "MP", "Gen", "Unknown", "UNKNOWN", "Justification",
     "ProofLine", "Proof", "LineVerdict", "Verdict", "check_proof",
-    "DiscoveryFailure", "DiscoveryResult", "discover", "resolve_unknowns",
+    "DiscoveryResult", "discover", "resolve_unknowns",
 ]
 
 
@@ -410,16 +410,10 @@ def check_proof(proof: Proof) -> Verdict:
 # justification discovery
 
 
-@dataclass(frozen=True)
-class DiscoveryFailure:
-    line: int
-    reason: str
-
-
 @dataclass
 class DiscoveryResult:
     proof: Optional[Proof]
-    failures: list
+    failures: list      # a LineVerdict, not ok, for each line that failed
 
     @property
     def ok(self) -> bool:
@@ -477,13 +471,13 @@ def resolve_unknowns(proof: Proof) -> DiscoveryResult:
         wff, just = line.wff, line.justification
         if isinstance(just, Unknown):
             if not is_core(wff):
-                failures.append(DiscoveryFailure(number, "not a core wff"))
+                failures.append(LineVerdict(number, False, "not a core wff"))
             else:
                 just = _find_justification(theory, axiom_names, first, majors, wff)
                 if just is None:
                     reason = ("not an axiom; no earlier lines" if number == 1 else
                               "not an axiom; no MP or Gen derivation from earlier lines")
-                    failures.append(DiscoveryFailure(number, reason))
+                    failures.append(LineVerdict(number, False, reason))
         lines.append(ProofLine(wff, just))
         first.setdefault(wff, number)
         if isinstance(wff, Implies):

@@ -60,15 +60,16 @@ class ModelError(ValueError):
     """Bad model construction or evaluation request."""
 
 
-# a slope is printed in reports and errors, and Python prints an int of at
-# most this many digits by default
-_SLOPE_DIGITS = 4300
+# the most digits of a slope or an assigned value: both are printed in
+# reports and errors, and Python converts an int of at most this many
+# digits to and from text by default
+DIGITS_LIMIT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")     # the exponent ending a decimal
 
 
 def _to_fraction(u) -> Fraction:
     """u as an exact rational.  A text whose digits and exponent add up to
-    more than _SLOPE_DIGITS is refused before Fraction expands it."""
+    more than DIGITS_LIMIT is refused before Fraction expands it."""
     if isinstance(u, Fraction):
         return u
     if not isinstance(u, (int, str, float)):
@@ -77,8 +78,8 @@ def _to_fraction(u) -> Fraction:
         exponent = _EXPONENT.search(u)
         power = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         digits = sum(map(str.isdigit, u[:exponent.start()] if exponent else u))
-        if len(power) > 4 or digits + int(power or 0) > _SLOPE_DIGITS:
-            raise ModelError(f"slope parameter {u!r} needs more than {_SLOPE_DIGITS} digits")
+        if len(power) > 4 or digits + int(power or 0) > DIGITS_LIMIT:
+            raise ModelError(f"slope parameter {u!r} needs more than {DIGITS_LIMIT} digits")
     try:
         return Fraction(u)
     except ZeroDivisionError:
@@ -753,9 +754,10 @@ class LimitRow:
 def limit_table(alpha: int, n_max: int, u_sequence: Sequence) -> list:
     """Deviations |psi(n) - n| for each u in a sequence decreasing toward 1.
 
-    The deviation at n is exactly b_n * (u - 1) where b_n counts the
-    u-slope intervals below n, so rows are exact rationals: nonincreasing
-    along the sequence and identically 0 at u = 1.
+    The deviation psi(n) - n is exactly b_n * (u - 1), where b_n counts
+    the u-slope intervals below n and the other n - b_n have slope 1, so
+    rows are exact rationals: nonincreasing along the sequence and
+    identically 0 at u = 1.
     """
     us = [_to_fraction(u) for u in u_sequence]
     if not us:
@@ -770,9 +772,8 @@ def limit_table(alpha: int, n_max: int, u_sequence: Sequence) -> list:
     for u in us:
         coding = default_coding(alpha, u)
         for n in range(n_max + 1):
-            units, uslopes = coding.slope_counts(n)
-            psi = units + uslopes * u
-            rows.append(LimitRow(alpha, u, n, psi, uslopes * (u - 1)))
+            psi = coding.psi_nat(n)
+            rows.append(LimitRow(alpha, u, n, psi, psi - n))
     return rows
 
 

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_core_wff, random_proof_corpus, random_surface_wff
 from foarith import cli, goldbach
 from foarith.cli import main, run
 from foarith.models import AxiomCheck, EvalResult, ThreeValued
+from foarith.proofio import builtin_theories
+from foarith.syntax import print_wff
 
 DATA = Path(__file__).parent / "data"
 
@@ -661,3 +666,101 @@ def test_only_the_scan_loads_numpy():
                           text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# seeded argv fuzzer
+
+_FUZZ_U = ["1", "2", "3/2", "1.5", "1.25e1", "0", "1/2", "1/0", "abc", "", "1e4000",
+           "1e5000", "-2"]
+_FUZZ_JUST = ["?", "K1", "K2", "K3", "K4", "K5", "K6", "N7", "AX N1", "AX N6", "AX nope",
+              "MP 1 2", "MP 2 1", "MP 9 9", "GEN 1 x1", "GEN 1 x0", "bogus"]
+
+
+def _mutated(rng, text):
+    """text as it is, or with one character deleted, doubled or replaced."""
+    if not text or rng.random() < 0.7:
+        return text
+    k = rng.randrange(len(text))
+    return rng.choice([text[:k] + text[k + 1:], text[:k] + text[k] + text[k:],
+                       text[:k] + rng.choice("()~-> =S0x1,;?&|#:") + text[k + 1:]])
+
+
+def _fuzz_formula(rng):
+    return _mutated(rng, print_wff(random_surface_wff(rng, rng.randrange(4), (1, 2, 3))))
+
+
+def _fuzz_proof(rng, path):
+    n = builtin_theories()["N"]
+    lines = random_proof_corpus(rng, n, rng.randint(1, 8))
+    text = "".join(f"{k}. {print_wff(w)} ; {rng.choice(_FUZZ_JUST)}\n"
+                   for k, w in enumerate(lines, 1))
+    if rng.random() < 0.2:
+        text = f"axiom extra: (all x1 {print_wff(random_core_wff(rng, 1, (1,)))})\n" + text
+    text = f"theory: {rng.choice(['N', 'N', 'K', 'N-eq', 'Q'])}\n" + text
+    path.write_text(_mutated(rng, text), encoding="utf-8")
+    return str(path)
+
+
+def _fuzz_argv(rng, tmp_path):
+    """One command line: mostly well-formed, with values that may be out
+    of range, malformed or missing; every value stays inside the caps."""
+    alpha = str(rng.choice([18, 18, 24, 30, 36, 54, 16, 17, 0, -18]))   # six admissible
+    command = rng.randrange(9)
+    if command == 0:
+        argv = ["parse", _fuzz_formula(rng)]
+        if rng.random() < 0.3:
+            path = tmp_path / "formula.txt"
+            path.write_text(_fuzz_formula(rng), encoding="utf-8")
+            argv = ["parse", "--file", str(path)] + argv[1:] * (rng.random() < 0.3)
+    elif command in (1, 2):
+        path = (_fuzz_proof(rng, tmp_path / "fuzz.proof") if rng.random() < 0.9
+                else str(tmp_path / "missing.proof"))
+        argv = [rng.choice(["check", "discover"]), path]
+    elif command == 3:
+        argv = ["sentence", rng.choice(["goldbach", "goldbach", "riemann"])]
+        argv += ["--classical"] * (rng.random() < 0.5)
+    elif command == 4:
+        argv = ["goldbach", "scan", "--limit",
+                str(rng.choice([rng.randint(-10, 200), rng.randint(0, 2 * 10**5)]))]
+        argv += ["--csv"] * (rng.random() < 0.3)
+    elif command == 5:
+        argv = ["goldbach", "partitions", str(rng.randint(-10, 10**5))]
+    elif command == 6:
+        argv = ["model", "axioms", "--alpha", alpha, "--u", rng.choice(_FUZZ_U),
+                "--bound", str(rng.randint(-1, 20))]
+        argv += ["--cutoff"] * (rng.random() < 0.5)
+    elif command == 7:
+        env = ",".join(f"x{rng.randint(0, 4)}={rng.randint(0, 30)}"
+                       for _ in range(rng.randint(0, 3)))
+        argv = ["model", "eval", "--alpha", alpha, "--u", rng.choice(_FUZZ_U),
+                "--bound", str(rng.randint(-1, 5)), "--wff", _fuzz_formula(rng),
+                "--env", _mutated(rng, env)]
+        argv += ["--cutoff"] * (rng.random() < 0.5)
+    else:
+        argv = ["model", "limits", "--alpha", alpha, "--nmax", str(rng.randint(-1, 40)),
+                "--steps", str(rng.randint(-1, 64))]
+    if rng.random() < 0.3:
+        argv.insert(0, "--json")
+    if rng.random() < 0.1:              # an argument dropped, or one that no parser knows
+        del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "-h", "7"]))
+    return argv
+
+
+def test_fuzzed_command_lines_exit_0_1_or_2_with_one_error_line(capsys, tmp_path):
+    rng = random.Random(5171)
+    codes = collections.Counter()
+    for _ in range(400):
+        argv = _fuzz_argv(rng, tmp_path)
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        errors = sum("error:" in line for line in err.splitlines())
+        assert code in (0, 1, 2), argv
+        assert errors == (code == 2), (argv, err)
+        assert elapsed < 3, (argv, elapsed)
+        codes[code] += 1
+    assert min(codes[0], codes[1], codes[2]) > 20, codes

@@ -356,15 +356,30 @@ def test_report_serialization():
     assert "18,2" in lines
 
 
+def assert_same_text(got, want):
+    """got == want, reported by the lengths and the first differing offset
+    with a short window around it: pytest's own diff of two texts of
+    several MB takes minutes."""
+    __tracebackhide__ = True
+    if got != want:
+        at, end = 0, min(len(got), len(want))    # the longest common prefix, by halving
+        while at < end:
+            mid = (at + end + 1) // 2
+            at, end = (mid, end) if got[:mid] == want[:mid] else (at, mid - 1)
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"lengths {len(got)} and {len(want)}, first difference at offset {at}:\n"
+                    f"  got  {got[window]!r}\n  want {want[window]!r}")
+
+
 @pytest.mark.parametrize("limit, members", [(15, 0), (23, 1), (194324, 72563)])
 def test_to_json_matches_json_dumps_of_to_json_dict(limit, members):
     report = scan(limit)
     assert report.member_count == members
     head = {"schema": 1, "command": "goldbach-scan"}
-    assert report.to_json(head) == json.dumps({**head, **report.to_json_dict()}, indent=2)
+    assert_same_text(report.to_json(head), json.dumps({**head, **report.to_json_dict()}, indent=2))
     # a head key that the report also writes keeps its place and takes the report's value
     head = {"verified": "head", "schema": 1}
-    assert report.to_json(head) == json.dumps({**head, **report.to_json_dict()}, indent=2)
+    assert_same_text(report.to_json(head), json.dumps({**head, **report.to_json_dict()}, indent=2))
 
 
 # 0, 15, 16 and 23 have no member or one; the evens cross from 2 to 3,
@@ -384,7 +399,9 @@ def reference_outputs(report, head):
 def test_writers_match_json_dumps_and_percent_format(limit):
     report = scan(limit)
     head = {"schema": 1, "command": "goldbach-scan"}
-    assert (report.to_json(head), report.to_csv()) == reference_outputs(report, head)
+    json_text, csv = reference_outputs(report, head)
+    assert_same_text(report.to_json(head), json_text)
+    assert_same_text(report.to_csv(), csv)
 
 
 def test_writers_match_json_dumps_and_percent_format_in_small_blocks(monkeypatch):

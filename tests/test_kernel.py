@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_core_wff, random_proof_corpus, random_scheme_instance, random_term
 from foarith.kernel import (
-    DiscoveryFailure,
     Gen,
+    LineVerdict,
     MP,
     Proof,
     ProofLine,
@@ -446,7 +446,7 @@ def test_discover_gen_and_mp():
 def test_discover_reports_non_core_line():
     result = discover(N, [And(eq(ZERO, ZERO), eq(ZERO, ZERO))])
     assert not result.ok
-    assert result.failures == [DiscoveryFailure(1, "not a core wff")]
+    assert result.failures == [LineVerdict(1, False, "not a core wff")]
 
 
 def test_resolve_unknowns_reports_non_core_line():
@@ -458,7 +458,25 @@ def test_resolve_unknowns_reports_non_core_line():
              ProofLine(w, UNKNOWN))
     result = resolve_unknowns(Proof(K, lines))
     assert not result.ok
-    assert result.failures == [DiscoveryFailure(3, "not a core wff")]
+    assert result.failures == [LineVerdict(3, False, "not a core wff")]
+
+
+def test_proof_needs_a_line_and_concludes_with_its_last():
+    with pytest.raises(ValueError, match=r"^a proof must have at least one line$"):
+        Proof(K, ())
+    assert Proof(K, FIVE_LINES).conclusion == FIVE_LINES[-1].wff == AA
+
+
+@pytest.mark.parametrize("line, reason", [
+    (ProofLine(And(A0, A0), Scheme(SchemeId.K1)), "not a core wff (lower abbreviations first)"),
+    (ProofLine(A0, Scheme(SchemeId.N7)), "scheme N7 is not part of theory K"),
+    (ProofLine(ForAll(1, A0), Gen(2, 1)), "GEN cites line 2, which is not an earlier line"),
+    (ProofLine(A0, "K1"), "unrecognized justification 'K1'"),
+])
+def test_check_proof_reports_a_bad_line(line, reason):
+    verdict = check_proof(Proof(K, (line,)))
+    assert not verdict.accepted
+    assert verdict.per_line == (LineVerdict(1, False, reason),)
 
 
 def test_match_scheme_rejects_unknown_scheme():

@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import itertools
 import random
 import threading
 import time
@@ -26,6 +27,7 @@ from foarith.syntax import (
     And,
     Atom,
     Const,
+    Exists,
     ForAll,
     Iff,
     Implies,
@@ -746,3 +748,75 @@ def test_limit_table_csv_format():
     assert lines[0] == "alpha,u,n,psi,deviation"
     assert lines[4] == "18,1.5,3,3.5,0.5"
     assert lines[-1] == "18,1,3,3,0"
+
+
+# ---------------------------------------------------------------------------
+# error paths and reprs
+
+
+def test_coding_refuses_negative_arguments_and_non_numbers():
+    coding = default_coding(18, HALF + 1)
+    with pytest.raises(ModelError, match=r"^interval index must be >= 0$"):
+        coding.xi(-1)
+    with pytest.raises(ModelError, match=r"^index must be >= 0$"):
+        coding.slope_counts(-1)
+    with pytest.raises(ModelError, match=r"^psi is defined on nonnegative arguments$"):
+        coding.psi(Fraction(-1, 2))
+    with pytest.raises(ModelError, match=r"^cannot interpret \[2\] as a slope parameter$"):
+        coded_model(18, [2])
+    with pytest.raises(ModelError, match=r"^n_max must be >= 0$"):
+        limit_table(18, -1, [2, 1])
+
+
+def test_coded_naturals_hash_order_and_print():
+    model, other = coded_model(18, HALF + 1), coded_model(18, HALF + 1)
+    three, four = model.encode(3), model.encode(4)
+    assert hash(three) == hash(model.encode(3)) != hash(other.encode(3))
+    assert three < four and not four < three
+    assert three.__lt__(other.encode(4)) is NotImplemented
+    assert three.__lt__(3) is NotImplemented
+    with pytest.raises(TypeError):
+        three < other.encode(4)
+    assert repr(three) == "CodedNat(3: 2+1u)"
+    assert repr(model) == "CodedModel(alpha=18, u=3/2)"
+    assert [str(t) for t in ThreeValued] == ["true", "false", "unknown"]
+
+
+def test_compiled_atom_over_a_formula_raises_not_a_term():
+    # eval_bounded cannot pass such an atom on: free_vars reads its
+    # arguments as terms first
+    wff = Atom(1, 2, (Exists(1, eq(Var(1), Var(1))), Const(1)))
+    code, free, names = models._compiled(wff, {}, False)
+    assert free == []
+    with pytest.raises(ModelError, match=r"^not a term: Exists\(var=1, body=Atom\("):
+        models._run(code, names, 0, ())
+
+
+def test_universals_nested_past_the_recursion_limit_raise_model_error():
+    wff = eq(Var(1), Var(1))
+    for _ in range(3000):           # each universal is a call of its own
+        wff = ForAll(1, Not(wff))
+    with pytest.raises(ModelError, match=r"^formula nested too deeply to evaluate$"):
+        in_fresh_thread(lambda: eval_bounded(coded_model(18, 1), wff, bound=0))
+
+
+_CHAIN_ANTECEDENTS = (
+    ForAll(2, Not(eq(succ(Var(2)), Var(1)))),
+    ForAll(2, eq(Var(2), Var(2))),
+    ForAll(3, Implies(eq(Var(3), Var(1)), eq(Var(1), Var(3)))),
+)
+
+
+@pytest.mark.parametrize("levels", [9, 40])
+def test_implication_chain_split_into_functions_matches_std_eval(levels):
+    # each implication with a block on both sides nests one level deeper;
+    # past _MAX_BLOCK_DEPTH the block moves into a function of its own
+    wff = eq(Var(1), Const(1))
+    for k in range(levels):
+        wff = Implies(_CHAIN_ANTECEDENTS[k % 3], wff)
+    source, _ = models._Compiler({}, False).source(wff)
+    assert source.count("def _g") == (levels - 1) // models._MAX_BLOCK_DEPTH
+    model = coded_model(18, 1)
+    for x1, bound, cutoff in itertools.product(range(4), range(4), (False, True)):
+        got = eval_bounded(model, wff, {1: x1}, bound=bound, domain_cutoff=cutoff)
+        assert got.truth.value == std_eval(wff, {1: x1}, bound, cutoff), (x1, bound, cutoff)

@@ -4,6 +4,8 @@ import pytest
 
 from foarith.kernel import (
     MP,
+    Proof,
+    ProofLine,
     ProperAxiom,
     Scheme,
     SchemeId,
@@ -12,6 +14,7 @@ from foarith.kernel import (
     build_theory_N,
     build_theory_N_eq,
     check_proof,
+    extend_theory,
 )
 from foarith.proofio import (
     ProofFileError,
@@ -21,6 +24,7 @@ from foarith.proofio import (
     parse_justification,
     parse_proof_file,
 )
+from foarith.syntax import parse_core
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,6 +120,35 @@ def test_error_axiom_after_theory_line():
 def test_error_bad_wff_carries_line_number():
     with pytest.raises(ProofFileError, match="line 2"):
         parse_proof_file("theory: K\n2 is not here\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("axiom E: (all x1 (x1 = x1))\naxiom E: (0 = 0)\ntheory: N\n1. (0=0) ; ?\n",
+     "line 2: duplicate axiom declaration 'E'"),
+    ("axiom E: (all x1 (x1 = ))\ntheory: N\n1. (0=0) ; ?\n",
+     "line 1: bad wff: expected a term, found ')' (at position 14)"),
+    ("theory: N\ntheory: K\n1. (0=0) ; ?\n", "line 2: duplicate theory declaration"),
+    ("theory: N\n# no lines\n", "line 3: proof has no lines"),
+])
+def test_error_in_the_header(text, message):
+    with pytest.raises(ProofFileError) as exc:
+        parse_proof_file(text)
+    assert str(exc.value) == message
+
+
+def test_format_justification_rejects_an_unknown_object():
+    with pytest.raises(ValueError, match=r"^unrecognized justification 'K1'$"):
+        format_justification("K1")
+
+
+def test_format_proof_rejects_a_theory_two_extensions_from_a_builtin():
+    once = extend_theory(build_theory_N(), "N*", {"E": parse_core("(all x1 (x1 = x1))")})
+    twice = extend_theory(once, "N**", {"F": parse_core("(all x2 (x2 = x2))")})
+    proof = Proof(twice, (ProofLine(parse_core("(all x2 (x2 = x2))"), ProperAxiom("F")),))
+    assert check_proof(proof).accepted
+    with pytest.raises(ValueError, match=r"^theory 'N\*\*' is not serializable "
+                                         r"\(not built on K, N or N-eq\)$"):
+        format_proof(proof)
 
 
 @pytest.mark.parametrize("line, outcome", [

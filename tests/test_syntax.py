@@ -402,6 +402,32 @@ def test_malformed_line_after_raw_hits_fails_as_without_a_table(raw_hits):
     assert failed > 40 and failed_after_hits > 20
 
 
+@pytest.mark.parametrize("text", ["Q(all x1 ((x1 + 0) = x1))", "B(all x1 ((x1 + 0) = x1))",
+                                  "(ex(all x1 ((x1 + 0) = x1)))"])
+def test_hit_joined_to_a_letter_before_it_fails_as_without_a_table(monkeypatch, text):
+    # line 2 restates line 1's pair, found at the '(' after the letter; the
+    # letter and the 'a' written for the hit lex as one token, so the hit
+    # is no token, and the line is parsed again without hits
+    not_one_token = []
+    lex_around = syntax._lex_around
+
+    def spied(*args):
+        try:
+            return lex_around(*args)
+        except syntax._Fail as exc:
+            not_one_token.append(exc.args[0] == "a hit is not one token")
+            raise
+
+    monkeypatch.setattr(syntax, "_lex_around", spied)
+    with pytest.raises(ParseError) as fresh:
+        parse_wff(text)
+    with pytest.raises(ProofFileError) as err:
+        parse_proof_file(f"theory: N\n1. (all x1 ((x1 + 0) = x1)) ; ?\n2. {text} ; ?\n")
+    assert str(err.value) == f"line 3: bad wff: {fresh.value}"
+    assert err.value.__cause__.pos == fresh.value.pos
+    assert not_one_token == [True]
+
+
 # ---------------------------------------------------------------------------
 # once per pair
 #
@@ -694,6 +720,47 @@ def test_deep_formulas_round_trip_through_every_walker():
             assert check_proof(proof).accepted
 
     in_fresh_thread(check)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Var(0), "variable index must be >= 1"),
+    (lambda: Const(0), "constant index must be >= 1"),
+    (lambda: FuncApp(0, 1, (X1,)), "function letter and arity must be >= 1"),
+    (lambda: Atom(1, 0, ()), "predicate letter and arity must be >= 1"),
+    (lambda: FuncApp(1, 2, (X1,)), "f{1,2} applied to 1 arguments"),
+    (lambda: Atom(1, 1, (X1, X2)), "A{1,1} applied to 2 terms"),
+    (lambda: ForAll(0, _ATOM), "variable index must be >= 1"),
+    (lambda: Exists(0, _ATOM), "variable index must be >= 1"),
+])
+def test_constructors_refuse_bad_indices_and_argument_counts(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: syntax._parts(3), "not a syntax node: 3"),
+    (lambda: print_wff(Atom(1, 1, (3,))), "not a syntax node: 3"),
+    (lambda: free_vars(X1), "not a formula: Var(index=1)"),
+    (lambda: print_term(_ATOM), f"not a term: {_ATOM!r}"),
+    (lambda: print_wff(X1), "not a formula: Var(index=1)"),
+])
+def test_walkers_refuse_what_is_not_a_node_of_their_kind(call, message):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("a, b", [
+    (FuncApp(1, 1, (X1,)), FuncApp(2, 1, (X1,))),
+    (Atom(1, 2, (X1, X2)), Atom(1, 1, (X1,))),
+    (Var(1), Var(2)),
+    (ForAll(1, _ATOM), ForAll(2, _ATOM)),
+], ids=["letter", "arity", "index", "var"])
+def test_nodes_with_colliding_hashes_are_told_apart(a, b):
+    syntax._set_hash(b, hash(a))          # only a collision takes == past the hashes
+    assert hash(a) == hash(b)
+    assert a != b and b != a
 
 
 def test_is_core_is_false_on_terms_and_non_nodes():
