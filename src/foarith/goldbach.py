@@ -8,8 +8,8 @@ the least prime that splits it, and counts the partitions on demand.
 Two readouts run over one sieve, ``_odd_flags``, a ``bytearray`` of
 the odd numbers' flags.  ``partitions`` reads off the pairs whose two
 flags are both set.  ``scan`` holds each even as its half and decides
-by a least-prime search over a numpy view of the flags; its partition
-counts come from an FFT autoconvolution of the same flags, checked
+by a least-prime search over the negated flags; its partition counts
+come from FFT products of the same flags on a mod-6 wheel, checked
 against that verdict whenever they are computed, and its member list
 is built only when ``ScanReport.members`` is first read.  The JSON and
 CSV texts of a scan are written as bytes by numpy, a block of rows at a
@@ -90,24 +90,38 @@ def _sieve(limit: int) -> np.ndarray:
     return np.frombuffer(_odd_flags(limit), dtype=bool)
 
 
-def _admissible(flags: np.ndarray, limit: int) -> np.ndarray:
-    """The halves m of the admissible evens 2m up to limit, ascending.
+# the flags that _admissible turns into member indices at once, and the
+# members whose flags _unresolved reads at once
+_INDEX_BLOCK = 1 << 13
 
-    From m = 8 on, the odd flags hold 2m - 3 at m - 2 and an odd half m
-    at (m - 1)/2; an even half is composite.
+
+def _admissible(composite: np.ndarray, limit: int) -> np.ndarray:
+    """The halves m of the admissible evens 2m up to limit, ascending, as int32.
+
+    ``composite`` is the negated odd flags.  From m = 8 on, it holds
+    2m - 3 at m - 2 and an odd half m at (m - 1)/2; an even half is
+    composite.  The members are counted first and then written into
+    their array a block of ``_INDEX_BLOCK`` flags at a time, so no index
+    array of the whole range is formed.  Up to ``SCAN_LIMIT`` every half
+    is below 2**31.
     """
     import numpy as np
-    composite = ~flags[6:max(limit // 2 - 1, 6)]     # 2m - 3 for m = 8, 9, ...
-    odd_halves = composite[1::2]                     # m = 9, 11, ...
-    odd_halves &= ~flags[4:4 + odd_halves.size]
-    halves = np.flatnonzero(composite)
-    halves += 8
+    admissible = composite[6:max(limit // 2 - 1, 6)].copy()      # 2m - 3 for m = 8, 9, ...
+    odd_halves = admissible[1::2]                                # m = 9, 11, ...
+    odd_halves &= composite[4:4 + odd_halves.size]
+    halves = np.empty(np.count_nonzero(admissible), dtype=np.int32)
+    at = 0
+    for lo in range(0, admissible.size, _INDEX_BLOCK):
+        block = np.flatnonzero(admissible[lo:lo + _INDEX_BLOCK])
+        block += lo + 8
+        halves[at:at + block.size] = block
+        at += block.size
     return halves
 
 
 def admissible_evens(limit: int) -> list:
     """Ascending list of admissible evens up to and including limit."""
-    return (2 * _admissible(_sieve(limit), limit)).tolist()
+    return (2 * _admissible(~_sieve(limit), limit)).tolist()
 
 
 # the largest alpha that ``partitions`` sieves for: its odd flags take
@@ -166,75 +180,120 @@ def _fft_length(n: int) -> int:
 
 
 def _pair_counts(flags: np.ndarray) -> np.ndarray:
-    """Ordered odd-prime-pair counts by sum, via FFT autoconvolution.
+    """Ordered odd-prime-pair counts by sum, from FFT products on a mod-6 wheel.
 
-    For the odd flags, conv[s] = #{(q, r) : q + r = 2s + 2, both odd
+    For the odd flags, counts[s] = #{(q, r) : q + r = 2s + 2, both odd
     primes, order significant}, for s < flags.size: (2i + 1) + (2j + 1) =
-    2(i + j) + 2.  The transform length is the least 2**a * 3**b * 5**c
-    that holds the whole linear convolution, so no sum wraps around; numpy
-    transforms such lengths in a time close to that of a power of two.  The
-    values stay far below 2**53, so rounding the float convolution back
+    2(i + j) + 2.  Past 3 every prime is 6a + 1, flagged at 3a, or 6a + 5,
+    flagged at 3a + 2; a flag at 3a + 1 with a >= 1 marks 6a + 3, a
+    multiple of 3, and raises ValueError.  With A and B the flags of the
+    two classes, each pair of classes lands on one residue of s mod 3:
+    A with A on s = 3k, A with B in either order on 3k + 2, and B with B
+    on 3k + 4.  So the products AA, 2AB and BB of two transforms of about
+    2n/3 replace one autoconvolution at about 2n, and the pairs with 3
+    are added directly.  The transform length is the least
+    2**a * 3**b * 5**c that holds each linear convolution, so no sum wraps
+    around.  The values stay far below 2**53, so rounding a product back
     to integers is exact as long as every value lies within 0.25 of an
-    integer; a larger residual raises ValueError instead of miscounting.
+    integer; a larger residual on any product raises ValueError instead
+    of miscounting.
     """
     import numpy as np
+    counts = np.zeros(flags.size, dtype=np.int64)
     if flags.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    size = _fft_length(2 * flags.size - 1)
-    spectrum = np.fft.rfft(flags.astype(np.float64), size)
-    spectrum *= spectrum
-    conv = np.fft.irfft(spectrum, size)[:flags.size]
-    rounded = np.rint(conv)
-    residual = float(np.abs(conv - rounded).max())
-    if residual >= 0.25:
-        raise ValueError(f"FFT rounding residual {residual:.3g} is too large for exact counts")
-    return rounded.astype(np.int64)
+        return counts
+    if flags[4::3].any():
+        p = 6 * int(np.argmax(flags[4::3])) + 9
+        raise ValueError(f"the odd flags mark {p}, a multiple of 3, as prime")
+    size = _fft_length(2 * len(counts[0::3]) - 1)
+    a = np.fft.rfft(flags[0::3], size)
+    b = np.fft.rfft(flags[2::3], size)
+    ab = a * b
+    ab *= 2                             # A with B in either order
+    # ab is formed before a and b are squared in place
+    for start, product in ((2, ab), (0, np.multiply(a, a, out=a)), (4, np.multiply(b, b, out=b))):
+        out = counts[start::3]
+        conv = np.fft.irfft(product, size)[:out.size]
+        rounded = np.rint(conv)
+        conv -= rounded
+        residual = float(np.abs(conv, out=conv).max(initial=0))
+        if residual >= 0.25:
+            raise ValueError(f"FFT rounding residual {residual:.3g} is too large for exact counts")
+        out[...] = rounded
+    if flags.size > 1 and flags[1]:
+        # (3, q) and (q, 3) at s = j + 1 for each flagged q = 2j + 1, and 3 + 3 once
+        counts[1:] += np.uint8(2) * flags[:-1]
+        counts[2:3] -= 1
+    return counts
 
 
 # the odd primes that _unresolved applies to every member at once
 _DENSE_PRIMES = 32
 
+# the primes of the first batch of _unresolved's tail, doubled in each
+# further batch, and the (member, prime) cells that one batch reads at most
+_TAIL_PRIMES = 16
+_TAIL_CELLS = 1 << 14
 
-def _unresolved(flags: np.ndarray, members: np.ndarray) -> np.ndarray:
+# the flags that _unresolved reads its first primes from, doubled each
+# time the primes read so far are spent
+_PRIME_SPAN = 1 << 12
+
+
+def _unresolved(composite: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The members that are not a sum of two primes, by the least-prime search.
 
     Members are the halves m of even numbers n = 2m, ascending; the even
-    prime splits no even n >= 6, so ``flags`` are the odd flags.  Oliveira
-    e Silva, Herzog & Pardi (Math. Comp. 83 (2014)): go through the odd
-    primes p = 2i + 1 in ascending order and drop every member still open
-    for which n - p, flagged at m - i - 1, is prime.  A member still open
-    once p > m has no partition.  The loop ends at the largest least prime.
+    prime splits no even n >= 6, so ``composite`` is the negated odd
+    flags.  Oliveira e Silva, Herzog & Pardi (Math. Comp. 83 (2014)): go
+    through the odd primes p = 2i + 1 in ascending order and drop every
+    member still open for which n - p, flagged at m - i - 1, is prime.  A
+    member still open once p > m has no partition.  The search ends at
+    the largest least prime.
 
-    The first ``_DENSE_PRIMES`` odd primes, which resolve most members,
-    act on a mask over every half up to the largest member, one shifted
-    slice each.  That also drops an n below 2p when n - p is prime, which
-    is right: n was resolved already at the smaller prime n - p.  The
-    members left open go on one prime at a time, from the next prime on.
+    The primes are read from the flags ``_PRIME_SPAN`` flags at first,
+    and from a span twice as long each time they are spent; the least
+    primes are small, so most scans read one span.  The first
+    ``_DENSE_PRIMES`` odd primes, which resolve most members, act on a
+    mask over every half up to the largest member, one shifted slice
+    each, which is then read at the members.  That also drops an n below
+    2p when n - p is prime, which is right: n was resolved already at the
+    smaller prime n - p.  The members left open then meet the next
+    primes a batch at a time, one gather of (member, prime) cells each:
+    ``_TAIL_PRIMES`` primes at first, twice as many in each later batch,
+    and never more than keep the cells within ``_TAIL_CELLS``.  A prime
+    above m does not apply to m, and a member below the batch's last
+    prime has tried every prime up to m.
     """
     import numpy as np
     if members.size == 0:
         return members
     h = int(members[-1]) + 1
-    indices = np.flatnonzero(flags[:h // 2])     # the odd primes 2i + 1 <= n/2
-    composite = ~flags[:h]
-    open_ = np.zeros(h, dtype=bool)
-    open_[members] = True
+    span = min(_PRIME_SPAN, h // 2)
+    indices = np.flatnonzero(~composite[:span])       # the odd primes 2i + 1, i < span
+    open_ = np.ones(h, dtype=bool)
     for i in indices[:_DENSE_PRIMES].tolist():
         open_[i + 1:] &= composite[:h - i - 1]
-    left = members[open_[members]]
-    failed = []
-    for i in indices[_DENSE_PRIMES:]:
-        if left.size == 0:
-            break
-        # left is ascending, so the members below 2p are a prefix; with
-        # them set aside, every n - p is at least p and no index wraps.
-        # A copy, and only a nonempty one: a view would keep this round's
-        # whole array alive until the end.
-        below = int(np.searchsorted(left, 2 * i + 1))
-        if below:
-            failed.append(left[:below].copy())
-        left = left[below:]
-        left = left[~flags[left - i - 1]]
+    # read at the members a block at a time: take copies int32 indices to intp
+    blocks = (members[lo:lo + _INDEX_BLOCK] for lo in range(0, members.size, _INDEX_BLOCK))
+    left = np.concatenate([block[open_.take(block)] for block in blocks])
+    failed, rest, width = [], indices[_DENSE_PRIMES:], _TAIL_PRIMES
+    while left.size:
+        if not rest.size:
+            if span == h // 2:              # every odd prime 2i + 1 <= n/2 is spent
+                break
+            top = min(2 * span, h // 2)
+            rest = np.flatnonzero(~composite[span:top]) + span
+            span = top
+            continue
+        k = max(min(width, _TAIL_CELLS // left.size), 1)
+        batch, rest, width = rest[:k], rest[k:], 2 * width
+        cells = left[:, None] - batch - 1
+        # cells >= batch is p <= m, which also masks a cell that wrapped below 0
+        split = ((cells >= batch) & ~composite[cells]).any(axis=1)
+        done = left < 2 * batch[-1] + 1
+        failed.append(left[done & ~split])
+        left = left[~done & ~split]
     return np.concatenate([*failed, left])
 
 
@@ -253,13 +312,13 @@ class ScanReport:
     Python objects.
     """
 
-    def __init__(self, limit: int, flags: np.ndarray, members: np.ndarray,
+    def __init__(self, limit: int, composite: np.ndarray, members: np.ndarray,
                  unresolved: np.ndarray):
         self.limit = limit
         self.member_count = members.size
         self.first_failure: Optional[int] = 2 * int(unresolved[0]) if unresolved.size else None
         self.verified = self.first_failure is None
-        self._flags = flags
+        self._composite = composite
         self._members = members
         self._unresolved = unresolved
 
@@ -276,7 +335,7 @@ class ScanReport:
         if members.size == 0:
             return members
         # the sum 2m is counted at m - 1; no p = q term, a member's half is composite
-        counts = _pair_counts(self._flags)[members - 1] // 2
+        counts = _pair_counts(~self._composite).take(members - 1) // 2
         zero = members[counts == 0]
         if not np.array_equal(zero, self._unresolved):
             alpha = 2 * int(np.setxor1d(zero, self._unresolved)[0])
@@ -300,101 +359,127 @@ class ScanReport:
     def to_json(self, head: dict) -> str:
         """``head`` then ``to_json_dict()``, in the bytes of ``json.dumps(indent=2)``.
 
-        Written from the arrays by ``_rows``: a member's row in the
-        member list is its digits and the separator up to the next one,
-        and its row in the count map adds its count and the punctuation
-        up to the next key; the last separator of each is cut.
+        Written into one ``bytearray``, decoded once; ``_rows`` writes
+        the member list and the count map straight from the arrays.  A
+        member's row in the member list is its digits and the separator
+        up to the next one, and its row in the count map adds its count
+        and the punctuation up to the next key; the last separator of
+        each gives way to the closing bracket.
         """
-        fields = {key: [json.dumps(value)] for key, value in head.items()}
-        fields.update(limit=[json.dumps(self.limit)], members=["[]"],
-                      verified=[json.dumps(self.verified)],
-                      first_failure=[json.dumps(self.first_failure)], partition_counts=["{}"])
-        if self.member_count:
-            members = _rows(self._members, None, ",\n    ", "")
-            members[-1] = members[-1][:-len(",\n    ")]
-            counts = _rows(self._members, self._counts, '": ', ',\n    "')
-            counts[-1] = counts[-1][:-len(',\n    "')]
-            fields["members"] = ["[\n    ", *members, "\n  ]"]
-            fields["partition_counts"] = ['{\n    "', *counts, "\n  }"]
-        pieces = ["{"]
-        for key, text in fields.items():
-            pieces += ("\n  ", json.dumps(key), ": ", *text, ",")
-        pieces[-1] = "\n}"
-        return "".join(pieces)
+        fields = {key: json.dumps(value) for key, value in head.items()}
+        fields.update(limit=json.dumps(self.limit), members="[]", verified=json.dumps(self.verified),
+                      first_failure=json.dumps(self.first_failure), partition_counts="{}")
+        # the fields written by _rows: opening, a row's text between and
+        # after the count (None: no count), closing
+        rows = {"members": ("[\n    ", ",\n    ", None, "\n  ]"),
+                "partition_counts": ('{\n    "', '": ', ',\n    "', "\n  }")}
+        text = bytearray(b"{")
+        for key, value in fields.items():
+            text += f"\n  {json.dumps(key)}: ".encode()
+            if key in rows and self.member_count:
+                opening, between, after, closing = rows[key]
+                text += opening.encode()
+                _rows(text, self._members, self._counts, between, after)
+                text[len(text) - len(after or between):] = closing.encode()
+            else:
+                text += value.encode()
+            text += b","
+        text[-1:] = b"\n}"
+        return text.decode()
 
     def to_csv(self) -> str:
-        rows = _rows(self._members, self._counts, ",", "\n") if self.member_count else []
-        return "".join(["alpha,count\n", *rows])
+        text = bytearray(b"alpha,count\n")
+        if self.member_count:
+            _rows(text, self._members, self._counts, ",", "\n")
+        return text.decode()
 
 
-# the rows that _rows formats at once, which bounds its temporaries
-_ROW_BLOCK = 1 << 16
+# the rows that _rows formats at once: small enough that a block's
+# temporaries are reused from the heap rather than mapped afresh
+_ROW_BLOCK = 1 << 12
 
 
 @cache
-def _digit_pairs() -> np.ndarray:
-    """The texts "00" to "99" as 100 uint16 values, each holding its two bytes."""
+def _digit_quads() -> np.ndarray:
+    """Decimal texts of four bytes, each held in one uint32: "0000" to
+    "9999", then 0 to 9999 with 0 bytes for their leading zeros (0 is
+    four 0 bytes), then the one digit "0" after three 0 bytes."""
     import numpy as np
-    return np.frombuffer("".join(map("{:02d}".format, range(100))).encode(), dtype=np.uint16)
+    padded = np.frombuffer("".join(map("{:04d}".format, range(10**4))).encode(),
+                           dtype=np.uint8).reshape(-1, 4)
+    bare = padded * np.logical_or.accumulate(padded != ord("0"), axis=1)
+    zero = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint8).reshape(1, 4)
+    return np.concatenate([padded, bare, zero]).view(np.uint32).ravel()
+
+
+def _items(array: np.ndarray, offset: int, width: int) -> np.ndarray:
+    """Bytes offset to offset + width of each row of a C-contiguous 2-D
+    array, one item per row, so that a copy loops over the rows once."""
+    import numpy as np
+    return np.ndarray((array.shape[0],), dtype=f"V{width}", buffer=array, offset=offset,
+                      strides=(array.strides[0],))
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """The values below 10**width as zero-padded decimal digits, one row each.
+    """The values below 10**width as decimal text, one item of ``width``
+    bytes per value, with 0 bytes for its leading zeros; a value 0 is the
+    one digit 0.
 
-    The digits are taken two at a time: each divmod by 100 gives the
-    next pair from the right, which is read from ``_digit_pairs``.
-    Returns a ``(values.size, width)`` array of ASCII bytes.
+    The digits are read four at a time from ``_digit_quads``, and each
+    division by 10**4 splits off the next four from the right: zero-padded
+    where digits stand above them, else with 0 bytes for the leading
+    zeros.
     """
     import numpy as np
-    table = _digit_pairs()
-    pairs = np.empty((values.size, (width + 1) // 2), dtype=np.uint16)
-    rest = values.astype(np.int32)
-    for k in range(pairs.shape[1] - 1, -1, -1):
-        rest, low = np.divmod(rest, 100)
-        pairs[:, k] = table.take(low)
-    return pairs.view(np.uint8)[:, 2 * pairs.shape[1] - width:]
+    index = np.empty((values.size, (width + 3) // 4), dtype=np.intp)
+    rest = values
+    for k in range(index.shape[1] - 1, 0, -1):
+        higher = rest // 10**4
+        np.subtract(rest, 10**4 * higher, out=index[:, k])
+        index[higher == 0, k] += 10**4
+        rest = higher
+    np.add(rest, 10**4, out=index[:, 0])
+    index[values == 0, -1] = 2 * 10**4
+    quads = _digit_quads().take(index)
+    return _items(quads, quads.strides[0] - width, width)
 
 
-def _rows(halves: np.ndarray, counts: Optional[np.ndarray], between: str, after: str) -> list:
-    """One row of text for each even 2m of the halves m, as one str per block.
+def _rows(text: bytearray, halves: np.ndarray, counts: np.ndarray, between: str,
+          after: Optional[str]) -> None:
+    """Append to ``text`` one row for each even 2m of the halves m.
 
-    A row is the even's digits and ``between``, then, when ``counts`` is
-    given, the digits of the even's count and ``after``.  The halves are
-    ascending, so the evens of each decimal width are a run; each block
-    is at most ``_ROW_BLOCK`` rows of one run and is written into a
-    ``uint8`` array, one fixed-width row per even.  A count is written
-    at the width of the block's largest one, its leading zeros set to 0
-    bytes, and the 0 bytes are dropped from the block at once.
+    A row is the even's digits and ``between``, then, unless ``after``
+    is None, the digits of the even's count and ``after``.  The halves
+    are ascending, so the evens of each decimal width are a run; each
+    block is at most ``_ROW_BLOCK`` rows of one run, filled into one
+    ``uint8`` array of fixed-width rows with the row's text and then the
+    digits, one item per row.  A count is written at the width of the
+    block's largest one with 0 bytes for its leading zeros, which
+    ``bytes.replace`` drops from the block at once.
     """
     import numpy as np
-    between_bytes = np.frombuffer(between.encode(), dtype=np.uint8)
-    after_bytes = np.frombuffer(after.encode(), dtype=np.uint8)
-    blocks, start = [], 0
+    start = 0
     for width in range(1, len(str(2 * int(halves[-1]))) + 1):
         end = int(np.searchsorted(halves, 10**width // 2))     # the evens below 10**width
         for lo in range(start, end, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, end)
-            count_width = 0 if counts is None else len(str(int(counts[lo:hi].max())))
-            row = np.empty((hi - lo, width + between_bytes.size + count_width
-                            + after_bytes.size), dtype=np.uint8)
-            row[:, :width] = _digits(2 * halves[lo:hi], width)
-            at = width + between_bytes.size
-            row[:, width:at] = between_bytes
-            row[:, at + count_width:] = after_bytes
-            if counts is not None:
-                digits = row[:, at:at + count_width]
-                digits[...] = _digits(counts[lo:hi], count_width)
-                for column in range(count_width - 1):
-                    digits[:, column] *= counts[lo:hi] >= 10**(count_width - 1 - column)
-                row = row[row != 0]
-            blocks.append(row.tobytes().decode())
+            layout = "0" * width + between
+            if after is not None:
+                count_width = len(str(int(counts[lo:hi].max())))
+                layout += "0" * count_width + after
+            row = np.empty((hi - lo, len(layout)), dtype=np.uint8)
+            _items(row, 0, len(layout))[...] = np.frombuffer(layout.encode(), dtype=f"V{len(layout)}")
+            _items(row, 0, width)[...] = _digits(2 * halves[lo:hi], width)
+            if after is not None:
+                _items(row, width + len(between), count_width)[...] = _digits(counts[lo:hi],
+                                                                              count_width)
+            text += row.tobytes().replace(b"\0", b"")
         start = end
-    return blocks
 
 
 def scan(limit: int) -> ScanReport:
     """Verify Goldbach on every admissible even up to limit, which may be
     at most ``SCAN_LIMIT``."""
-    flags = _sieve(limit)
-    members = _admissible(flags, limit)
-    return ScanReport(limit, flags, members, _unresolved(flags, members))
+    composite = ~_sieve(limit)          # the flags themselves are dropped here
+    members = _admissible(composite, limit)
+    return ScanReport(limit, composite, members, _unresolved(composite, members))

@@ -334,7 +334,7 @@ def test_goldbach_scan_failure_exits_1(capsys, scan_fails_at_18_and_48):
 
 
 def test_goldbach_scan_least_prime_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(goldbach, "_unresolved", lambda flags, members: members[2:3])
+    monkeypatch.setattr(goldbach, "_unresolved", lambda composite, members: members[2:3])
     code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "100")
     assert code == 1 and err == ""
     assert out == "limit=100 members=20 verified=NO first_failure=28\n"
@@ -342,7 +342,7 @@ def test_goldbach_scan_least_prime_failure_exits_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["--json", "goldbach", "scan"], ["goldbach", "scan", "--csv"]])
 def test_goldbach_scan_counts_disagreeing_with_least_prime_exit_2(capsys, monkeypatch, argv):
-    monkeypatch.setattr(goldbach, "_unresolved", lambda flags, members: members[2:3])
+    monkeypatch.setattr(goldbach, "_unresolved", lambda composite, members: members[2:3])
     code, out, err = invoke(capsys, *argv, "--limit", "100")
     assert code == 2 and out == ""
     assert err == ("error: FFT partition counts and the least-prime search "

@@ -169,8 +169,8 @@ def test_scan_counts_match_partition_oracle():
 
 def test_least_prime_fft_and_trial_division_agree_to_2000():
     flags = _sieve(2000)
-    members = _admissible(flags, 2000)
-    unresolved = set(_unresolved(flags, members).tolist())
+    members = _admissible(~flags, 2000)
+    unresolved = set(_unresolved(~flags, members).tolist())
     counts = scan(2000).partition_counts
     for m in members.tolist():
         has_pair = bool(reference_partitions(2 * m))
@@ -188,7 +188,7 @@ def test_least_prime_search_on_numbers_with_and_without_pairs():
         expected = [m for m in halves.tolist()
                     if not any(is_prime(p) and is_prime(2 * m - p) for p in range(3, m + 1, 2))]
         assert expected == [1, 2]
-        assert _unresolved(flags, halves).tolist() == expected, limit
+        assert _unresolved(~flags, halves).tolist() == expected, limit
         # the count of the sum 2m is at m - 1
         zero = np.flatnonzero(_pair_counts(flags)[:limit // 2] == 0)
         assert zero.tolist() == [m - 1 for m in expected], limit
@@ -225,9 +225,9 @@ def test_least_prime_search_matches_one_prime_at_a_time():
     for keep in (1.0, 0.6, 0.3, 0.15):
         flags = full & (rng.random(full.size) < keep)
         boundary = (2 * np.flatnonzero(flags)[goldbach._DENSE_PRIMES - 1:][:2] + 1).tolist()
-        for members in (np.arange(0, 1501), _admissible(full, 3000)):
+        for members in (np.arange(0, 1501), _admissible(~full, 3000)):
             expected = reference_unresolved(flags, members)
-            assert _unresolved(flags, members).tolist() == expected, (keep, members.size)
+            assert _unresolved(~flags, members).tolist() == expected, (keep, members.size)
             ranks |= least_prime_ranks(flags, members)
             failures += [(2 * boundary[0] - 2 * m, 2 * boundary[1] - 2 * m) for m in expected]
     dense = goldbach._DENSE_PRIMES
@@ -237,16 +237,33 @@ def test_least_prime_search_matches_one_prime_at_a_time():
     assert any(at <= 0 for _, at in failures)                      # later in the loop
 
 
+@pytest.mark.parametrize("span, tail_primes, tail_cells", [(1, 1, 1), (5, 2, 40), (64, 16, 1)])
+def test_least_prime_search_in_short_spans_and_small_batches(monkeypatch, span, tail_primes,
+                                                              tail_cells):
+    # primes read a few flags at a time, spent before the dense phase
+    # ends or inside a batch, and batches of one prime or of a few members
+    monkeypatch.setattr(goldbach, "_PRIME_SPAN", span)
+    monkeypatch.setattr(goldbach, "_TAIL_PRIMES", tail_primes)
+    monkeypatch.setattr(goldbach, "_TAIL_CELLS", tail_cells)
+    rng = np.random.default_rng(16)
+    full = _sieve(3000)
+    for keep in (1.0, 0.3):
+        flags = full & (rng.random(full.size) < keep)
+        for members in (np.arange(0, 1501), _admissible(~full, 3000), np.arange(0, 9)):
+            expected = reference_unresolved(flags, members)
+            assert _unresolved(~flags, members).tolist() == expected, (keep, members.size)
+
+
 def test_least_prime_search_on_small_and_no_members():
     # members below 2p for the first primes, and flags with fewer primes
     # than the dense phase takes
     for limit in (0, 1, 2, 3, 4, 5, 6, 9, 30, 50):
         small, full = np.arange(0, limit // 2 + 1), _sieve(limit)
         for flags in (full, full & (np.arange(full.size) != 1)):      # without 3
-            assert (_unresolved(flags, small).tolist()
+            assert (_unresolved(~flags, small).tolist()
                     == reference_unresolved(flags, small)), limit
     empty = np.array([], dtype=np.int64)
-    assert _unresolved(flags, empty).size == 0
+    assert _unresolved(~flags, empty).size == 0
 
 
 def full_length_pair_counts(flags):
@@ -280,11 +297,12 @@ def test_fft_length_is_the_least_5_smooth_number():
 
 
 # limits either side of switches in the length, to lengths with 2, 3 or 5
-# as a factor, one of them odd: the odd flags of limit L transform at
-# _fft_length(2 * ((L + 1) // 2) - 1)
-FFT_LENGTHS = {99999: 100000, 100000: 100000, 100001: 101250, 131072: 131072,
-               131073: 131220, 177147: 177147, 177149: 180000, 194324: 194400,
-               196608: 196608, 196609: 196830, 199874: 200000, 200001: 202500}
+# as a factor, three of them odd: the odd flags of limit L, n = (L + 1) // 2
+# of them, transform at _fft_length(2 * ceil(n / 3) - 1), which holds the
+# product of two wheel classes of ceil(n / 3) flags each
+FFT_LENGTHS = {98304: 32768, 98305: 32805, 101250: 33750, 101251: 34560,
+               151878: 50625, 151879: 51200, 177150: 59049, 177151: 60000,
+               196608: 65536, 196609: 65610, 199874: 67500, 202501: 69120}
 
 
 def test_pair_counts_match_full_length_transform(monkeypatch):
@@ -300,12 +318,24 @@ def test_pair_counts_match_full_length_transform(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np.fft, "rfft", recording_rfft)
             counts = _pair_counts(flags)
-        assert sizes.pop() == length, limit
+        assert sizes == [length, length], limit       # one transform for each class
+        sizes.clear()
         assert np.array_equal(counts, full_length_pair_counts(flags)), limit
 
 
+def test_pair_counts_refuse_a_multiple_of_3_flagged_prime():
+    # the flag at 3a + 1 marks 6a + 3; from a = 1 on it is no prime, and
+    # the wheel has no class for it
+    for limit, forged in ((40, 9), (2000, 1503), (2001, 2001)):
+        flags = _sieve(limit).copy()
+        flags[forged // 2] = True
+        with pytest.raises(ValueError, match=f"mark {forged}, a multiple of 3, as prime"):
+            _pair_counts(flags)
+    assert _pair_counts(_sieve(7)).tolist() == [0, 0, 1, 2]     # 3 itself is counted
+
+
 def test_scan_counts_disagreeing_with_least_prime_search_raise(monkeypatch):
-    monkeypatch.setattr(goldbach, "_unresolved", lambda flags, members: members[-1:])
+    monkeypatch.setattr(goldbach, "_unresolved", lambda composite, members: members[-1:])
     report = scan(2000)
     assert not report.verified and report.first_failure == 1998
     with pytest.raises(ValueError, match="least-prime search disagree at alpha=1998"):
@@ -323,16 +353,19 @@ def test_scan_rejects_inexact_fft_rounding(monkeypatch):
 
 
 def test_scan_json_rejects_inexact_fft_rounding_at_a_length_not_a_power_of_two(monkeypatch):
+    # the residual of each of the three products is checked on its own
     irfft, sizes = np.fft.irfft, []
+    for product in range(3):
+        def shifted_irfft(spectrum, n):
+            sizes.append(n)
+            return irfft(spectrum, n) + (0.4 if len(sizes) == product + 1 else 0)
 
-    def shifted_irfft(spectrum, n):
-        sizes.append(n)
-        return irfft(spectrum, n) + 0.4
-
-    monkeypatch.setattr(np.fft, "irfft", shifted_irfft)
-    with pytest.raises(ValueError, match="rounding residual 0.4"):
-        scan(194324).to_json({})
-    assert sizes == [194400]          # 2**5 * 3**5 * 5**2
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "irfft", shifted_irfft)
+            with pytest.raises(ValueError, match="rounding residual 0.4"):
+                scan(194324).to_json({})
+        assert sizes == [64800] * (product + 1), product       # 2**5 * 3**4 * 5**2
 
 
 def test_scan_reports_first_failure(scan_fails_at_18_and_48):
@@ -404,6 +437,21 @@ def test_writers_match_json_dumps_and_percent_format(limit):
     assert_same_text(report.to_csv(), csv)
 
 
+def test_digits_write_each_value_without_leading_zeros():
+    # a value's digits after 0 bytes, whatever the number of digits of
+    # the other values
+    values = [0, 1, 7, 10, 42, 999, 1000, 9999, 10000, 10001, 12345, 99990000, 99999999,
+              100000000, 100000001, 123456789, 200000000]
+    for width in (9, 12):
+        items = goldbach._digits(np.array(values, dtype=np.int64), width)
+        texts = [item.tobytes() for item in items]
+        assert all(len(text) == width for text in texts)
+        assert [text.lstrip(b"\0").decode() for text in texts] == list(map(str, values))
+    small = np.array([0, 5, 60, 700, 8000], dtype=np.int32)
+    assert goldbach._digits(small, 4).tobytes() == (b"\0\0\0" b"0" b"\0\0\0" b"5" b"\0\0" b"60"
+                                                    b"\0" b"700" b"8000")
+
+
 def test_writers_match_json_dumps_and_percent_format_in_small_blocks(monkeypatch):
     # with 7 rows a block, blocks end inside a run of one width, at its
     # end, and hold one row; their counts differ in width
@@ -418,11 +466,11 @@ def test_least_prime_search_keeps_no_dead_arrays():
     # Each round used to append a view of its array of open members, even
     # an empty one, which kept every round's array alive to the end: the
     # peak was about seven times the member array at this size.
-    flags = _sieve(1_000_000)
-    members = _admissible(flags, 1_000_000)
+    composite = ~_sieve(1_000_000)
+    members = _admissible(composite, 1_000_000)
     tracemalloc.start()
     try:
-        unresolved = _unresolved(flags, members)
+        unresolved = _unresolved(composite, members)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,7 +491,7 @@ def test_text_scan_keeps_no_member_list():
     # A text scan reads the count and the verdict only.  The member list
     # built in the report's constructor used to put the peak at about six
     # times the member array at this size.
-    members = _admissible(_sieve(10**6), 10**6)
+    members = _admissible(~_sieve(10**6), 10**6)
     tracemalloc.start()
     try:
         report = scan(10**6)
