@@ -73,8 +73,10 @@ def _odd_flags(limit: int) -> bytearray:
     return odd
 
 
-# the largest limit that ``scan`` sieves for: a scan takes about 5.6
-# bytes per unit of limit, 1.1 GB at this limit
+# the largest limit that ``scan`` sieves for.  In a fresh process a text
+# scan peaks at about 3.2 bytes per unit of limit (319 MB at 10**8, so
+# about 640 MB at this limit) and a ``--json`` scan at about 39 (391 MB
+# at 10**7), its text held as bytes and as a str
 SCAN_LIMIT = 2 * 10**8
 
 
@@ -359,32 +361,35 @@ class ScanReport:
     def to_json(self, head: dict) -> str:
         """``head`` then ``to_json_dict()``, in the bytes of ``json.dumps(indent=2)``.
 
-        Written into one ``bytearray``, decoded once; ``_rows`` writes
-        the member list and the count map straight from the arrays.  A
-        member's row in the member list is its digits and the separator
-        up to the next one, and its row in the count map adds its count
-        and the punctuation up to the next key; the last separator of
-        each gives way to the closing bracket.
+        ``json.dumps`` writes the document with the member list and the
+        count map empty, and ``_rows`` fills the two in document order,
+        straight from the arrays, into one ``bytearray`` decoded once.  A
+        top-level key is the only text after a line break and two
+        spaces, as ``json.dumps`` escapes the line breaks in a string.  A
+        member's row in the list is its digits and the separator up to
+        the next one, and its row in the map adds its count and the text
+        up to the next key; each separator is a comma and the text that
+        opens the first row, and the last gives way to the closing bracket.
         """
-        fields = {key: json.dumps(value) for key, value in head.items()}
-        fields.update(limit=json.dumps(self.limit), members="[]", verified=json.dumps(self.verified),
-                      first_failure=json.dumps(self.first_failure), partition_counts="{}")
-        # the fields written by _rows: opening, a row's text between and
-        # after the count (None: no count), closing
-        rows = {"members": ("[\n    ", ",\n    ", None, "\n  ]"),
-                "partition_counts": ('{\n    "', '": ', ',\n    "', "\n  }")}
-        text = bytearray(b"{")
-        for key, value in fields.items():
-            text += f"\n  {json.dumps(key)}: ".encode()
-            if key in rows and self.member_count:
-                opening, between, after, closing = rows[key]
-                text += opening.encode()
-                _rows(text, self._members, self._counts, between, after)
-                text[len(text) - len(after or between):] = closing.encode()
-            else:
-                text += value.encode()
-            text += b","
-        text[-1:] = b"\n}"
+        document = json.dumps({**head, "limit": self.limit, "members": [], "verified": self.verified,
+                               "first_failure": self.first_failure, "partition_counts": {}},
+                              indent=2).encode()
+        if not self.member_count:
+            return document.decode()
+        # where each empty's opening bracket ends, the text that opens a
+        # row, and the text between a row's even and its count (and after
+        # the count: None, no count)
+        fills = [(document.index(f'\n  "{key}": '.encode()) + len(key) + 8, opening, between, after)
+                 for key, opening, between, after in [("members", "\n    ", ",\n    ", None),
+                                                     ("partition_counts", '\n    "', '": ', ',\n    "')]]
+        text, at = bytearray(), 0
+        for start, opening, between, after in sorted(fills):
+            text += document[at:start]
+            text += opening.encode()
+            _rows(text, self._members, self._counts, between, after)
+            text[len(text) - len(opening) - 1:] = b"\n  "
+            at = start
+        text += document[at:]
         return text.decode()
 
     def to_csv(self) -> str:

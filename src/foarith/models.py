@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,6 +75,8 @@ def _to_fraction(u) -> Fraction:
         return u
     if not isinstance(u, (int, str, float)):
         raise ModelError(f"cannot interpret {u!r} as a slope parameter")
+    if isinstance(u, float) and not math.isfinite(u):
+        raise ModelError(f"slope parameter {u!r} is not finite")
     if isinstance(u, str):
         exponent = _EXPONENT.search(u)
         power = exponent[1].replace("_", "").lstrip("0") if exponent else ""
@@ -273,7 +276,7 @@ class ThreeValued(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalResult:
     """Verdict plus, when decisive, the quantifier indices that decided it."""
     truth: ThreeValued
@@ -286,9 +289,9 @@ class EvalResult:
         return {f"x{i}": n for i, n in sorted(self.witness.items())}
 
 
-_TRUE = EvalResult(ThreeValued.TRUE)
-_FALSE = EvalResult(ThreeValued.FALSE)
-_UNKNOWN = EvalResult(ThreeValued.UNKNOWN)
+# the verdict of each truth value the generated code returns
+_VERDICTS = {True: ThreeValued.TRUE, False: ThreeValued.FALSE, None: ThreeValued.UNKNOWN}
+
 
 def _merge(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
     return {**a, **b} if a and b else a or b
@@ -398,14 +401,13 @@ class _Compiler:
 
     def source(self, w: Wff) -> tuple:
         """Source defining ``_root``, and the indices of the free variables
-        it takes in order.  ``_root`` returns a bool for a quantifier-free
-        formula and a pair (truth, witness) otherwise."""
+        it takes in order.  ``_root`` returns the pair (truth, witness):
+        (bool, None) for a quantifier-free formula."""
         top = self._compile(w)
         free = sorted(int(name[1:]) for name in top.names)
-        if not isinstance(w, ForAll):  # a universal at the top is _root itself
-            body = ([f"return {top.text}"] if isinstance(top, _Expr)
-                    else top.lines + [f"return {top.t}, {top.w}"])
-            self._function("_root", top.names, body)
+        body = ([f"return {top.text}, None"] if isinstance(top, _Expr)
+                else top.lines + [f"return {top.t}, {top.w}"])
+        self._function("_root", top.names, body)
         return "\n".join(self.defs) + "\n", free
 
     def _function(self, name: str, names, lines: list) -> str:
@@ -493,11 +495,10 @@ class _Compiler:
         lines = a.lines + b.lines + [f"{t}, {w} = _differ({a.t}, {a.w}, {b.t}, {b.w})"]
         return self._block(lines, t, w, max(a.depth, b.depth), a.names | b.names)
 
-    def _universal(self, variables: tuple, loops: tuple, enclosing: int, name: str,
-                   body) -> _Block:
-        """Loops binding ``variables`` to the locals ``loops``, as the
-        function ``name``: (False, witness) at the first counterexample,
-        else (exhausted, None)."""
+    def _universal(self, variables: tuple, loops: tuple, enclosing: int, body) -> _Block:
+        """Loops binding ``variables`` to the locals ``loops``, as a
+        function of their own: (False, witness) at the first
+        counterexample, else (exhausted, None)."""
         names = body.names.difference(loops)
         found = "{" + ", ".join(f"{v}: {loop}" for v, loop in zip(variables, loops)) + "}"
         if isinstance(body, _Expr):
@@ -507,7 +508,7 @@ class _Compiler:
                                   f"    return False, _merge({found}, {body.w})"]
         lines = ["    " * depth + f"for {loop} in _D:" for depth, loop in enumerate(loops)]
         lines += _indent(inner, len(loops)) + [f"return {self.exhausted}, None"]
-        call = self._function(name, names, lines)
+        call = self._function(f"_u{next(self.fresh)}", names, lines)
         k = next(self.fresh)
         t, w = f"t{k}", f"w{k}"
         # the bound locals read here are v<k>, each of an enclosing
@@ -591,8 +592,9 @@ class _Compiler:
                     work.append((self._implication, 2))
                 work.append(("visit", y, scope, enclosing))
                 work.append(("visit", x, scope, enclosing))
-            elif isinstance(node, ForAll):
-                name = "_root" if node is w else f"_u{next(self.fresh)}"
+            else:
+                # a ForAll: is_core admits no other formula, and the
+                # constructors admit only terms below an atom
                 variables, loops, scope = [], [], dict(scope)
                 while isinstance(node, ForAll) and len(loops) < _MAX_CHAIN:
                     loop = f"v{next(self.fresh)}"
@@ -600,12 +602,8 @@ class _Compiler:
                     loops.append(loop)
                     scope[node.var] = loop
                     node = node.body
-                work.append((self._universal, 1, tuple(variables), tuple(loops),
-                             enclosing, name))
+                work.append((self._universal, 1, tuple(variables), tuple(loops), enclosing))
                 work.append(("visit", node, scope, enclosing + len(loops)))
-            else:
-                # is_core admits only the formulas above, so this is a term
-                out.append(self._raiser(f"not a term: {node!r}"))
         (top,) = out
         return top
 
@@ -621,25 +619,21 @@ def _compiled(w: Wff, overrides: Mapping, cutoff: bool) -> tuple:
 
 def _run(code, names: dict, bound: int, args: Sequence) -> EvalResult:
     """Run compiled code over the indices 0..bound in the namespace
-    ``names``, which is emptied on return, and call ``_root(*args)``."""
+    ``names``, which is emptied on return, and call ``_root(*args)``; its
+    pair (truth, witness) becomes a new ``EvalResult``."""
     if bound < 0:
         raise ModelError("bound must be >= 0")
     names["_D"] = range(bound + 1)
     try:
         exec(code, names)
-        result = names["_root"](*args)
+        truth, witness = names["_root"](*args)
     except RecursionError:
         # each chain of universals and each split-off block is one call
         # of the generated code, so thousands of them nest too deeply
         raise ModelError("formula nested too deeply to evaluate") from None
     finally:
         names.clear()  # the generated functions and memo tables refer to names
-    truth, witness = (result, None) if isinstance(result, bool) else result
-    if truth is None:
-        return _UNKNOWN
-    if witness:
-        return EvalResult(ThreeValued.TRUE if truth else ThreeValued.FALSE, witness)
-    return _TRUE if truth else _FALSE
+    return EvalResult(_VERDICTS[truth], witness or None)
 
 
 def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,

@@ -82,7 +82,9 @@ class _Node:
     holds the slots and the ``__init__``: a leaf (Var, Const), an
     application (FuncApp, Atom), a connective (Not, Implies, And, Or, Iff)
     and a quantifier (ForAll, Exists).  A node class names its fields; the
-    shape's slots and ``__init__`` parameters take those names in it.
+    shape's slots and ``__init__`` parameters take those names in it.  A
+    child of the wrong kind raises TypeError: an application takes terms,
+    a connective and a quantifier formulas.
 
     ``_core`` says whether a node is a core formula (see :func:`is_core`).
     A term never is and an atom always is; a connective or quantifier
@@ -197,6 +199,9 @@ class _Application(_Node):
         if len(args) != arity:
             raise ValueError(f"{self._head}{{{letter},{arity}}} applied to "
                              f"{len(args)} {self._items}")
+        for arg in args:
+            if not isinstance(arg, _Term):
+                raise TypeError(f"not a term: {arg!r}")
         _set_letter(self, letter)
         _set_arity(self, arity)
         _set_args(self, args)
@@ -208,12 +213,18 @@ class _Connective(_Formula):
     __slots__, _slots = ("_a", "_b", "_core"), ("_a", "_b")
 
     def __init__(self, a: "SurfaceWff", b: "SurfaceWff"):
+        if not isinstance(a, _Formula):
+            raise TypeError(f"not a formula: {a!r}")
+        if not isinstance(b, _Formula):
+            raise TypeError(f"not a formula: {b!r}")
         _set_a(self, a)
         _set_b(self, b)
         _set_hash(self, hash((a, b)))
         _set_connective_core(self, self._basic and a._core and b._core)
 
     def _unary(self, a: "SurfaceWff"):
+        if not isinstance(a, _Formula):
+            raise TypeError(f"not a formula: {a!r}")
         _set_a(self, a)
         _set_hash(self, hash((a,)))
         _set_connective_core(self, a._core)
@@ -225,6 +236,8 @@ class _Quantifier(_Formula):
     def __init__(self, var: int, body: "SurfaceWff"):
         if var < 1:
             raise ValueError("variable index must be >= 1")
+        if not isinstance(body, _Formula):
+            raise TypeError(f"not a formula: {body!r}")
         _set_var(self, var)
         _set_body(self, body)
         _set_hash(self, hash((var, body)))

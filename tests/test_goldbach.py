@@ -404,15 +404,23 @@ def assert_same_text(got, want):
                     f"  got  {got[window]!r}\n  want {want[window]!r}")
 
 
-@pytest.mark.parametrize("limit, members", [(15, 0), (23, 1), (194324, 72563)])
+@pytest.mark.parametrize("limit, members", [(0, 0), (15, 0), (18, 1), (23, 1), (1000, 281),
+                                            (194324, 72563)])
 def test_to_json_matches_json_dumps_of_to_json_dict(limit, members):
     report = scan(limit)
     assert report.member_count == members
-    head = {"schema": 1, "command": "goldbach-scan"}
-    assert_same_text(report.to_json(head), json.dumps({**head, **report.to_json_dict()}, indent=2))
-    # a head key that the report also writes keeps its place and takes the report's value
-    head = {"verified": "head", "schema": 1}
-    assert_same_text(report.to_json(head), json.dumps({**head, **report.to_json_dict()}, indent=2))
+    heads = [
+        {"schema": 1, "command": "goldbach-scan"},
+        # a head key that the report also writes keeps its place and takes the report's value
+        {"verified": "head", "schema": 1},
+        {"partition_counts": None, "command": "goldbach-scan", "members": "head"},
+        # a list in the head was written on one line
+        {"schema": 1, "sizes": [1, 2], "empty": []},
+        # nested keys and a string that read like the report's keys
+        {"options": {"members": [3], "partition_counts": {}, "note": '\n  "members": []'}, "x": {}},
+    ]
+    for head in heads:
+        assert_same_text(report.to_json(head), json.dumps({**head, **report.to_json_dict()}, indent=2))
 
 
 # 0, 15, 16 and 23 have no member or one; the evens cross from 2 to 3,

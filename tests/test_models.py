@@ -4,6 +4,7 @@ import itertools
 import random
 import threading
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,6 @@ from foarith.syntax import (
     And,
     Atom,
     Const,
-    Exists,
     ForAll,
     Iff,
     Implies,
@@ -766,6 +766,10 @@ def test_coding_refuses_negative_arguments_and_non_numbers():
         coded_model(18, [2])
     with pytest.raises(ModelError, match=r"^n_max must be >= 0$"):
         limit_table(18, -1, [2, 1])
+    # Fraction raised OverflowError on an infinity and ValueError on nan
+    for u in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ModelError, match=rf"^slope parameter {u!r} is not finite$"):
+            default_coding(18, u)
 
 
 def test_coded_naturals_hash_order_and_print():
@@ -782,14 +786,23 @@ def test_coded_naturals_hash_order_and_print():
     assert [str(t) for t in ThreeValued] == ["true", "false", "unknown"]
 
 
-def test_compiled_atom_over_a_formula_raises_not_a_term():
-    # eval_bounded cannot pass such an atom on: free_vars reads its
-    # arguments as terms first
-    wff = Atom(1, 2, (Exists(1, eq(Var(1), Var(1))), Const(1)))
-    code, free, names = models._compiled(wff, {}, False)
-    assert free == []
-    with pytest.raises(ModelError, match=r"^not a term: Exists\(var=1, body=Atom\("):
-        models._run(code, names, 0, ())
+def test_eval_results_are_fresh_frozen_values():
+    # the verdicts without a witness were three objects shared by every
+    # call, so a witness set on one Unknown showed on every later one
+    model = coded_model(18, 1)
+    unknown = parse_core("(all x1 (x1 = x1))")
+    first = eval_bounded(model, unknown, bound=3)
+    with pytest.raises(FrozenInstanceError):
+        first.witness = {1: 99}
+    results = [first, eval_bounded(model, unknown, bound=3),
+               eval_bounded(model, parse_core("(0 = 0)"), bound=0),
+               eval_bounded(model, parse_core("(0 = 0)"), bound=0),
+               eval_bounded(model, parse_core("(all x1 (x1 = 0))"), bound=3),
+               *(check.result for check in check_axioms(model, 2) + check_axioms(model, 2))]
+    assert len({id(result) for result in results}) == len(results)
+    assert [result.truth.value for result in results[:5]] == [
+        "unknown", "unknown", "true", "true", "false"]
+    assert [result.witness for result in results] == [None] * 4 + [{1: 1}] + [None] * 12
 
 
 def test_universals_nested_past_the_recursion_limit_raise_model_error():

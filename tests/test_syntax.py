@@ -738,9 +738,44 @@ def test_constructors_refuse_bad_indices_and_argument_counts(build, message):
     assert str(exc.value) == message
 
 
+def _refused(build):
+    with pytest.raises(TypeError) as exc:
+        build()
+    return str(exc.value)
+
+
+def test_applications_refuse_arguments_that_are_not_terms():
+    # such an atom printed as "(~(x1 = x1) = x1)", which does not parse
+    # back, and made free_vars raise AttributeError
+    negated = Not(eq(X1, X1))
+    assert _refused(lambda: Atom(1, 2, (negated, X1))) == f"not a term: {negated!r}"
+    exists = Exists(1, eq(X1, X1))
+    assert _refused(lambda: Atom(1, 2, (exists, ZERO))) == f"not a term: {exists!r}"
+    assert _refused(lambda: Atom(1, 2, (X1, 3))) == "not a term: 3"
+    assert _refused(lambda: FuncApp(1, 1, (_ATOM,))) == f"not a term: {_ATOM!r}"
+    assert _refused(lambda: FuncApp(1, 2, (X1, "x2"))) == "not a term: 'x2'"
+
+
+def test_connectives_refuse_children_that_are_not_formulas():
+    # Not(Var(1)) and Implies(eq(x1, 0), Var(2)) made free_vars raise IndexError
+    assert _refused(lambda: Not(X1)) == "not a formula: Var(index=1)"
+    assert _refused(lambda: Not(None)) == "not a formula: None"
+    assert _refused(lambda: Implies(eq(X1, ZERO), X2)) == "not a formula: Var(index=2)"
+    for connective in (Implies, And, Or, Iff):
+        assert _refused(lambda: connective(ZERO, _ATOM)) == "not a formula: Const(index=1)"
+        assert _refused(lambda: connective(_ATOM, "A")) == "not a formula: 'A'"
+
+
+def test_quantifiers_refuse_bodies_that_are_not_formulas():
+    for quantifier in (ForAll, Exists):
+        assert _refused(lambda: quantifier(1, X2)) == "not a formula: Var(index=2)"
+        assert _refused(lambda: quantifier(1, succ(X1))) == f"not a formula: {succ(X1)!r}"
+        assert _refused(lambda: quantifier(1, True)) == "not a formula: True"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: syntax._parts(3), "not a syntax node: 3"),
-    (lambda: print_wff(Atom(1, 1, (3,))), "not a syntax node: 3"),
+    (lambda: syntax._pieces(3), "not a syntax node: 3"),
     (lambda: free_vars(X1), "not a formula: Var(index=1)"),
     (lambda: print_term(_ATOM), f"not a term: {_ATOM!r}"),
     (lambda: print_wff(X1), "not a formula: Var(index=1)"),
