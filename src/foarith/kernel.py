@@ -27,7 +27,6 @@ formulas before building proofs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .syntax import (
@@ -47,6 +46,7 @@ from .syntax import (
     substitute,
     succ,
     times,
+    _record,
 )
 
 __all__ = [
@@ -90,7 +90,7 @@ _SCHEME_ORDER = tuple(SchemeId)
 # theories
 
 
-@dataclass(frozen=True)
+@_record
 class Theory:
     """A named calculus: enabled schemes plus an ordered proper-axiom table."""
 
@@ -190,7 +190,7 @@ def extend_theory(base: Theory, name: str, extra: Mapping) -> Theory:
 # scheme recognition
 
 
-@dataclass
+@_record
 class SchemeMatch:
     """A recognized scheme instance with the matched pieces as evidence."""
     scheme: SchemeId
@@ -286,31 +286,31 @@ def recognize_scheme(theory: Theory, w: Wff) -> Optional[SchemeMatch]:
 # proofs
 
 
-@dataclass(frozen=True)
+@_record
 class Scheme:
     scheme: SchemeId
 
 
-@dataclass(frozen=True)
+@_record
 class ProperAxiom:
     name: str
 
 
-@dataclass(frozen=True)
+@_record
 class MP:
     """Modus Ponens: line i holds A, line j holds (A -> this)."""
     i: int
     j: int
 
 
-@dataclass(frozen=True)
+@_record
 class Gen:
     """Generalization of line i over the stated variable."""
     i: int
     var: int
 
 
-@dataclass(frozen=True)
+@_record
 class Unknown:
     """Placeholder (the '?' of the file format); discovery fills these."""
 
@@ -320,13 +320,13 @@ UNKNOWN = Unknown()
 Justification = Union[Scheme, ProperAxiom, MP, Gen, Unknown]
 
 
-@dataclass(frozen=True)
+@_record
 class ProofLine:
     wff: Wff
     justification: Justification
 
 
-@dataclass(frozen=True)
+@_record
 class Proof:
     theory: Theory
     lines: tuple
@@ -341,14 +341,14 @@ class Proof:
         return self.lines[-1].wff
 
 
-@dataclass(frozen=True)
+@_record
 class LineVerdict:
     line: int
     ok: bool
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@_record
 class Verdict:
     accepted: bool
     per_line: tuple
@@ -410,7 +410,7 @@ def check_proof(proof: Proof) -> Verdict:
 # justification discovery
 
 
-@dataclass
+@_record
 class DiscoveryResult:
     proof: Optional[Proof]
     failures: list      # a LineVerdict, not ok, for each line that failed

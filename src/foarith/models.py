@@ -30,8 +30,8 @@ import enum
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import goldbach, kernel
@@ -46,6 +46,7 @@ from .syntax import (
     Wff,
     free_vars,
     is_core,
+    _record,
 )
 
 __all__ = [
@@ -93,7 +94,7 @@ def _to_fraction(u) -> Fraction:
 # coding functions
 
 
-@dataclass(frozen=True)
+@_record
 class CodingFunction:
     """Piecewise-linear coding for an admissible even alpha and u >= 1."""
 
@@ -276,11 +277,17 @@ class ThreeValued(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@_record
 class EvalResult:
-    """Verdict plus, when decisive, the quantifier indices that decided it."""
+    """Verdict plus, when decisive, the quantifier indices that decided it.
+
+    The witness maps variable indices to element indices in a read-only
+    ``MappingProxyType``, so a result cannot change once built.  A
+    mapping has no hash, so hashing a decisive result raises TypeError;
+    an Unknown one, whose witness is None, hashes.
+    """
     truth: ThreeValued
-    witness: Optional[dict] = None
+    witness: Optional[Mapping] = None
 
     def witness_json(self) -> Optional[dict]:
         """The witness as {"x<i>": index} in variable order, or None."""
@@ -620,7 +627,8 @@ def _compiled(w: Wff, overrides: Mapping, cutoff: bool) -> tuple:
 def _run(code, names: dict, bound: int, args: Sequence) -> EvalResult:
     """Run compiled code over the indices 0..bound in the namespace
     ``names``, which is emptied on return, and call ``_root(*args)``; its
-    pair (truth, witness) becomes a new ``EvalResult``."""
+    pair (truth, witness) becomes a new ``EvalResult``, the witness
+    wrapped read-only."""
     if bound < 0:
         raise ModelError("bound must be >= 0")
     names["_D"] = range(bound + 1)
@@ -633,7 +641,7 @@ def _run(code, names: dict, bound: int, args: Sequence) -> EvalResult:
         raise ModelError("formula nested too deeply to evaluate") from None
     finally:
         names.clear()  # the generated functions and memo tables refer to names
-    return EvalResult(_VERDICTS[truth], witness or None)
+    return EvalResult(_VERDICTS[truth], MappingProxyType(witness) if witness else None)
 
 
 def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
@@ -694,7 +702,7 @@ _AXIOM_CODE = {cutoff: tuple(_compiled(wff, {}, cutoff) for _, wff in _N_AXIOMS)
                for cutoff in (False, True)}
 
 
-@dataclass
+@_record
 class AxiomCheck:
     axiom: str
     result: EvalResult
@@ -736,7 +744,7 @@ def check_axioms(model: CodedModel, bound: int, *,
 # limit behavior in u
 
 
-@dataclass(frozen=True)
+@_record
 class LimitRow:
     alpha: int
     u: Fraction

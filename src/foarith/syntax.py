@@ -27,7 +27,6 @@ fully parenthesized and the grammar needs no precedence rules.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, count, islice
 from operator import add, is_
 from types import FunctionType
@@ -61,6 +60,67 @@ class CaptureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# frozen records
+
+
+def _refuse_set(self, name, value):
+    from dataclasses import FrozenInstanceError     # loaded only to refuse
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    A class attribute gives its field a default.  One ``exec`` writes the
+    methods a frozen dataclass has: ``__init__`` sets the fields with
+    ``object.__setattr__`` and calls ``__post_init__`` last, if the class
+    has one; ``__eq__`` compares the tuples of fields of two instances of
+    the same class; ``__hash__`` is the hash of that tuple; ``__repr__``
+    is ``Class(field=value, ...)``.  ``__match_args__`` names the fields,
+    and assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``.  That module, which imports
+    ``inspect``, is loaded only to raise it.
+    """
+    fields = tuple(cls.__annotations__)
+    names = {"_set": object.__setattr__}
+    params = ["self"]
+    for f in fields:
+        if f in cls.__dict__:
+            names[f"_default_{f}"] = cls.__dict__[f]
+            params.append(f"{f}=_default_{f}")
+        else:
+            params.append(f)
+    body = [f"_set(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    own = "".join(f"self.{f}, " for f in fields)
+    other = "".join(f"other.{f}, " for f in fields)
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    exec(f"def __init__({', '.join(params)}):\n"
+         + "".join(f"    {line}\n" for line in body or ["pass"])
+         + "def __eq__(self, other):\n"
+         "    if other.__class__ is self.__class__:\n"
+         f"        return ({own}) == ({other})\n"
+         "    return NotImplemented\n"
+         "def __hash__(self):\n"
+         f"    return hash(({own}))\n"
+         "def __repr__(self):\n"
+         f"    return f\"{{self.__class__.__qualname__}}({shown})\"\n", names)
+    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+        names[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, names[method])
+    cls.__match_args__ = fields
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # abstract syntax
 
 
@@ -69,12 +129,14 @@ class _Node:
 
     Each node computes its hash when it is built, as the hash of the tuple
     of its fields (``_fields`` names them in order), which is the value a
-    frozen dataclass gives.  ``hash`` reads that slot, and ``==`` is True on
-    identity, False when the hashes differ, and otherwise compares on an
-    explicit stack that settles identical or differently hashed subtrees at
-    once.  Neither recurses, so both work at any depth.  Assigning or
-    deleting a field raises :class:`dataclasses.FrozenInstanceError`; the
-    cached hash depends on it.  ``str`` is the canonical text, and a node
+    record (see :func:`_record`) gives.  ``hash`` reads that slot, and
+    ``==`` is True on identity, False when the hashes differ, and otherwise
+    compares on an explicit stack that settles identical or differently
+    hashed subtrees at once.  Neither recurses, so both work at any depth.
+    Assigning or deleting a field raises
+    :class:`dataclasses.FrozenInstanceError` through the refusals the
+    records use, which import ``dataclasses`` only then; the cached hash
+    depends on it.  ``str`` is the canonical text, and a node
     pickles as that text; ``repr`` walks a stack too, and ``copy`` and
     ``deepcopy`` give the node itself, which cannot change.
 
@@ -119,14 +181,11 @@ class _Node:
             return NotImplemented
         return self._hash == other._hash and _same(self, other)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_set
+    __delattr__ = _refuse_delete
 
     def __repr__(self) -> str:
-        """``Class(field=value, ...)``, as a dataclass writes it, built from
+        """``Class(field=value, ...)``, as a record writes it, built from
         one stack of the pieces still to write."""
         out, stack = [], [self]
         while stack:
@@ -553,18 +612,18 @@ def is_free_for(t: Term, x: int, w: SurfaceWff) -> bool:
 # inverse substitution
 
 
-@dataclass(frozen=True)
+@_record
 class Witness:
     """A single term t with A' = A[x := t] at every free occurrence of x."""
     term: Term
 
 
-@dataclass(frozen=True)
+@_record
 class AnyTerm:
     """x is not free in A and A' = A, so any term works."""
 
 
-@dataclass(frozen=True)
+@_record
 class NoMatch:
     """A' is not a substitution instance of A at x."""
 

@@ -668,6 +668,22 @@ def test_only_the_scan_loads_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # modules that site loaded before the import do not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import foarith.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    root = Path(__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # seeded argv fuzzer
 

@@ -411,12 +411,18 @@ def test_nested_biconditionals_evaluate_in_linear_time(quantified):
 # an enclosing quantifier's variable, the case the evaluator memoizes.
 
 
+def _text(r):
+    # the witness as the dict it was when the digests were recorded; it is
+    # now a read-only view of one, whose repr says mappingproxy
+    return f"{r.truth.value} {dict(r.witness) if r.witness else None!r}"
+
+
 def _outcome(model, w, env, bound, cutoff):
     try:
         r = eval_bounded(model, w, env, bound=bound, domain_cutoff=cutoff)
     except ModelError as exc:
         return type(exc).__name__ + str(exc)
-    return f"{r.truth.value} {r.witness!r}"
+    return _text(r)
 
 
 def _digest(cases):
@@ -556,7 +562,7 @@ def test_deep_formula_outcomes(shape):
                 except ModelError as exc:
                     got.append(type(exc).__name__ + str(exc))
                 else:
-                    got.append(f"{r.truth.value} {r.witness!r}")
+                    got.append(_text(r))
 
     thread = threading.Thread(target=run)
     thread.start()
@@ -803,6 +809,14 @@ def test_eval_results_are_fresh_frozen_values():
     assert [result.truth.value for result in results[:5]] == [
         "unknown", "unknown", "true", "true", "false"]
     assert [result.witness for result in results] == [None] * 4 + [{1: 1}] + [None] * 12
+    # a decisive result's witness is read-only, and so it has no hash
+    decisive = results[4]
+    with pytest.raises(TypeError):
+        decisive.witness[1] = 7
+    with pytest.raises(TypeError):
+        hash(decisive)
+    assert decisive.witness == {1: 1} and decisive.witness_json() == {"x1": 1}
+    assert hash(first) == hash((ThreeValued.UNKNOWN, None))
 
 
 def test_universals_nested_past_the_recursion_limit_raise_model_error():
