@@ -7,11 +7,13 @@ the least prime that splits it, and counts the partitions on demand.
 
 Two readouts run over one sieve, ``_odd_flags``, a ``bytearray`` of
 the odd numbers' flags.  ``partitions`` reads off the pairs whose two
-flags are both set.  ``scan`` holds each even as its half and decides
-by a least-prime search over the negated flags; its partition counts
-come from FFT products of the same flags on a mod-6 wheel, checked
-against that verdict whenever they are computed, and its member list
-is built only when ``ScanReport.members`` is first read.  The JSON and
+flags are both set.  ``scan`` marks the admissible evens in one boolean
+mask over their halves and decides by a least-prime search over the
+negated flags; its partition counts come from FFT products of the same
+flags on a mod-6 wheel, checked against that verdict whenever they are
+computed.  The array of the members' halves is built only when an
+output or ``ScanReport.members`` first reads it, so a text scan holds
+one byte per half in each of its masks and no index.  The JSON and
 CSV texts of a scan are written as bytes by numpy, a block of rows at a
 time, with no Python object per member.  ``is_prime`` uses plain trial
 division, and the tests keep it as the oracle of both readouts.
@@ -74,9 +76,10 @@ def _odd_flags(limit: int) -> bytearray:
 
 
 # the largest limit that ``scan`` sieves for.  In a fresh process a text
-# scan peaks at about 3.2 bytes per unit of limit (319 MB at 10**8, so
-# about 640 MB at this limit) and a ``--json`` scan at about 39 (391 MB
-# at 10**7), its text held as bytes and as a str
+# scan peaks at about 1.8 bytes per unit of limit (191 MB at 10**8, 353 MB
+# at this limit), where the negated flags, the mask of the members and
+# its copy in the search take half a byte each, and a ``--json`` scan at
+# about 39 (391 MB at 10**7), its text held as bytes and as a str
 SCAN_LIMIT = 2 * 10**8
 
 
@@ -92,38 +95,25 @@ def _sieve(limit: int) -> np.ndarray:
     return np.frombuffer(_odd_flags(limit), dtype=bool)
 
 
-# the flags that _admissible turns into member indices at once, and the
-# members whose flags _unresolved reads at once
-_INDEX_BLOCK = 1 << 13
-
-
 def _admissible(composite: np.ndarray, limit: int) -> np.ndarray:
-    """The halves m of the admissible evens 2m up to limit, ascending, as int32.
+    """A mask over the halves m = 0 .. limit // 2, set at the halves of
+    the admissible evens 2m.
 
     ``composite`` is the negated odd flags.  From m = 8 on, it holds
     2m - 3 at m - 2 and an odd half m at (m - 1)/2; an even half is
-    composite.  The members are counted first and then written into
-    their array a block of ``_INDEX_BLOCK`` flags at a time, so no index
-    array of the whole range is formed.  Up to ``SCAN_LIMIT`` every half
-    is below 2**31.
+    composite.
     """
     import numpy as np
-    admissible = composite[6:max(limit // 2 - 1, 6)].copy()      # 2m - 3 for m = 8, 9, ...
-    odd_halves = admissible[1::2]                                # m = 9, 11, ...
+    admissible = np.zeros(max(limit // 2, 0) + 1, dtype=bool)
+    admissible[8:] = composite[6:max(limit // 2 - 1, 6)]         # 2m - 3 for m = 8, 9, ...
+    odd_halves = admissible[9::2]                                # m = 9, 11, ...
     odd_halves &= composite[4:4 + odd_halves.size]
-    halves = np.empty(np.count_nonzero(admissible), dtype=np.int32)
-    at = 0
-    for lo in range(0, admissible.size, _INDEX_BLOCK):
-        block = np.flatnonzero(admissible[lo:lo + _INDEX_BLOCK])
-        block += lo + 8
-        halves[at:at + block.size] = block
-        at += block.size
-    return halves
+    return admissible
 
 
 def admissible_evens(limit: int) -> list:
     """Ascending list of admissible evens up to and including limit."""
-    return (2 * _admissible(~_sieve(limit), limit)).tolist()
+    return (2 * _admissible(~_sieve(limit), limit).nonzero()[0]).tolist()
 
 
 # the largest alpha that ``partitions`` sieves for: its odd flags take
@@ -242,43 +232,41 @@ _TAIL_CELLS = 1 << 14
 _PRIME_SPAN = 1 << 12
 
 
-def _unresolved(composite: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _unresolved(composite: np.ndarray, admissible: np.ndarray) -> np.ndarray:
     """The members that are not a sum of two primes, by the least-prime search.
 
-    Members are the halves m of even numbers n = 2m, ascending; the even
-    prime splits no even n >= 6, so ``composite`` is the negated odd
-    flags.  Oliveira e Silva, Herzog & Pardi (Math. Comp. 83 (2014)): go
-    through the odd primes p = 2i + 1 in ascending order and drop every
-    member still open for which n - p, flagged at m - i - 1, is prime.  A
-    member still open once p > m has no partition.  The search ends at
-    the largest least prime.
+    The members are the halves m of even numbers n = 2m that the mask
+    ``admissible`` sets, and the result holds the halves of those left
+    unresolved, ascending; the even prime splits no even n >= 6, so
+    ``composite`` is the negated odd flags.  Oliveira e Silva, Herzog &
+    Pardi (Math. Comp. 83 (2014)): go through the odd primes p = 2i + 1
+    in ascending order and drop every member still open for which
+    n - p, flagged at m - i - 1, is prime.  A member still open once
+    p > m has no partition.  The search ends at the largest least prime.
 
     The primes are read from the flags ``_PRIME_SPAN`` flags at first,
     and from a span twice as long each time they are spent; the least
     primes are small, so most scans read one span.  The first
     ``_DENSE_PRIMES`` odd primes, which resolve most members, act on a
-    mask over every half up to the largest member, one shifted slice
-    each, which is then read at the members.  That also drops an n below
-    2p when n - p is prime, which is right: n was resolved already at the
-    smaller prime n - p.  The members left open then meet the next
-    primes a batch at a time, one gather of (member, prime) cells each:
+    copy of the mask, one shifted slice each, and the members it still
+    sets are read off at once.  That also drops an n below 2p when n - p
+    is prime, which is right: n was resolved already at the smaller
+    prime n - p.  The members left open then meet the next primes a
+    batch at a time, one gather of (member, prime) cells each:
     ``_TAIL_PRIMES`` primes at first, twice as many in each later batch,
     and never more than keep the cells within ``_TAIL_CELLS``.  A prime
     above m does not apply to m, and a member below the batch's last
     prime has tried every prime up to m.
     """
     import numpy as np
-    if members.size == 0:
-        return members
-    h = int(members[-1]) + 1
+    h = admissible.size
     span = min(_PRIME_SPAN, h // 2)
     indices = np.flatnonzero(~composite[:span])       # the odd primes 2i + 1, i < span
-    open_ = np.ones(h, dtype=bool)
+    open_ = admissible.copy()
     for i in indices[:_DENSE_PRIMES].tolist():
         open_[i + 1:] &= composite[:h - i - 1]
-    # read at the members a block at a time: take copies int32 indices to intp
-    blocks = (members[lo:lo + _INDEX_BLOCK] for lo in range(0, members.size, _INDEX_BLOCK))
-    left = np.concatenate([block[open_.take(block)] for block in blocks])
+    left = np.flatnonzero(open_)
+    del open_                           # the tail reads only the members left open
     failed, rest, width = [], indices[_DENSE_PRIMES:], _TAIL_PRIMES
     while left.size:
         if not rest.size:
@@ -304,25 +292,34 @@ class ScanReport:
 
     ``verified`` and ``first_failure`` come from the least-prime search,
     and ``member_count`` counts the admissible evens it went through.
-    The arrays hold the halves of the evens, doubled only where an even
-    is shown; the list ``members`` is built on its first read.  The first
-    read of ``partition_counts``, ``to_json_dict``, ``to_json`` or
-    ``to_csv`` runs the FFT route and checks that its zero counts fall on
-    exactly the members the search left unresolved, raising ValueError
-    otherwise.  ``to_json`` and ``to_csv`` write their rows from the
-    arrays with ``_rows``; ``to_json_dict`` and ``partition_counts`` build
-    Python objects.
+    The report keeps the mask of the members' halves; the array of
+    those halves, doubled only where an even is shown, and the list
+    ``members`` are built on their first read, so a text scan builds
+    neither.  The first read of ``partition_counts``, ``to_json_dict``,
+    ``to_json`` or ``to_csv`` runs the FFT route and checks that its
+    zero counts fall on exactly the members the search left unresolved,
+    raising ValueError otherwise.  ``to_json`` and ``to_csv`` write
+    their rows from the arrays with ``_rows``; ``to_json_dict`` and
+    ``partition_counts`` build Python objects.
     """
 
-    def __init__(self, limit: int, composite: np.ndarray, members: np.ndarray,
+    def __init__(self, limit: int, composite: np.ndarray, admissible: np.ndarray,
                  unresolved: np.ndarray):
+        import numpy as np
         self.limit = limit
-        self.member_count = members.size
+        self.member_count = int(np.count_nonzero(admissible))
         self.first_failure: Optional[int] = 2 * int(unresolved[0]) if unresolved.size else None
         self.verified = self.first_failure is None
         self._composite = composite
-        self._members = members
+        self._admissible = admissible
         self._unresolved = unresolved
+
+    @cached_property
+    def _members(self) -> np.ndarray:
+        """The members' halves, ascending, as int32: up to ``SCAN_LIMIT``
+        every half is below 2**31."""
+        import numpy as np
+        return np.flatnonzero(self._admissible).astype(np.int32)
 
     @cached_property
     def members(self) -> list:
@@ -333,12 +330,10 @@ class ScanReport:
     def _counts(self) -> np.ndarray:
         """Unordered prime-pair counts of the members, in member order."""
         import numpy as np
-        members = self._members
-        if members.size == 0:
-            return members
+        admissible = self._admissible
         # the sum 2m is counted at m - 1; no p = q term, a member's half is composite
-        counts = _pair_counts(~self._composite).take(members - 1) // 2
-        zero = members[counts == 0]
+        counts = _pair_counts(~self._composite)[:admissible.size - 1][admissible[1:]] // 2
+        zero = self._members[counts == 0]
         if not np.array_equal(zero, self._unresolved):
             alpha = 2 * int(np.setxor1d(zero, self._unresolved)[0])
             raise ValueError(f"FFT partition counts and the least-prime search "
@@ -486,5 +481,5 @@ def scan(limit: int) -> ScanReport:
     """Verify Goldbach on every admissible even up to limit, which may be
     at most ``SCAN_LIMIT``."""
     composite = ~_sieve(limit)          # the flags themselves are dropped here
-    members = _admissible(composite, limit)
-    return ScanReport(limit, composite, members, _unresolved(composite, members))
+    admissible = _admissible(composite, limit)
+    return ScanReport(limit, composite, admissible, _unresolved(composite, admissible))

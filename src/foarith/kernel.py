@@ -27,6 +27,7 @@ formulas before building proofs.
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
 from .syntax import (
@@ -192,9 +193,13 @@ def extend_theory(base: Theory, name: str, extra: Mapping) -> Theory:
 
 @_record
 class SchemeMatch:
-    """A recognized scheme instance with the matched pieces as evidence."""
+    """A recognized scheme instance with the matched pieces as evidence,
+    in a read-only ``MappingProxyType`` of a copy of the given mapping."""
     scheme: SchemeId
-    parts: dict
+    parts: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
 
 
 # Each scheme as a shape over the core connectives.  A string is a
@@ -413,7 +418,10 @@ def check_proof(proof: Proof) -> Verdict:
 @_record
 class DiscoveryResult:
     proof: Optional[Proof]
-    failures: list      # a LineVerdict, not ok, for each line that failed
+    failures: tuple     # a LineVerdict, not ok, for each line that failed
+
+    def __post_init__(self):
+        object.__setattr__(self, "failures", tuple(self.failures))
 
     @property
     def ok(self) -> bool:
@@ -484,4 +492,4 @@ def resolve_unknowns(proof: Proof) -> DiscoveryResult:
             majors.setdefault(wff.consequent, []).append((number, wff.antecedent))
     if failures:
         return DiscoveryResult(None, failures)
-    return DiscoveryResult(Proof(proof.theory, tuple(lines)), [])
+    return DiscoveryResult(Proof(proof.theory, tuple(lines)), ())

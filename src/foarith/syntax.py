@@ -723,9 +723,19 @@ def _token_start(text: str, k: int, j: int = 0) -> int:
     return m.start() + (members[j] if j else 0)
 
 
+# the longest token that an error message quotes whole
+_SHOWN_LIMIT = 64
+
+
 def _shown(text: str) -> str:
-    """A token as an error message names it: a run by its member."""
-    return text[0] if text[-1] == "(" or text[0] == ")" else text
+    """A token quoted as an error message names it: a run by its member,
+    and a token longer than ``_SHOWN_LIMIT`` by its first characters and
+    its length, so that one message stays short."""
+    if text[-1] == "(" or text[0] == ")":
+        return repr(text[0])
+    if len(text) > _SHOWN_LIMIT:
+        return f"{text[:_SHOWN_LIMIT]!r}... ({len(text)} characters)"
+    return repr(text)
 
 
 def _starts_term(text: str) -> bool:
@@ -867,7 +877,7 @@ class _Parser:
                     node = resume(self, node, a, b, key)
                 text = self.tokens[self.i]
                 if text:
-                    raise _Fail(f"unexpected trailing input {_shown(text)!r}", self.i, self.j)
+                    raise _Fail(f"unexpected trailing input {_shown(text)}", self.i, self.j)
                 return node
             except _Fail:
                 # Only a bare equality at a '(' is attempted, and it reads
@@ -889,7 +899,7 @@ class _Parser:
         found = self.tokens[i]
         if not found:
             return _Fail("unexpected end of input", i, 0)
-        return _Fail(f"expected {wanted}, found {_shown(found)!r}", i, self.j)
+        return _Fail(f"expected {wanted}, found {_shown(found)}", i, self.j)
 
     def expect(self, text: str) -> None:
         """Read ``text``, a token that is no ')'."""
@@ -951,10 +961,11 @@ class _Parser:
                 self.i = i + 1
                 return node
             if _INT_RE.match(text) is not None:
-                raise _Fail(f"bare numeral {text!r} is not a term; only '0' abbreviates a1", i, 0)
+                raise _Fail(f"bare numeral {_shown(text)} is not a term; only '0' abbreviates a1",
+                            i, 0)
             if not text:
                 raise _Fail("expected a term", i, 0)
-            raise _Fail(f"expected a term, found {_shown(text)!r}", i, self.j)
+            raise _Fail(f"expected a term, found {_shown(text)}", i, self.j)
 
     def _successors(self, t: Term, depth: int, _, __) -> Term:
         """``S^depth(t)``, whose closing ')' are counted off the run that
@@ -1080,7 +1091,7 @@ class _Parser:
             elif not text:
                 raise _Fail("expected a formula", i, 0)
             else:
-                raise _Fail(f"expected a formula, found {_shown(text)!r}", i, self.j)
+                raise _Fail(f"expected a formula, found {_shown(text)}", i, self.j)
 
     def _negations(self, w: SurfaceWff, count: int, _, __) -> SurfaceWff:
         for _ in range(count):
@@ -1382,9 +1393,7 @@ def _pieces(w) -> tuple:
         return pieces
     if t.__base__ is _Connective:
         return (w._a, "~") if w._b is None else (")", w._b, w._op, w._a, "(")
-    if t.__base__ is _Quantifier:
-        return ")", w.body, f"{w._op}{w.var} "
-    raise TypeError(f"not a syntax node: {w!r}")
+    return ")", w.body, f"{w._op}{w.var} "         # a quantifier
 
 
 def _print(w, resugar: bool = False, texts: Optional[dict] = None) -> str:

@@ -315,8 +315,9 @@ def scan_fails_at_18_and_48(monkeypatch):
         conv[[8, 23]] = 0               # the sums 2s + 2
         return conv
 
-    def unresolved_with_18_and_48(composite, members):
-        return np.union1d(unresolved(composite, members), members[np.isin(members, (9, 24))])
+    def unresolved_with_18_and_48(composite, admissible):
+        return np.union1d(unresolved(composite, admissible),
+                          np.intersect1d(np.flatnonzero(admissible), (9, 24)))
 
     monkeypatch.setattr(goldbach, "_pair_counts", without_18_and_48)
     monkeypatch.setattr(goldbach, "_unresolved", unresolved_with_18_and_48)

@@ -104,7 +104,7 @@ def test_records_behave_as_frozen_dataclasses():
         (Theory, ("T", None, frozenset(), ()),
          "Theory(name='T', parent=None, schemes=frozenset(), own_axioms=())"),
         (SchemeMatch, (SchemeId.K1, {"A": w}),
-         f"SchemeMatch(scheme=<SchemeId.K1: 'K1'>, parts={{'A': {w!r}}})"),
+         f"SchemeMatch(scheme=<SchemeId.K1: 'K1'>, parts=mappingproxy({{'A': {w!r}}}))"),
         (Scheme, (SchemeId.K4,), "Scheme(scheme=<SchemeId.K4: 'K4'>)"),
         (ProperAxiom, ("N1",), "ProperAxiom(name='N1')"),
         (MP, (1, 2), "MP(i=1, j=2)"),
@@ -116,8 +116,8 @@ def test_records_behave_as_frozen_dataclasses():
         (LineVerdict, (1, True, None), "LineVerdict(line=1, ok=True, reason=None)"),
         (Verdict, (False, (LineVerdict(3, False, "no"),)),
          "Verdict(accepted=False, per_line=(LineVerdict(line=3, ok=False, reason='no'),))"),
-        (DiscoveryResult, (None, [LineVerdict(3, False, "no")]),
-         "DiscoveryResult(proof=None, failures=[LineVerdict(line=3, ok=False, reason='no')])"),
+        (DiscoveryResult, (None, (LineVerdict(3, False, "no"),)),
+         "DiscoveryResult(proof=None, failures=(LineVerdict(line=3, ok=False, reason='no'),))"),
         (CodingFunction, (18, half), "CodingFunction(alpha=18, u=Fraction(3, 2))"),
         (EvalResult, (ThreeValued.FALSE, {1: 3}),
          "EvalResult(truth=<ThreeValued.FALSE: 'false'>, witness={1: 3})"),

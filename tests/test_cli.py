@@ -64,6 +64,27 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, letter, message", [
+    ("(x1 = {})", "y", "expected a term, found {} (at position 6)"),
+    ("(x1 = 0) {}", "y", "unexpected trailing input {} (at position 9)"),
+    ("(x1 = {})", "7", "bare numeral {} is not a term; only '0' abbreviates a1 (at position 6)"),
+    ("{}(0) = 0", "S", "expected a formula, found {} (at position 0)"),
+], ids=["term", "trailing", "numeral", "formula"])
+def test_parse_error_quotes_a_long_token_by_its_prefix(capsys, text, letter, message):
+    # a token past 64 characters is quoted by its first 64 and its length
+    code, out, err = invoke(capsys, "parse", text.format(letter * 100_000))
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(repr(letter * 64) + '... (100000 characters)')}\n"
+    assert len(err.encode()) < 1024
+
+
+def test_parse_error_quotes_a_token_of_64_characters_whole(capsys):
+    token = "y" * 64
+    code, out, err = invoke(capsys, "parse", f"(x1 = {token})")
+    assert code == 2
+    assert err == f"error: expected a term, found '{token}' (at position 6)\n"
+
+
 def test_parse_deep_numeral_equation(capsys):
     depth = 3000
     numeral = "S(" * depth + "0" + ")" * depth
@@ -334,7 +355,8 @@ def test_goldbach_scan_failure_exits_1(capsys, scan_fails_at_18_and_48):
 
 
 def test_goldbach_scan_least_prime_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(goldbach, "_unresolved", lambda composite, members: members[2:3])
+    monkeypatch.setattr(goldbach, "_unresolved",
+                        lambda composite, admissible: np.flatnonzero(admissible)[2:3])
     code, out, err = invoke(capsys, "goldbach", "scan", "--limit", "100")
     assert code == 1 and err == ""
     assert out == "limit=100 members=20 verified=NO first_failure=28\n"
@@ -342,7 +364,8 @@ def test_goldbach_scan_least_prime_failure_exits_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["--json", "goldbach", "scan"], ["goldbach", "scan", "--csv"]])
 def test_goldbach_scan_counts_disagreeing_with_least_prime_exit_2(capsys, monkeypatch, argv):
-    monkeypatch.setattr(goldbach, "_unresolved", lambda composite, members: members[2:3])
+    monkeypatch.setattr(goldbach, "_unresolved",
+                        lambda composite, admissible: np.flatnonzero(admissible)[2:3])
     code, out, err = invoke(capsys, *argv, "--limit", "100")
     assert code == 2 and out == ""
     assert err == ("error: FFT partition counts and the least-prime search "

@@ -167,12 +167,20 @@ def test_scan_counts_match_partition_oracle():
         assert report.partition_counts[alpha] == len(reference_partitions(alpha)), alpha
 
 
+def test_admissible_mask_covers_every_half_up_to_the_limit():
+    # one flag for each half m = 0 .. limit // 2, set where 2m is admissible
+    for limit in [*range(-2, 70), 999, 1000, 1001]:
+        mask = _admissible(~_sieve(limit), limit)
+        assert mask.dtype == bool
+        assert mask.tolist() == [is_admissible(2 * m) for m in range(max(limit // 2, 0) + 1)], limit
+
+
 def test_least_prime_fft_and_trial_division_agree_to_2000():
     flags = _sieve(2000)
-    members = _admissible(~flags, 2000)
-    unresolved = set(_unresolved(~flags, members).tolist())
+    admissible = _admissible(~flags, 2000)
+    unresolved = set(_unresolved(~flags, admissible).tolist())
     counts = scan(2000).partition_counts
-    for m in members.tolist():
+    for m in np.flatnonzero(admissible).tolist():
         has_pair = bool(reference_partitions(2 * m))
         assert (m not in unresolved) == has_pair, 2 * m
         assert (counts[2 * m] > 0) == has_pair, 2 * m
@@ -184,8 +192,8 @@ def test_least_prime_search_on_numbers_with_and_without_pairs():
     # negative n - p would wrap to a high index, often prime.
     for limit in (2000, 2001):
         flags = _sieve(limit)
-        halves = np.arange(1, limit // 2 + 1)
-        expected = [m for m in halves.tolist()
+        halves = np.arange(limit // 2 + 1) >= 1
+        expected = [m for m in np.flatnonzero(halves).tolist()
                     if not any(is_prime(p) and is_prime(2 * m - p) for p in range(3, m + 1, 2))]
         assert expected == [1, 2]
         assert _unresolved(~flags, halves).tolist() == expected, limit
@@ -225,9 +233,10 @@ def test_least_prime_search_matches_one_prime_at_a_time():
     for keep in (1.0, 0.6, 0.3, 0.15):
         flags = full & (rng.random(full.size) < keep)
         boundary = (2 * np.flatnonzero(flags)[goldbach._DENSE_PRIMES - 1:][:2] + 1).tolist()
-        for members in (np.arange(0, 1501), _admissible(~full, 3000)):
+        for admissible in (np.ones(1501, dtype=bool), _admissible(~full, 3000)):
+            members = np.flatnonzero(admissible)
             expected = reference_unresolved(flags, members)
-            assert _unresolved(~flags, members).tolist() == expected, (keep, members.size)
+            assert _unresolved(~flags, admissible).tolist() == expected, (keep, members.size)
             ranks |= least_prime_ranks(flags, members)
             failures += [(2 * boundary[0] - 2 * m, 2 * boundary[1] - 2 * m) for m in expected]
     dense = goldbach._DENSE_PRIMES
@@ -249,21 +258,22 @@ def test_least_prime_search_in_short_spans_and_small_batches(monkeypatch, span, 
     full = _sieve(3000)
     for keep in (1.0, 0.3):
         flags = full & (rng.random(full.size) < keep)
-        for members in (np.arange(0, 1501), _admissible(~full, 3000), np.arange(0, 9)):
-            expected = reference_unresolved(flags, members)
-            assert _unresolved(~flags, members).tolist() == expected, (keep, members.size)
+        for admissible in (np.ones(1501, dtype=bool), _admissible(~full, 3000),
+                           np.ones(9, dtype=bool)):
+            expected = reference_unresolved(flags, np.flatnonzero(admissible))
+            assert _unresolved(~flags, admissible).tolist() == expected, (keep, admissible.size)
 
 
 def test_least_prime_search_on_small_and_no_members():
     # members below 2p for the first primes, and flags with fewer primes
     # than the dense phase takes
     for limit in (0, 1, 2, 3, 4, 5, 6, 9, 30, 50):
-        small, full = np.arange(0, limit // 2 + 1), _sieve(limit)
+        small, full = np.ones(limit // 2 + 1, dtype=bool), _sieve(limit)
         for flags in (full, full & (np.arange(full.size) != 1)):      # without 3
             assert (_unresolved(~flags, small).tolist()
-                    == reference_unresolved(flags, small)), limit
-    empty = np.array([], dtype=np.int64)
-    assert _unresolved(~flags, empty).size == 0
+                    == reference_unresolved(flags, np.flatnonzero(small))), limit
+    for empty in (np.zeros(0, dtype=bool), np.zeros(26, dtype=bool)):
+        assert _unresolved(~flags, empty).size == 0
 
 
 def full_length_pair_counts(flags):
@@ -335,7 +345,8 @@ def test_pair_counts_refuse_a_multiple_of_3_flagged_prime():
 
 
 def test_scan_counts_disagreeing_with_least_prime_search_raise(monkeypatch):
-    monkeypatch.setattr(goldbach, "_unresolved", lambda composite, members: members[-1:])
+    monkeypatch.setattr(goldbach, "_unresolved",
+                        lambda composite, admissible: np.flatnonzero(admissible)[-1:])
     report = scan(2000)
     assert not report.verified and report.first_failure == 1998
     with pytest.raises(ValueError, match="least-prime search disagree at alpha=1998"):
@@ -473,23 +484,25 @@ def test_writers_match_json_dumps_and_percent_format_in_small_blocks(monkeypatch
 def test_least_prime_search_keeps_no_dead_arrays():
     # Each round used to append a view of its array of open members, even
     # an empty one, which kept every round's array alive to the end: the
-    # peak was about seven times the member array at this size.
+    # peak was about seven times the member array at this size.  The mask
+    # holds one byte per half; the dense phase copies it once and drops
+    # the copy before the tail reads the few members left open.
     composite = ~_sieve(1_000_000)
-    members = _admissible(composite, 1_000_000)
+    admissible = _admissible(composite, 1_000_000)
     tracemalloc.start()
     try:
-        unresolved = _unresolved(composite, members)
+        unresolved = _unresolved(composite, admissible)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert unresolved.size == 0
-    assert peak < 4 * members.nbytes, (peak, members.nbytes)
+    assert peak < 1.5 * admissible.nbytes, (peak, admissible.nbytes)
 
 
 def test_scan_builds_member_list_on_first_read():
     report = scan(10**5)
     assert report.verified
-    assert "members" not in vars(report)
+    assert "members" not in vars(report) and "_members" not in vars(report)
     assert report.member_count == len(admissible_evens(10**5))
     assert report.members == admissible_evens(10**5)
     assert report.members is report.members
@@ -498,8 +511,11 @@ def test_scan_builds_member_list_on_first_read():
 def test_text_scan_keeps_no_member_list():
     # A text scan reads the count and the verdict only.  The member list
     # built in the report's constructor used to put the peak at about six
-    # times the member array at this size.
-    members = _admissible(~_sieve(10**6), 10**6)
+    # times the int32 member array at this size, and that array itself
+    # about three times the mask.  The flags, their negation, the mask and
+    # the search's copy of it take one byte per half each, and never all
+    # four at once.
+    admissible = _admissible(~_sieve(10**6), 10**6)
     tracemalloc.start()
     try:
         report = scan(10**6)
@@ -507,5 +523,6 @@ def test_text_scan_keeps_no_member_list():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert line == (members.size, True, None)
-    assert peak < 3 * members.nbytes, (peak, members.nbytes)
+    assert line == (np.count_nonzero(admissible), True, None)
+    assert "_members" not in vars(report)           # no member index array was built
+    assert peak < 4 * admissible.nbytes, (peak, admissible.nbytes)

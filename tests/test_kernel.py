@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_core_wff, random_proof_corpus, random_scheme_instance, random_term
 from foarith.kernel import (
+    DiscoveryResult,
     Gen,
     LineVerdict,
     MP,
@@ -18,6 +19,7 @@ from foarith.kernel import (
     ProperAxiom,
     Scheme,
     SchemeId,
+    SchemeMatch,
     TheoryError,
     UNKNOWN,
     build_theory_K,
@@ -139,6 +141,19 @@ def test_recognize_n7_example():
     m = recognize_scheme(N, parse_core(text))
     assert m.scheme is SchemeId.N7
     assert m.parts["A"] == eq(Var(1), Var(1))
+
+
+def test_scheme_match_parts_are_read_only():
+    parts = {"A": eq(ZERO, ZERO)}
+    m = SchemeMatch(SchemeId.K1, parts)
+    parts["B"] = eq(ZERO, ZERO)                   # the match keeps a copy
+    assert dict(m.parts) == {"A": eq(ZERO, ZERO)}
+    m = recognize_scheme(N, parse_core("((0=0) -> ((S(0)=0) -> (0=0)))"))
+    with pytest.raises(TypeError):
+        m.parts["A"] = eq(succ(ZERO), ZERO)
+    with pytest.raises(TypeError):
+        del m.parts["B"]
+    assert m.parts == {"A": eq(ZERO, ZERO), "B": eq(succ(ZERO), ZERO)}
 
 
 def test_recognize_atom_is_no_scheme():
@@ -446,7 +461,21 @@ def test_discover_gen_and_mp():
 def test_discover_reports_non_core_line():
     result = discover(N, [And(eq(ZERO, ZERO), eq(ZERO, ZERO))])
     assert not result.ok
-    assert result.failures == [LineVerdict(1, False, "not a core wff")]
+    assert result.failures == (LineVerdict(1, False, "not a core wff"),)
+
+
+def test_discovery_results_are_whole_values():
+    failed = discover(N, [N.axiom("N1"), eq(succ(ZERO), ZERO)])
+    assert failed.failures == (LineVerdict(2, False, "not an axiom; no MP or Gen derivation "
+                                                     "from earlier lines"),)
+    with pytest.raises(AttributeError):
+        failed.failures.append(LineVerdict(1, False, "no"))
+    assert DiscoveryResult(None, [LineVerdict(1, False, "no")]).failures == (
+        LineVerdict(1, False, "no"),)
+    found = discover(N, [N.axiom("N1")])
+    assert found.ok and found.failures == ()
+    assert hash(found) == hash(discover(N, [N.axiom("N1")]))
+    assert hash(failed) == hash((None, failed.failures))
 
 
 def test_resolve_unknowns_reports_non_core_line():
@@ -458,7 +487,7 @@ def test_resolve_unknowns_reports_non_core_line():
              ProofLine(w, UNKNOWN))
     result = resolve_unknowns(Proof(K, lines))
     assert not result.ok
-    assert result.failures == [LineVerdict(3, False, "not a core wff")]
+    assert result.failures == (LineVerdict(3, False, "not a core wff"),)
 
 
 def test_proof_needs_a_line_and_concludes_with_its_last():

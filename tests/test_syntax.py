@@ -775,7 +775,6 @@ def test_quantifiers_refuse_bodies_that_are_not_formulas():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: syntax._parts(3), "not a syntax node: 3"),
-    (lambda: syntax._pieces(3), "not a syntax node: 3"),
     (lambda: free_vars(X1), "not a formula: Var(index=1)"),
     (lambda: print_term(_ATOM), f"not a term: {_ATOM!r}"),
     (lambda: print_wff(X1), "not a formula: Var(index=1)"),
