@@ -21,7 +21,6 @@ from .arith import goldbach_sentence
 from .goldbach import partitions, scan
 from .kernel import check_proof, resolve_unknowns
 from .models import (
-    DIGITS_LIMIT,
     ThreeValued,
     check_axioms,
     coded_model,
@@ -30,7 +29,7 @@ from .models import (
     limit_table_csv,
 )
 from .proofio import format_justification, format_proof, parse_proof_file
-from .syntax import lower, parse_wff, print_wff
+from .syntax import DIGITS_LIMIT, lower, parse_wff, print_wff
 
 __all__ = ["build_parser", "run", "main"]
 

@@ -11,12 +11,13 @@ flags are both set.  ``scan`` marks the admissible evens in one boolean
 mask over their halves and decides by a least-prime search over the
 negated flags; its partition counts come from FFT products of the same
 flags on a mod-6 wheel, checked against that verdict whenever they are
-computed.  The array of the members' halves is built only when an
-output or ``ScanReport.members`` first reads it, so a text scan holds
-one byte per half in each of its masks and no index.  The JSON and
-CSV texts of a scan are written as bytes by numpy, a block of rows at a
-time, with no Python object per member.  ``is_prime`` uses plain trial
-division, and the tests keep it as the oracle of both readouts.
+computed.  The flags are negated in place and the search clears the
+mask in place; the array of the members' halves is built only when an
+output or ``ScanReport.members`` first reads it.  So a text scan holds
+the flags and one mask, a byte per half each, and no index.  The JSON
+and CSV texts of a scan are written as bytes by numpy, a block of rows
+at a time, with no Python object per member.  ``is_prime`` uses plain
+trial division, and the tests keep it as the oracle of both readouts.
 
 ``is_prime`` and ``partitions`` need no numpy, so numpy is imported
 inside the array functions: only a process that scans or enumerates by
@@ -76,10 +77,10 @@ def _odd_flags(limit: int) -> bytearray:
 
 
 # the largest limit that ``scan`` sieves for.  In a fresh process a text
-# scan peaks at about 1.8 bytes per unit of limit (191 MB at 10**8, 353 MB
-# at this limit), where the negated flags, the mask of the members and
-# its copy in the search take half a byte each, and a ``--json`` scan at
-# about 39 (391 MB at 10**7), its text held as bytes and as a str
+# scan peaks at about 1.5 bytes per unit of limit (155 MB at 10**8, 291 MB
+# at this limit), where the flags, negated in place, and the mask of the
+# members take half a byte each, and a ``--json`` scan at about 39
+# (391 MB at 10**7), its text held as bytes and as a str
 SCAN_LIMIT = 2 * 10**8
 
 
@@ -227,8 +228,8 @@ _DENSE_PRIMES = 32
 _TAIL_PRIMES = 16
 _TAIL_CELLS = 1 << 14
 
-# the flags that _unresolved reads its first primes from, doubled each
-# time the primes read so far are spent
+# the flags that _unresolved reads its first primes from; the rest are
+# read at once when these are spent
 _PRIME_SPAN = 1 << 12
 
 
@@ -244,37 +245,33 @@ def _unresolved(composite: np.ndarray, admissible: np.ndarray) -> np.ndarray:
     n - p, flagged at m - i - 1, is prime.  A member still open once
     p > m has no partition.  The search ends at the largest least prime.
 
-    The primes are read from the flags ``_PRIME_SPAN`` flags at first,
-    and from a span twice as long each time they are spent; the least
-    primes are small, so most scans read one span.  The first
-    ``_DENSE_PRIMES`` odd primes, which resolve most members, act on a
-    copy of the mask, one shifted slice each, and the members it still
-    sets are read off at once.  That also drops an n below 2p when n - p
-    is prime, which is right: n was resolved already at the smaller
-    prime n - p.  The members left open then meet the next primes a
-    batch at a time, one gather of (member, prime) cells each:
-    ``_TAIL_PRIMES`` primes at first, twice as many in each later batch,
-    and never more than keep the cells within ``_TAIL_CELLS``.  A prime
-    above m does not apply to m, and a member below the batch's last
-    prime has tried every prime up to m.
+    The primes are read from the first ``_PRIME_SPAN`` flags, and from
+    the rest of the flags up to n/2 in one more read once those are
+    spent; the least primes are small, so most scans read one span.  The
+    first ``_DENSE_PRIMES`` odd primes, which resolve most members, clear
+    the mask in place, one shifted slice each, and the members it still
+    sets are read off at once; the caller's mask is spent.  That also
+    drops an n below 2p when n - p is prime, which is right: n was
+    resolved already at the smaller prime n - p.  The members left open
+    then meet the next primes a batch at a time, one gather of
+    (member, prime) cells each: ``_TAIL_PRIMES`` primes at first, twice
+    as many in each later batch, and never more than keep the cells
+    within ``_TAIL_CELLS``.  A prime above m does not apply to m, and a
+    member below the batch's last prime has tried every prime up to m.
     """
     import numpy as np
     h = admissible.size
     span = min(_PRIME_SPAN, h // 2)
     indices = np.flatnonzero(~composite[:span])       # the odd primes 2i + 1, i < span
-    open_ = admissible.copy()
     for i in indices[:_DENSE_PRIMES].tolist():
-        open_[i + 1:] &= composite[:h - i - 1]
-    left = np.flatnonzero(open_)
-    del open_                           # the tail reads only the members left open
+        admissible[i + 1:] &= composite[:h - i - 1]
+    left = np.flatnonzero(admissible)
     failed, rest, width = [], indices[_DENSE_PRIMES:], _TAIL_PRIMES
     while left.size:
         if not rest.size:
             if span == h // 2:              # every odd prime 2i + 1 <= n/2 is spent
                 break
-            top = min(2 * span, h // 2)
-            rest = np.flatnonzero(~composite[span:top]) + span
-            span = top
+            rest, span = np.flatnonzero(~composite[span:h // 2]) + span, h // 2
             continue
         k = max(min(width, _TAIL_CELLS // left.size), 1)
         batch, rest, width = rest[:k], rest[k:], 2 * width
@@ -292,26 +289,25 @@ class ScanReport:
 
     ``verified`` and ``first_failure`` come from the least-prime search,
     and ``member_count`` counts the admissible evens it went through.
-    The report keeps the mask of the members' halves; the array of
-    those halves, doubled only where an even is shown, and the list
-    ``members`` are built on their first read, so a text scan builds
-    neither.  The first read of ``partition_counts``, ``to_json_dict``,
-    ``to_json`` or ``to_csv`` runs the FFT route and checks that its
-    zero counts fall on exactly the members the search left unresolved,
-    raising ValueError otherwise.  ``to_json`` and ``to_csv`` write
-    their rows from the arrays with ``_rows``; ``to_json_dict`` and
-    ``partition_counts`` build Python objects.
+    The report keeps only the negated flags: the mask of the members'
+    halves is rebuilt from them, and the array of those halves, doubled
+    only where an even is shown, and the list ``members`` are built, on
+    their first read, so a text scan builds none of the three.  The first
+    read of ``partition_counts``, ``to_json_dict``, ``to_json`` or
+    ``to_csv`` runs the FFT route and checks that its zero counts fall on
+    exactly the members the search left unresolved, raising ValueError
+    otherwise.  ``to_json`` and ``to_csv`` write their rows from the
+    arrays with ``_rows``; ``to_json_dict`` and ``partition_counts``
+    build Python objects.
     """
 
-    def __init__(self, limit: int, composite: np.ndarray, admissible: np.ndarray,
+    def __init__(self, limit: int, composite: np.ndarray, member_count: int,
                  unresolved: np.ndarray):
-        import numpy as np
         self.limit = limit
-        self.member_count = int(np.count_nonzero(admissible))
+        self.member_count = member_count
         self.first_failure: Optional[int] = 2 * int(unresolved[0]) if unresolved.size else None
         self.verified = self.first_failure is None
         self._composite = composite
-        self._admissible = admissible
         self._unresolved = unresolved
 
     @cached_property
@@ -319,7 +315,7 @@ class ScanReport:
         """The members' halves, ascending, as int32: up to ``SCAN_LIMIT``
         every half is below 2**31."""
         import numpy as np
-        return np.flatnonzero(self._admissible).astype(np.int32)
+        return np.flatnonzero(_admissible(self._composite, self.limit)).astype(np.int32)
 
     @cached_property
     def members(self) -> list:
@@ -330,7 +326,7 @@ class ScanReport:
     def _counts(self) -> np.ndarray:
         """Unordered prime-pair counts of the members, in member order."""
         import numpy as np
-        admissible = self._admissible
+        admissible = _admissible(self._composite, self.limit)
         # the sum 2m is counted at m - 1; no p = q term, a member's half is composite
         counts = _pair_counts(~self._composite)[:admissible.size - 1][admissible[1:]] // 2
         zero = self._members[counts == 0]
@@ -480,6 +476,9 @@ def _rows(text: bytearray, halves: np.ndarray, counts: np.ndarray, between: str,
 def scan(limit: int) -> ScanReport:
     """Verify Goldbach on every admissible even up to limit, which may be
     at most ``SCAN_LIMIT``."""
-    composite = ~_sieve(limit)          # the flags themselves are dropped here
-    admissible = _admissible(composite, limit)
-    return ScanReport(limit, composite, admissible, _unresolved(composite, admissible))
+    composite = _sieve(limit)
+    composite ^= True                   # negated where they lie
+    import numpy as np
+    admissible = _admissible(composite, limit)      # counted before the search clears it
+    return ScanReport(limit, composite, int(np.count_nonzero(admissible)),
+                      _unresolved(composite, admissible))

@@ -36,6 +36,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import goldbach, kernel
 from .syntax import (
+    DIGITS_LIMIT,
     Atom,
     Const,
     ForAll,
@@ -62,10 +63,6 @@ class ModelError(ValueError):
     """Bad model construction or evaluation request."""
 
 
-# the most digits of a slope or an assigned value: both are printed in
-# reports and errors, and Python converts an int of at most this many
-# digits to and from text by default
-DIGITS_LIMIT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")     # the exponent ending a decimal
 
 
@@ -467,9 +464,8 @@ class _Compiler:
         if isinstance(b, _Expr):
             return self._expr("(not {})", b)
         t = f"t{next(self.fresh)}"
-        negated = (f"not {b.t}" if self.exhausted == "True"
-                   else f"None if {b.t} is None else not {b.t}")
-        return _Block(b.lines + [f"{t} = {negated}"], t, b.w, b.depth, b.names)
+        return _Block(b.lines + [f"{t} = None if {b.t} is None else not {b.t}"], t, b.w,
+                      b.depth, b.names)
 
     def _sides(self, a, b, t: str) -> tuple:
         """Both pieces as blocks: an expression antecedent is held in ``t``

@@ -68,10 +68,10 @@ def builtin_theories() -> dict:
 
 _AXIOM_RE = re.compile(r"axiom\s+([^\s:]+)\s*:\s*(.+)\Z")
 _THEORY_RE = re.compile(r"theory\s*:\s*(\S+)\Z")
-_NUMBERED_RE = re.compile(r"(\d+)\.\s*(.+?)\s*;\s*(\S.*?)\s*\Z")
-# The same match, on a line whose formula holds no ';', found without
-# trying the ';' after each character of the formula.
-_PLAIN_NUMBERED_RE = re.compile(r"(\d+)\.\s*([^;]*[^;\s])\s*;\s*(\S.*?)\s*\Z")
+# The formula ends at the first ';' that a justification follows.  A
+# formula that holds no ';' is read by the first branch, without trying
+# the ';' after each of its characters; the second takes the rest.
+_NUMBERED_RE = re.compile(r"(\d+)\.\s*([^;]*[^;\s]|.+?)\s*;\s*(\S.*?)\s*\Z")
 _MP_RE = re.compile(r"MP\s+(\d+)\s+(\d+)\Z")
 _GEN_RE = re.compile(r"GEN\s+(\d+)\s+x(\d+)\Z")
 _AX_RE = re.compile(r"AX\s+(\S+)\Z")
@@ -127,7 +127,7 @@ def parse_proof_file(text: str) -> Proof:
         if not stripped or stripped.startswith("#"):
             continue
 
-        m = _PLAIN_NUMBERED_RE.match(stripped) or _NUMBERED_RE.match(stripped)
+        m = _NUMBERED_RE.match(stripped)
         if m is not None:
             if theory is None:
                 raise ProofFileError("proof line before the theory declaration", lineno)

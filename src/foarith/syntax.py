@@ -723,6 +723,11 @@ def _token_start(text: str, k: int, j: int = 0) -> int:
     return m.start() + (members[j] if j else 0)
 
 
+# the most digits of an index, a slope or an assigned value: each is
+# printed in reports and errors, and Python converts an int of at most
+# this many digits to and from text by default
+DIGITS_LIMIT = 4300
+
 # the longest token that an error message quotes whole
 _SHOWN_LIMIT = 64
 
@@ -1025,6 +1030,8 @@ class _Parser:
         return m[1], i
 
     def _index(self, digits: str, k: int) -> int:
+        if len(digits) > DIGITS_LIMIT:
+            raise _Fail(f"index has {len(digits)} digits, at most {DIGITS_LIMIT} allowed", k, 0)
         value = int(digits)
         if value < 1:
             raise _Fail("index must be >= 1", k, 0)

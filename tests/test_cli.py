@@ -85,6 +85,36 @@ def test_parse_error_quotes_a_token_of_64_characters_whole(capsys):
     assert err == f"error: expected a term, found '{token}' (at position 6)\n"
 
 
+@pytest.mark.parametrize("text, position", [("(x1 = x{})", 6), ("(x1 = a{})", 6),
+                                            ("A{{{},1}}(x1)", 2), ("A{{1,{}}}(x1)", 4)])
+@pytest.mark.parametrize("digits", [4301, 100_000])
+def test_parse_refuses_an_index_past_the_digit_cap(capsys, text, position, digits):
+    # refused at the index token, before Python's own int conversion limit
+    code, out, err = invoke(capsys, "parse", text.format("1" * digits))
+    assert code == 2 and out == ""
+    assert err == (f"error: index has {digits} digits, at most 4300 allowed "
+                   f"(at position {position})\n")
+    assert len(err.encode()) < 1024
+
+
+def test_parse_digit_cap_does_not_follow_the_interpreters_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)                   # no limit of Python's own
+    try:
+        code, out, err = invoke(capsys, "parse", "(x1 = x" + "1" * 4301 + ")")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "")
+    assert err == "error: index has 4301 digits, at most 4300 allowed (at position 6)\n"
+
+
+@pytest.mark.parametrize("text", ["(x1 = x{})", "(x1 = a{})", "A{{{},1}}(x1)"])
+def test_parse_prints_back_an_index_of_4300_digits(capsys, text):
+    code, out, err = invoke(capsys, "parse", text.format("7" * 4300))
+    assert (code, err) == (0, "")
+    assert out == text.format("7" * 4300) + "\n"
+
+
 def test_parse_deep_numeral_equation(capsys):
     depth = 3000
     numeral = "S(" * depth + "0" + ")" * depth

@@ -178,7 +178,7 @@ def test_admissible_mask_covers_every_half_up_to_the_limit():
 def test_least_prime_fft_and_trial_division_agree_to_2000():
     flags = _sieve(2000)
     admissible = _admissible(~flags, 2000)
-    unresolved = set(_unresolved(~flags, admissible).tolist())
+    unresolved = set(_unresolved(~flags, admissible.copy()).tolist())   # the search clears its mask
     counts = scan(2000).partition_counts
     for m in np.flatnonzero(admissible).tolist():
         has_pair = bool(reference_partitions(2 * m))
@@ -268,8 +268,9 @@ def test_least_prime_search_on_small_and_no_members():
     # members below 2p for the first primes, and flags with fewer primes
     # than the dense phase takes
     for limit in (0, 1, 2, 3, 4, 5, 6, 9, 30, 50):
-        small, full = np.ones(limit // 2 + 1, dtype=bool), _sieve(limit)
+        full = _sieve(limit)
         for flags in (full, full & (np.arange(full.size) != 1)):      # without 3
+            small = np.ones(limit // 2 + 1, dtype=bool)                # the search clears it
             assert (_unresolved(~flags, small).tolist()
                     == reference_unresolved(flags, np.flatnonzero(small))), limit
     for empty in (np.zeros(0, dtype=bool), np.zeros(26, dtype=bool)):
@@ -485,8 +486,8 @@ def test_least_prime_search_keeps_no_dead_arrays():
     # Each round used to append a view of its array of open members, even
     # an empty one, which kept every round's array alive to the end: the
     # peak was about seven times the member array at this size.  The mask
-    # holds one byte per half; the dense phase copies it once and drops
-    # the copy before the tail reads the few members left open.
+    # holds one byte per half; the dense phase clears it in place, with no
+    # copy, and the tail reads the few members left open.
     composite = ~_sieve(1_000_000)
     admissible = _admissible(composite, 1_000_000)
     tracemalloc.start()
@@ -496,7 +497,7 @@ def test_least_prime_search_keeps_no_dead_arrays():
     finally:
         tracemalloc.stop()
     assert unresolved.size == 0
-    assert peak < 1.5 * admissible.nbytes, (peak, admissible.nbytes)
+    assert peak < 1.0 * admissible.nbytes, (peak, admissible.nbytes)
 
 
 def test_scan_builds_member_list_on_first_read():
@@ -512,9 +513,9 @@ def test_text_scan_keeps_no_member_list():
     # A text scan reads the count and the verdict only.  The member list
     # built in the report's constructor used to put the peak at about six
     # times the int32 member array at this size, and that array itself
-    # about three times the mask.  The flags, their negation, the mask and
-    # the search's copy of it take one byte per half each, and never all
-    # four at once.
+    # about three times the mask.  The flags, negated where they lie, and
+    # the mask, cleared in place by the search, take one byte per half
+    # each; the report keeps only the flags.
     admissible = _admissible(~_sieve(10**6), 10**6)
     tracemalloc.start()
     try:
@@ -525,4 +526,6 @@ def test_text_scan_keeps_no_member_list():
         tracemalloc.stop()
     assert line == (np.count_nonzero(admissible), True, None)
     assert "_members" not in vars(report)           # no member index array was built
-    assert peak < 4 * admissible.nbytes, (peak, admissible.nbytes)
+    assert [name for name, value in vars(report).items()
+            if isinstance(value, np.ndarray) and value.size > 1000] == ["_composite"]
+    assert peak < 3 * admissible.nbytes, (peak, admissible.nbytes)

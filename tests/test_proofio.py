@@ -1,3 +1,5 @@
+import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from foarith.kernel import (
     check_proof,
     extend_theory,
 )
+from foarith import proofio
 from foarith.proofio import (
     ProofFileError,
     builtin_theories,
@@ -169,6 +172,20 @@ def test_numbered_line_splits_at_its_first_semicolon(line, outcome):
         with pytest.raises(ProofFileError) as exc:
             parse_proof_file(f"theory: K\n{line}\n")
         assert str(exc.value) == outcome
+
+
+def test_numbered_line_regex_matches_the_lazy_one_on_every_short_string():
+    # the lazy regex tries the ';' after each character of the formula;
+    # the line regex must split every line as it does
+    lazy = re.compile(r"(\d+)\.\s*(.+?)\s*;\s*(\S.*?)\s*\Z")
+    matched = 0
+    for size in range(1, 8):
+        for chars in itertools.product("1.; ab\t", repeat=size):
+            line = "".join(chars)
+            m, expected = proofio._NUMBERED_RE.match(line), lazy.match(line)
+            assert (m and m.groups()) == (expected and expected.groups()), line
+            matched += expected is not None
+    assert matched > 5000
 
 
 def test_format_parse_round_trip():
