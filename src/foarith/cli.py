@@ -5,7 +5,8 @@ partitions, model axioms, model eval, model limits.  The global ``--json``
 flag switches every subcommand to a single JSON document on stdout with a
 top-level ``"schema": 1`` field.  Exit codes: 0 success, 1 domain failure
 (rejected proof, false axiom, failed scan), 2 usage, parse or
-out-of-memory error with a message on stderr.
+out-of-memory error with a message on stderr.  A command's own subparser
+reads its arguments; help and usage errors are the full parser's.
 """
 
 from __future__ import annotations
@@ -303,12 +304,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subcommands(parser: argparse.ArgumentParser) -> Optional[argparse.Action]:
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _leaf_namespace(argv: list) -> Optional[argparse.Namespace]:
+    """``argv`` as the leaf subparser its command words name reads it, or None for the
+    full parser: no leaf, leftovers, ``--`` (differs by version), ``--=...`` (ambiguous)."""
+    ns = argparse.Namespace(json=argv[:1] == ["--json"])
+    parser, rest = _parser(), argv[ns.json:]
+    while (sub := _subcommands(parser)) and rest and rest[0] in sub.choices:
+        setattr(ns, sub.dest, rest[0])
+        parser, rest = sub.choices[rest[0]], rest[1:]
+    if sub or "--" in rest or "\0--=" in "\0".join(["", *rest]):    # a NUL before each argument
+        return None
+    ns, extra = parser.parse_known_args(rest, ns)
+    return None if extra else ns
+
+
 def run(argv: Optional[list] = None) -> int:
+    """Run one command line, ``sys.argv[1:]`` by default; return its exit code."""
     try:
-        ns = _parser().parse_args(argv)
+        ns = _leaf_namespace(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return ns.func(ns)
     except MemoryError as exc:

@@ -41,7 +41,7 @@ from .kernel import (
     build_theory_N_eq,
     extend_theory,
 )
-from .syntax import ParseError, lower, parse_wff, print_wff
+from .syntax import DIGITS_LIMIT, ParseError, lower, parse_wff, print_wff
 
 __all__ = [
     "ProofFileError", "builtin_theories",
@@ -79,6 +79,14 @@ _AX_RE = re.compile(r"AX\s+(\S+)\Z")
 _SCHEME_NAMES = {s.value for s in SchemeId}
 
 
+def _number(digits: str, what: str) -> int:
+    """``digits`` as an int, refused past ``DIGITS_LIMIT`` digits before int()
+    sees them, whatever the interpreter's own limit."""
+    if len(digits) > DIGITS_LIMIT:
+        raise ValueError(f"{what} has {len(digits)} digits, at most {DIGITS_LIMIT} allowed")
+    return int(digits)
+
+
 def parse_justification(text: str) -> Justification:
     text = text.strip()
     if text == "?":
@@ -90,10 +98,10 @@ def parse_justification(text: str) -> Justification:
         return ProperAxiom(m.group(1))
     m = _MP_RE.match(text)
     if m is not None:
-        return MP(int(m.group(1)), int(m.group(2)))
+        return MP(_number(m.group(1), "line reference"), _number(m.group(2), "line reference"))
     m = _GEN_RE.match(text)
-    if m is not None and int(m.group(2)) >= 1:   # there is no variable x0
-        return Gen(int(m.group(1)), int(m.group(2)))
+    if m is not None and _number(m.group(2), "variable index") >= 1:   # there is no x0
+        return Gen(_number(m.group(1), "line reference"), int(m.group(2)))
     raise ValueError(f"unrecognized justification {text!r}")
 
 
@@ -131,7 +139,10 @@ def parse_proof_file(text: str) -> Proof:
         if m is not None:
             if theory is None:
                 raise ProofFileError("proof line before the theory declaration", lineno)
-            number = int(m.group(1))
+            try:
+                number = _number(m.group(1), "line number")
+            except ValueError as exc:
+                raise ProofFileError(str(exc), lineno) from exc
             if number != len(lines) + 1:
                 raise ProofFileError(
                     f"line numbered {number}, expected {len(lines) + 1}", lineno)

@@ -732,15 +732,16 @@ DIGITS_LIMIT = 4300
 _SHOWN_LIMIT = 64
 
 
-def _shown(text: str) -> str:
+def _shown(text: str, quote: Callable[[str], str] = repr) -> str:
     """A token quoted as an error message names it: a run by its member,
     and a token longer than ``_SHOWN_LIMIT`` by its first characters and
-    its length, so that one message stays short."""
+    its length, so that one message stays short.  ``quote`` renders what
+    is shown: ``repr`` for a token, ``str`` for a head such as ``A{1,2}``."""
     if text[-1] == "(" or text[0] == ")":
-        return repr(text[0])
+        return quote(text[0])
     if len(text) > _SHOWN_LIMIT:
-        return f"{text[:_SHOWN_LIMIT]!r}... ({len(text)} characters)"
-    return repr(text)
+        return f"{quote(text[:_SHOWN_LIMIT])}... ({len(text)} characters)"
+    return quote(text)
 
 
 def _starts_term(text: str) -> bool:
@@ -1060,7 +1061,7 @@ class _Parser:
         self.close()
         cls, start, k, n = head
         if len(terms) != n:
-            raise _Fail(f"arity mismatch: {cls._head}{{{k},{n}}} applied to "
+            raise _Fail(f"arity mismatch: {_shown(f'{cls._head}{{{k},{n}}}', str)} applied to "
                         f"{len(terms)} {cls._items}", start, 0)
         return cls(k, n, tuple(terms))
 

@@ -85,6 +85,17 @@ def test_parse_error_quotes_a_token_of_64_characters_whole(capsys):
     assert err == f"error: expected a term, found '{token}' (at position 6)\n"
 
 
+def test_parse_arity_mismatch_quotes_a_long_letter_by_its_prefix(capsys):
+    code, out, err = invoke(capsys, "parse", "A{1,2}(x1)")
+    assert (code, out) == (2, "")
+    assert err == "error: arity mismatch: A{1,2} applied to 1 terms (at position 0)\n"
+    code, out, err = invoke(capsys, "parse", "A{1," + "7" * 4300 + "}(x1)")
+    assert (code, out) == (2, "")
+    assert err == ("error: arity mismatch: A{1," + "7" * 60 + "... (4305 characters) "
+                   "applied to 1 terms (at position 0)\n")
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("text, position", [("(x1 = x{})", 6), ("(x1 = a{})", 6),
                                             ("A{{{},1}}(x1)", 2), ("A{{1,{}}}(x1)", 4)])
 @pytest.mark.parametrize("digits", [4301, 100_000])
@@ -833,3 +844,69 @@ def test_fuzzed_command_lines_exit_0_1_or_2_with_one_error_line(capsys, tmp_path
         assert elapsed < 3, (argv, elapsed)
         codes[code] += 1
     assert min(codes[0], codes[1], codes[2]) > 20, codes
+
+
+# ---------------------------------------------------------------------------
+# leaf-parser dispatch: the full parser is the oracle
+
+_ODD_ARGV = [
+    [], ["--"], ["-h"], ["--json", "--help"], ["goldbach", "-h"], ["model", "--help"],
+    ["goldbach", "scan", "-h"], ["--json", "model", "eval", "--help"],
+    ["goldbach", "scan"], ["model", "axioms", "--alpha", "18", "--u", "2"],
+    ["goldbach", "scan", "--limit", "ten"], ["goldbach", "partitions", "x"],
+    ["goldbach", "scan", "--limit", "10", "7"], ["sentence", "goldbach", "--bogus"],
+    ["goldbach", "scan", "--limit", "10", "--json"], ["--js", "goldbach", "scan", "--limit", "10"],
+    ["--json", "--json", "sentence", "goldbach"], ["--json=1", "sentence", "goldbach"],
+    ["--", "sentence", "goldbach"], ["sentence", "--", "goldbach"],
+    ["goldbach", "scan", "--limit", "10", "--"], ["goldbach", "scan", "--limit", "10", "--=5"],
+    ["parse", "--=x", "(0 = 0)"], ["goldbach"], ["goldbach", "bogus"], ["frobnicate"],
+    ["goldbach", "--json", "scan", "--limit", "10"], ["goldbach", "scan", "--lim", "10"],
+    ["sentence", "goldbach", "--class"], ["goldbach", "partitions", "-6"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """The namespace that ``parse(argv)`` returns, or the code it exits with,
+    then what it wrote to stdout and stderr."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+def test_leaf_dispatch_reads_every_command_line_as_the_full_parser_does(capsys, tmp_path):
+    rng = random.Random(5171)                       # the fuzzer's 400 command lines
+    fuzzed = [_fuzz_argv(rng, tmp_path) for _ in range(400)]
+    full = cli.build_parser()
+    for argv in fuzzed + _ODD_ARGV:
+        leaf = _parsed(lambda a: cli._leaf_namespace(a) or cli._parser().parse_args(a),
+                       argv, capsys)
+        assert leaf == _parsed(full.parse_args, argv, capsys), argv
+    # the fuzzer's command lines that parse, bar those with "--" in them, take the leaf path
+    for argv in fuzzed:
+        if isinstance(_parsed(full.parse_args, argv, capsys)[0], dict) and "--" not in argv:
+            assert cli._leaf_namespace(argv) is not None, argv
+
+
+def test_a_well_formed_command_line_never_reaches_the_top_level_parse(capsys, monkeypatch,
+                                                                      tmp_path):
+    def top_level(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli._parser(), "parse_known_args", top_level)
+    formula = tmp_path / "formula.txt"
+    formula.write_text("(0 = 0)", encoding="utf-8")
+    proof = str(DATA / "imp_refl.proof")
+    model = ["--alpha", "18", "--u", "3/2", "--bound", "4"]
+    for argv in (["parse", "(0 = 0)"], ["--json", "parse", "--file", str(formula)],
+                 ["check", proof], ["--json", "discover", proof],
+                 ["sentence", "goldbach", "--classical"],
+                 ["goldbach", "scan", "--limit", "100", "--csv"],
+                 ["--json", "goldbach", "partitions", "100"],
+                 ["model", "axioms", *model, "--cutoff"],
+                 ["--json", "model", "eval", *model, "--wff", "(x1 = x1)", "--env", "x1=2"],
+                 ["model", "limits", "--alpha", "18", "--nmax", "3", "--steps", "2"],
+                 ["goldbach", "scan", "-h"]):
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()

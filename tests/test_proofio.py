@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,35 @@ def test_error_bad_numbering():
     text = "theory: K\n1. (0=0) ; ?\n3. (0=0) ; ?\n"
     with pytest.raises(ProofFileError, match="numbered 3, expected 2"):
         parse_proof_file(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{}. (0 = 0) ; K1", "line number has 5000 digits"),
+    ("2. (0 = 0) ; MP {} 1", "line reference has 5000 digits"),
+    ("2. (0 = 0) ; MP 1 {}", "line reference has 5000 digits"),
+    ("2. (all x1 (0 = 0)) ; GEN {} x1", "line reference has 5000 digits"),
+    ("2. (all x1 (0 = 0)) ; GEN 1 x{}", "variable index has 5000 digits"),
+], ids=["number", "mp-minor", "mp-major", "gen-line", "gen-variable"])
+@pytest.mark.parametrize("interpreter_limit", [4300, 0])
+def test_error_number_past_the_digit_cap_names_its_line(line, message, interpreter_limit):
+    # refused before int(), also where Python itself would convert any length (0)
+    text = "theory: N\n1. (0 = 0) ; ?\n" + line.format("5" * 5000) + "\n"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(interpreter_limit)
+    try:
+        with pytest.raises(ProofFileError) as exc:
+            parse_proof_file(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(exc.value) == f"line 3: {message}, at most 4300 allowed"
+    assert exc.value.lineno == 3
+
+
+def test_number_of_4300_digits_is_read():
+    with pytest.raises(ProofFileError, match="numbered 7{4300}, expected 2"):
+        parse_proof_file("theory: N\n1. (0 = 0) ; ?\n" + "7" * 4300 + ". (0 = 0) ; ?\n")
+    just = parse_justification("MP 1 " + "7" * 4300)
+    assert (just.i, just.j) == (1, int("7" * 4300))
 
 
 def test_error_missing_theory():
