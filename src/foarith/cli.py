@@ -6,7 +6,9 @@ flag switches every subcommand to a single JSON document on stdout with a
 top-level ``"schema": 1`` field.  Exit codes: 0 success, 1 domain failure
 (rejected proof, false axiom, failed scan), 2 usage, parse or
 out-of-memory error with a message on stderr.  A command's own subparser
-reads its arguments; help and usage errors are the full parser's.
+reads its arguments; help and usage errors are the full parser's.  Every
+int is read through ``syntax._number``'s digit cap, and every message
+shows outside text (a token, a name, a path, an option) by ``syntax._shown``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .models import (
     limit_table_csv,
 )
 from .proofio import format_justification, format_proof, parse_proof_file
-from .syntax import DIGITS_LIMIT, lower, parse_wff, print_wff
+from .syntax import _number, _shown, lower, parse_wff, print_wff
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -73,26 +75,26 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("goldbach", help="concrete Goldbach verification")
     gsub = g.add_subparsers(dest="goldbach_command", required=True)
     p = gsub.add_parser("scan", help="verify every admissible even up to a limit")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_integer, required=True)
     p.add_argument("--csv", action="store_true", help="emit alpha,count CSV")
     p.set_defaults(func=_cmd_goldbach_scan)
     p = gsub.add_parser("partitions", help="list the prime pairs summing to alpha")
-    p.add_argument("alpha", type=int)
+    p.add_argument("alpha", type=_integer)
     p.set_defaults(func=_cmd_goldbach_partitions)
 
     m = sub.add_parser("model", help="coded interpretations")
     msub = m.add_subparsers(dest="model_command", required=True)
     p = msub.add_parser("axioms", help="evaluate N1..N6 in a coded model")
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_integer, required=True)
     p.add_argument("--u", required=True, help="slope parameter, e.g. 2 or 3/2 or 1.5")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_integer, required=True)
     p.add_argument("--cutoff", action="store_true",
                    help="classical evaluation over the finite segment 0..bound")
     p.set_defaults(func=_cmd_model_axioms)
     p = msub.add_parser("eval", help="evaluate a formula in a coded model")
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_integer, required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_integer, required=True)
     p.add_argument("--wff", help="formula text")
     p.add_argument("--wff-file", help="read the formula from a file instead")
     p.add_argument("--env", default="", help="assignment like x1=3,x2=5")
@@ -100,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="classical evaluation over the finite segment 0..bound")
     p.set_defaults(func=_cmd_model_eval)
     p = msub.add_parser("limits", help="deviation table for u approaching 1")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True,
+    p.add_argument("--alpha", type=_integer, required=True)
+    p.add_argument("--nmax", type=_integer, required=True)
+    p.add_argument("--steps", type=_integer, required=True,
                    help="emit u = 1 + 2^-k for k = 1..steps, then u = 1")
     p.set_defaults(func=_cmd_model_limits)
     return ap
@@ -142,16 +144,21 @@ def _parse_env(spec: str) -> dict:
         name = name.strip()
         value = value.strip()
         if not sep or not name.startswith("x") or not name[1:].isdecimal() \
-                or len(name) - 1 > DIGITS_LIMIT or int(name[1:]) < 1 or not value.isdecimal():
-            raise ValueError(f"bad assignment {part!r}; expected x<i>=<n>")
-        index = int(name[1:])
+                or (index := _number(name[1:], "variable index")) < 1 or not value.isdecimal():
+            raise ValueError(f"bad assignment {_shown(part)}; expected x<i>=<n>")
+        var = _shown(f"x{index}", str)
         if index in env:
-            raise ValueError(f"repeated assignment {part!r}; x{index} is already assigned")
-        if len(value) > DIGITS_LIMIT:
-            raise ValueError(f"bad assignment to x{index}: {len(value)} digits, "
-                             f"at most {DIGITS_LIMIT} allowed")
-        env[index] = int(value)
+            raise ValueError(f"repeated assignment {_shown(part)}; {var} is already assigned")
+        env[index] = _number(value, f"value of {var}")
     return env
+
+
+def _integer(text: str) -> int:
+    """The ``type=`` of every int option: argparse's int, behind the digit cap."""
+    try:
+        return _number(text, "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +292,7 @@ def _cmd_model_limits(ns) -> int:
     if ns.steps < 1:
         raise ValueError("steps must be >= 1")
     if ns.steps > STEPS_LIMIT:
-        raise ValueError(f"steps must be at most {STEPS_LIMIT}, got {ns.steps}")
+        raise ValueError(f"steps must be at most {STEPS_LIMIT}, got {_shown(str(ns.steps), str)}")
     us = [1 + Fraction(1, 2 ** k) for k in range(1, ns.steps + 1)]
     us.append(Fraction(1))
     rows = limit_table(ns.alpha, ns.nmax, us)
@@ -333,8 +340,9 @@ def run(argv: Optional[list] = None) -> int:
         return ns.func(ns)
     except MemoryError as exc:
         message = str(exc) or "out of memory"
-    except (ValueError, OSError) as exc:
-        message = str(exc)
+    except (ValueError, OSError) as exc:        # an OSError's file name is a command-line path
+        message = str(exc) if getattr(exc, "filename", None) is None \
+            else f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
     print(f"error: {message}", file=sys.stderr)
     return 2
 

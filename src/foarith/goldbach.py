@@ -31,6 +31,8 @@ import math
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Optional
 
+from .syntax import _shown
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -91,7 +93,7 @@ def _sieve(limit: int) -> np.ndarray:
     imported or any flag is allocated.
     """
     if limit > SCAN_LIMIT:
-        raise ValueError(f"limit must be at most {SCAN_LIMIT}, got {limit}")
+        raise ValueError(f"limit must be at most {SCAN_LIMIT}, got {_shown(str(limit), str)}")
     import numpy as np
     return np.frombuffer(_odd_flags(limit), dtype=bool)
 
@@ -136,9 +138,9 @@ def partitions(alpha: int) -> list:
     is allocated.
     """
     if alpha % 2 != 0 or alpha < 4:
-        raise ValueError(f"alpha must be an even number >= 4, got {alpha}")
+        raise ValueError(f"alpha must be an even number >= 4, got {_shown(str(alpha), str)}")
     if alpha > PARTITIONS_LIMIT:
-        raise ValueError(f"alpha must be at most {PARTITIONS_LIMIT}, got {alpha}")
+        raise ValueError(f"alpha must be at most {PARTITIONS_LIMIT}, got {_shown(str(alpha), str)}")
     if alpha == 4:
         return [(2, 2)]
     odd = _odd_flags(alpha - 1)

@@ -48,6 +48,7 @@ from .syntax import (
     succ,
     times,
     _record,
+    _shown,
 )
 
 __all__ = [
@@ -175,14 +176,14 @@ def extend_theory(base: Theory, name: str, extra: Mapping) -> Theory:
     own = []
     for axiom_name, wff in extra.items():
         if axiom_name in inherited:
-            raise TheoryError(f"axiom name {axiom_name!r} already defined in {base.name}",
+            raise TheoryError(f"axiom name {_shown(axiom_name)} already defined in {base.name}",
                               axiom_name)
         if not is_core(wff):
-            raise TheoryError(f"axiom {axiom_name!r} is not a core wff", axiom_name)
+            raise TheoryError(f"axiom {_shown(axiom_name)} is not a core wff", axiom_name)
         fv = free_vars(wff)
         if fv:
-            names = ", ".join(f"x{i}" for i in sorted(fv))
-            raise TheoryError(f"axiom {axiom_name!r} is open (free: {names})", axiom_name)
+            names = _shown(", ".join(f"x{i}" for i in sorted(fv)), str)
+            raise TheoryError(f"axiom {_shown(axiom_name)} is open (free: {names})", axiom_name)
         own.append((axiom_name, wff))
     return Theory(name, base, base.schemes, tuple(own))
 
@@ -377,20 +378,20 @@ def _check_line(theory: Theory, earlier: Sequence, number: int,
     if isinstance(just, ProperAxiom):
         axiom = theory.axiom(just.name)
         if axiom is None:
-            return f"theory {theory.name} has no proper axiom {just.name!r}"
+            return f"theory {theory.name} has no proper axiom {_shown(just.name)}"
         if wff != axiom:
-            return f"wff differs from proper axiom {just.name!r}"
+            return f"wff differs from proper axiom {_shown(just.name)}"
         return None
     if isinstance(just, MP):
         for ref in (just.i, just.j):
             if not 1 <= ref < number:
-                return f"MP cites line {ref}, which is not an earlier line"
+                return f"MP cites line {_shown(str(ref), str)}, which is not an earlier line"
         if earlier[just.j - 1] != Implies(earlier[just.i - 1], wff):
             return "major premise shape mismatch"
         return None
     if isinstance(just, Gen):
         if not 1 <= just.i < number:
-            return f"GEN cites line {just.i}, which is not an earlier line"
+            return f"GEN cites line {_shown(str(just.i), str)}, which is not an earlier line"
         if wff != ForAll(just.var, earlier[just.i - 1]):
             return "generalization shape mismatch"
         return None

@@ -48,6 +48,7 @@ from .syntax import (
     free_vars,
     is_core,
     _record,
+    _shown,
 )
 
 __all__ = [
@@ -74,17 +75,19 @@ def _to_fraction(u) -> Fraction:
     if not isinstance(u, (int, str, float)):
         raise ModelError(f"cannot interpret {u!r} as a slope parameter")
     if isinstance(u, float) and not math.isfinite(u):
-        raise ModelError(f"slope parameter {u!r} is not finite")
+        raise ModelError(f"slope parameter {u} is not finite")
     if isinstance(u, str):
         exponent = _EXPONENT.search(u)
         power = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         digits = sum(map(str.isdigit, u[:exponent.start()] if exponent else u))
         if len(power) > 4 or digits + int(power or 0) > DIGITS_LIMIT:
-            raise ModelError(f"slope parameter {u!r} needs more than {DIGITS_LIMIT} digits")
+            raise ModelError(f"slope parameter {_shown(u)} needs more than {DIGITS_LIMIT} digits")
     try:
         return Fraction(u)
     except ZeroDivisionError:
-        raise ModelError(f"slope parameter {u!r} has a zero denominator") from None
+        raise ModelError(f"slope parameter {_shown(u)} has a zero denominator") from None
+    except ValueError:                       # a text that Fraction does not read
+        raise ModelError(f"cannot interpret {_shown(u)} as a slope parameter") from None
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +104,10 @@ class CodingFunction:
     def __post_init__(self):
         if not goldbach.is_admissible(self.alpha):
             raise ModelError(
-                f"alpha={self.alpha} is not an admissible even "
+                f"alpha={_shown(str(self.alpha), str)} is not an admissible even "
                 "(even, >= 16, alpha/2 and alpha-3 composite)")
         if self.u < 1:
-            raise ModelError(f"u must be >= 1, got {self.u}")
+            raise ModelError(f"u must be >= 1, got {_shown(str(self.u), str)}")
 
     def unit_slot(self, i: int) -> bool:
         """Whether interval [i, i+1) has slope 1 regardless of u."""
@@ -239,7 +242,7 @@ class CodedModel:
 def _constant_index(index: int) -> int:
     """Index of the element that a<index> denotes: a1 is psi(0), a2 psi(1)."""
     if index not in (1, 2):
-        raise ModelError(f"constant a{index} has no interpretation in this model")
+        raise ModelError(f"constant {_shown(f'a{index}', str)} has no interpretation in this model")
     return index - 1
 
 
@@ -679,7 +682,7 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
              for name, value in (env or {}).items()}
     missing = free_vars(w) - scope.keys()
     if missing:
-        names = ", ".join(f"x{i}" for i in sorted(missing))
+        names = _shown(", ".join(f"x{i}" for i in sorted(missing)), str)
         raise ModelError(f"unbound free variables: {names}")
     code, free, names = _compiled(w, model._overrides, domain_cutoff)
     return _run(code, names, bound, [scope[i] for i in free])

@@ -41,7 +41,7 @@ from .kernel import (
     build_theory_N_eq,
     extend_theory,
 )
-from .syntax import DIGITS_LIMIT, ParseError, lower, parse_wff, print_wff
+from .syntax import ParseError, _number, _shown, lower, parse_wff, print_wff
 
 __all__ = [
     "ProofFileError", "builtin_theories",
@@ -79,14 +79,6 @@ _AX_RE = re.compile(r"AX\s+(\S+)\Z")
 _SCHEME_NAMES = {s.value for s in SchemeId}
 
 
-def _number(digits: str, what: str) -> int:
-    """``digits`` as an int, refused past ``DIGITS_LIMIT`` digits before int()
-    sees them, whatever the interpreter's own limit."""
-    if len(digits) > DIGITS_LIMIT:
-        raise ValueError(f"{what} has {len(digits)} digits, at most {DIGITS_LIMIT} allowed")
-    return int(digits)
-
-
 def parse_justification(text: str) -> Justification:
     text = text.strip()
     if text == "?":
@@ -102,7 +94,7 @@ def parse_justification(text: str) -> Justification:
     m = _GEN_RE.match(text)
     if m is not None and _number(m.group(2), "variable index") >= 1:   # there is no x0
         return Gen(_number(m.group(1), "line reference"), int(m.group(2)))
-    raise ValueError(f"unrecognized justification {text!r}")
+    raise ValueError(f"unrecognized justification {_shown(text)}")
 
 
 def format_justification(just: Justification) -> str:
@@ -145,7 +137,7 @@ def parse_proof_file(text: str) -> Proof:
                 raise ProofFileError(str(exc), lineno) from exc
             if number != len(lines) + 1:
                 raise ProofFileError(
-                    f"line numbered {number}, expected {len(lines) + 1}", lineno)
+                    f"line numbered {_shown(str(number), str)}, expected {len(lines) + 1}", lineno)
             try:
                 wff = lower(parse_wff(m.group(2), table))
             except ParseError as exc:
@@ -165,7 +157,7 @@ def parse_proof_file(text: str) -> Proof:
                 raise ProofFileError("axiom declaration after the theory line", lineno)
             name = m.group(1)
             if name in extra_axioms:
-                raise ProofFileError(f"duplicate axiom declaration {name!r}", lineno)
+                raise ProofFileError(f"duplicate axiom declaration {_shown(name)}", lineno)
             try:
                 extra_axioms[name] = lower(parse_wff(m.group(2), table))
             except ParseError as exc:
@@ -181,11 +173,11 @@ def parse_proof_file(text: str) -> Proof:
             if base is None:
                 known = ", ".join(sorted(theories))
                 raise ProofFileError(
-                    f"unknown theory {m.group(1)!r} (known: {known})", lineno)
+                    f"unknown theory {_shown(m.group(1))} (known: {known})", lineno)
             theory = base
             continue
 
-        raise ProofFileError(f"unrecognized line {stripped!r}", lineno)
+        raise ProofFileError(f"unrecognized line {_shown(stripped)}", lineno)
 
     if theory is None:
         raise ProofFileError("missing theory declaration", len(text.splitlines()) + 1)

@@ -705,7 +705,7 @@ def _lex(text: str) -> list:
     if len(solid) != len("".join(text.split())):
         uncovered = _TOKEN_RE.sub(lambda m: " " * len(m[0]), text)
         pos = _NON_SPACE_RE.search(uncovered).start()
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        raise ParseError(f"unexpected character {_shown(text[pos])}", pos)
     if len(solid) != len(joined):           # whitespace inside a run
         tokens = ["".join(t.split()) for t in tokens]
     tokens.append("")
@@ -728,20 +728,31 @@ def _token_start(text: str, k: int, j: int = 0) -> int:
 # this many digits to and from text by default
 DIGITS_LIMIT = 4300
 
-# the longest token that an error message quotes whole
+# the longest piece of outside text that a message repeats whole
 _SHOWN_LIMIT = 64
 
 
+def _number(digits: str, what: str) -> int:
+    """``digits`` as an int, refused past ``DIGITS_LIMIT`` digits before int()
+    sees them, whatever the interpreter's own limit."""
+    if len(digits) > DIGITS_LIMIT:
+        raise ValueError(f"{what} has {len(digits)} digits, at most {DIGITS_LIMIT} allowed")
+    return int(digits)
+
+
 def _shown(text: str, quote: Callable[[str], str] = repr) -> str:
-    """A token quoted as an error message names it: a run by its member,
-    and a token longer than ``_SHOWN_LIMIT`` by its first characters and
-    its length, so that one message stays short.  ``quote`` renders what
-    is shown: ``repr`` for a token, ``str`` for a head such as ``A{1,2}``."""
-    if text[-1] == "(" or text[0] == ")":
-        return quote(text[0])
-    if len(text) > _SHOWN_LIMIT:
+    """Outside text as a message repeats it: whole up to ``_SHOWN_LIMIT``
+    characters, else by its first ones and its length (a library caller's
+    value that is no str: whole).  ``quote`` renders it: ``repr`` for a
+    token, a name or a path, ``str`` for a number or a head like ``A{1,2}``."""
+    if isinstance(text, str) and len(text) > _SHOWN_LIMIT:
         return f"{quote(text[:_SHOWN_LIMIT])}... ({len(text)} characters)"
     return quote(text)
+
+
+def _found(token: str) -> str:
+    """A token as a parse error shows it: a run of ``S(`` or ``)`` by its first member."""
+    return _shown(token[0] if token[-1] == "(" or token[0] == ")" else token)
 
 
 def _starts_term(text: str) -> bool:
@@ -883,7 +894,7 @@ class _Parser:
                     node = resume(self, node, a, b, key)
                 text = self.tokens[self.i]
                 if text:
-                    raise _Fail(f"unexpected trailing input {_shown(text)}", self.i, self.j)
+                    raise _Fail(f"unexpected trailing input {_found(text)}", self.i, self.j)
                 return node
             except _Fail:
                 # Only a bare equality at a '(' is attempted, and it reads
@@ -905,7 +916,7 @@ class _Parser:
         found = self.tokens[i]
         if not found:
             return _Fail("unexpected end of input", i, 0)
-        return _Fail(f"expected {wanted}, found {_shown(found)}", i, self.j)
+        return _Fail(f"expected {wanted}, found {_found(found)}", i, self.j)
 
     def expect(self, text: str) -> None:
         """Read ``text``, a token that is no ')'."""
@@ -971,7 +982,7 @@ class _Parser:
                             i, 0)
             if not text:
                 raise _Fail("expected a term", i, 0)
-            raise _Fail(f"expected a term, found {_shown(text)}", i, self.j)
+            raise _Fail(f"expected a term, found {_found(text)}", i, self.j)
 
     def _successors(self, t: Term, depth: int, _, __) -> Term:
         """``S^depth(t)``, whose closing ')' are counted off the run that
@@ -1031,9 +1042,10 @@ class _Parser:
         return m[1], i
 
     def _index(self, digits: str, k: int) -> int:
-        if len(digits) > DIGITS_LIMIT:
-            raise _Fail(f"index has {len(digits)} digits, at most {DIGITS_LIMIT} allowed", k, 0)
-        value = int(digits)
+        try:
+            value = _number(digits, "index")
+        except ValueError as exc:
+            raise _Fail(str(exc), k, 0) from None
         if value < 1:
             raise _Fail("index must be >= 1", k, 0)
         return value
@@ -1099,7 +1111,7 @@ class _Parser:
             elif not text:
                 raise _Fail("expected a formula", i, 0)
             else:
-                raise _Fail(f"expected a formula, found {_shown(text)}", i, self.j)
+                raise _Fail(f"expected a formula, found {_found(text)}", i, self.j)
 
     def _negations(self, w: SurfaceWff, count: int, _, __) -> SurfaceWff:
         for _ in range(count):

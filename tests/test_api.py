@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import itertools
 import pkgutil
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -168,3 +169,56 @@ def test_records_behave_as_frozen_dataclasses():
         CodingFunction(18, Fraction(1, 2))
     with pytest.raises(TypeError):
         MP(1)
+
+
+# The f-strings that may repeat a value by its repr (``!r``) rather than
+# through ``syntax._shown``: (module, function, the message's text before
+# its first value), each with the reason no outside text reaches it.  A
+# ``raise TypeError(...)`` is allowed too: it names an object of the wrong
+# type, and outside text is always a str.
+_REPR_ALLOWED = {
+    ("syntax", "_record", "_set(self, "): "a field name of the program's own source",
+    ("syntax", "_refuse_set", "cannot assign to field "): "a field name the program made",
+    ("syntax", "_refuse_delete", "cannot delete field "): "a field name the program made",
+    ("arith", "decode_numeral", "not a numeral: ends in "):
+        "a term that only a library caller passes",
+    ("kernel", "match_scheme", "unknown scheme "): "a scheme that only a library caller passes",
+    ("kernel", "_check_line", "unrecognized justification "):
+        "a justification that only a library caller builds; a file's are read by proofio",
+    ("proofio", "format_justification", "unrecognized justification "):
+        "a justification that only a library caller builds",
+    ("proofio", "format_proof", "theory "): "a theory that only a library caller builds",
+    ("models", "_to_fraction", "cannot interpret "):
+        "an object that is no str, int or float, which only a library caller passes",
+}
+
+
+def _repr_sites(path: Path):
+    """(module, function, text before the first value, line) of each f-string
+    ``!r`` in the file, outside ``raise TypeError(...)``."""
+    def visit(node, function, type_error):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from visit(child, child.name, False)
+                continue
+            raised = isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) \
+                and getattr(child.exc.func, "id", None) == "TypeError"
+            if isinstance(child, ast.FormattedValue) and child.conversion == ord("r") \
+                    and not type_error:
+                prefix = "".join(v.value for v in itertools.takewhile(
+                    lambda v: isinstance(v, ast.Constant), node.values))
+                yield path.stem, function, prefix, child.lineno
+            yield from visit(child, function, type_error or raised)
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None, False)
+
+
+def test_every_repr_in_a_message_goes_through_the_one_rule():
+    # a value from outside (a file, an argument) is shown by syntax._shown,
+    # which keeps any message short; a !r repeats it whole
+    package = Path(foarith.__file__).parent
+    sites = [site for path in sorted(package.glob("*.py")) for site in _repr_sites(path)]
+    assert sites, "the walk found no f-string !r at all"
+    stray = [site for site in sites if site[1] != "_shown" and site[:3] not in _REPR_ALLOWED]
+    assert not stray, f"f-string !r outside syntax._shown: {stray}"
+    unused = set(_REPR_ALLOWED) - {site[:3] for site in sites}
+    assert not unused, f"allowed sites that no longer exist: {unused}"

@@ -78,6 +78,95 @@ def test_parse_error_quotes_a_long_token_by_its_prefix(capsys, text, letter, mes
     assert len(err.encode()) < 1024
 
 
+_LONG = "y" * 100_000
+_DIGITS = "7" * 5000            # past the digit cap
+_READ = "7" * 4300              # the most digits of a number that is read
+_FREE = "(f{1,12000}(" + ", ".join(f"x{i}" for i in range(1, 12001)) + ") = 0)"
+_MODEL = ["--alpha", "18", "--u", "1", "--bound", "3", "--wff", "(0 = 0)"]
+_N = "theory: N\n"
+
+# Each path on which a message repeats input, beside the parse-error tokens
+# above: the command line, where "{}" stands for the input and FILE for a
+# proof file of the given text (with "{}" in it too), the exit code, and
+# the input.
+_INPUT_PATHS = {
+    "parse-file": (["parse", "--file", "{}"], None, 2, _LONG),
+    "check-file": (["check", "{}"], None, 2, _LONG),
+    "discover-file": (["discover", "{}"], None, 2, _LONG),
+    "wff-file": (["model", "eval", *_MODEL[:6], "--wff-file", "{}"], None, 2, _LONG),
+    "unrecognized-line": (["check", "FILE"], _N + "{}\n", 2, _LONG),
+    "unknown-theory": (["check", "FILE"], "theory: {}\n", 2, _LONG),
+    "unrecognized-justification": (["check", "FILE"], _N + "1. (0 = 0) ; {}\n", 2, _LONG),
+    "duplicate-axiom": (["check", "FILE"], "axiom {}: (0 = 0)\naxiom {}: (0 = 0)\n" + _N, 2, _LONG),
+    "line-numbered": (["check", "FILE"], _N + "1. (0 = 0) ; ?\n{}. (0 = 0) ; ?\n", 2, _READ),
+    "line-number-cap": (["check", "FILE"], _N + "{}. (0 = 0) ; ?\n", 2, _DIGITS),
+    "open-axiom": (["check", "FILE"], "axiom {}: (x1 = 0)\n" + _N + "1. (0 = 0) ; ?\n", 2, _LONG),
+    "open-axiom-free": (["check", "FILE"], "axiom E: {}\n" + _N + "1. (0 = 0) ; ?\n", 2, _FREE),
+    "no-proper-axiom": (["check", "FILE"], _N + "1. (0 = 0) ; AX {}\n", 1, _LONG),
+    "differs-from-axiom": (["check", "FILE"], "axiom {}: (all x1 (x1 = x1))\n" + _N
+                           + "1. (0 = 0) ; AX {}\n", 1, _LONG),
+    "mp-cites": (["check", "FILE"], _N + "1. (0 = 0) ; MP {} 1\n", 1, _READ),
+    "gen-cites": (["check", "FILE"], _N + "1. (all x1 (0 = 0)) ; GEN {} x1\n", 1, _READ),
+    "bad-assignment": (["model", "eval", *_MODEL, "--env", "x1={}"], None, 2, _LONG),
+    "repeated-assignment": (["model", "eval", *_MODEL, "--env", "x1=1,x1={}"], None, 2,
+                            "7" * 100_000),
+    "repeated-index": (["model", "eval", *_MODEL, "--env", "x{}=1,x{}=2"], None, 2, _READ),
+    "value-cap": (["model", "eval", *_MODEL, "--env", "x1={}"], None, 2, _DIGITS),
+    "index-cap": (["model", "eval", *_MODEL, "--env", "x{}=1"], None, 2, _DIGITS),
+    "unbound-variables": (["model", "eval", *_MODEL[:6], "--wff", "{}"], None, 2, _FREE),
+    "constant": (["model", "eval", *_MODEL[:6], "--wff", "(a{} = 0)"], None, 2, _READ),
+    "scan-limit": (["goldbach", "scan", "--limit", "{}"], None, 2, _DIGITS),
+    "partitions-alpha": (["goldbach", "partitions", "{}"], None, 2, _DIGITS),
+    "axioms-alpha": (["model", "axioms", "--alpha", "{}", "--u", "1", "--bound", "3"], None, 2,
+                     _DIGITS),
+    "axioms-bound": (["model", "axioms", "--alpha", "18", "--u", "1", "--bound", "{}"], None, 2,
+                     _DIGITS),
+    "eval-alpha": (["model", "eval", "--alpha", "{}", *_MODEL[2:]], None, 2, _DIGITS),
+    "eval-bound": (["model", "eval", *_MODEL[:4], "--bound", "{}", *_MODEL[6:]], None, 2,
+                   _DIGITS),
+    "limits-alpha": (["model", "limits", "--alpha", "{}", "--nmax", "3", "--steps", "2"], None, 2,
+                     _DIGITS),
+    "limits-nmax": (["model", "limits", "--alpha", "18", "--nmax", "{}", "--steps", "2"], None, 2,
+                    _DIGITS),
+    "limits-steps": (["model", "limits", "--alpha", "18", "--nmax", "3", "--steps", "{}"], None, 2,
+                     _DIGITS),
+    "scan-over-limit": (["goldbach", "scan", "--limit", "{}"], None, 2, _READ),
+    "partitions-odd": (["goldbach", "partitions", "{}"], None, 2, _READ),
+    "partitions-over-limit": (["goldbach", "partitions", "{}"], None, 2, "8" * 4300),
+    "steps-over-limit": (["model", "limits", "--alpha", "18", "--nmax", "3", "--steps", "{}"],
+                         None, 2, _READ),
+    "not-admissible": (["model", "axioms", "--alpha", "{}", "--u", "1", "--bound", "3"], None, 2,
+                       _READ),
+    "slope-literal": (["model", "axioms", "--alpha", "18", "--u", "{}", "--bound", "3"], None, 2,
+                      _LONG),
+    "slope-digits": (["model", "axioms", "--alpha", "18", "--u", "{}", "--bound", "3"], None, 2,
+                     _DIGITS),
+    "slope-zero-denominator": (["model", "axioms", "--alpha", "18", "--u", "{}1/0", "--bound",
+                                "3"], None, 2, " " * 100_000),
+    "slope-below-1": (["model", "axioms", "--alpha", "18", "--u", "0.{}1", "--bound", "3"], None,
+                      2, "0" * 4000),
+}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("path", _INPUT_PATHS)
+def test_every_message_shows_a_long_input_in_under_1_kb(capsys, tmp_path, path, json_flag):
+    # 100,000 characters, or 5,000 digits where a number is read (4,300 where
+    # it is read whole); each message shows them by the first 64 and the count
+    argv, text, expected_code, fill = _INPUT_PATHS[path]
+    if text is not None:
+        (tmp_path / "long.proof").write_text(text.replace("{}", fill), encoding="utf-8")
+    argv = [str(tmp_path / "long.proof") if a == "FILE" else a.replace("{}", fill) for a in argv]
+    code, out, err = invoke(capsys, *json_flag, *argv)
+    assert code == expected_code
+    if code == 2:
+        assert out == "" and sum("error:" in line for line in err.splitlines()) == 1
+    elif json_flag:
+        reasons = [line["reason"] for line in json.loads(out)["lines"]]
+        assert reasons and all(len(r.encode()) < 1024 for r in reasons), reasons
+    assert all(len(line.encode()) < 1024 for line in (err + out).splitlines()), (err + out)[:2000]
+
+
 def test_parse_error_quotes_a_token_of_64_characters_whole(capsys):
     token = "y" * 64
     code, out, err = invoke(capsys, "parse", f"(x1 = {token})")
@@ -563,13 +652,14 @@ def test_model_eval_names_the_variable_of_an_over_long_value(capsys, json_flag):
     argv = (*json_flag, "model", "eval", "--alpha", "18", "--u", "1", "--bound", "5",
             "--wff", "(x1 = 0)", "--env")
     code, out, err = invoke(capsys, *argv, "x2=1,x1=" + "7" * 5000)
-    assert (code, out, err) == (2, "", "error: bad assignment to x1: 5000 digits, "
+    assert (code, out, err) == (2, "", "error: value of x1 has 5000 digits, "
                                        "at most 4300 allowed\n")
     code, out, err = invoke(capsys, *argv, "x1=" + "7" * 4300)
     assert code == 0 and err == ""
     # so are the digits of an index
     code, out, err = invoke(capsys, *argv, "x" + "7" * 5000 + "=1")
-    assert (code, out) == (2, "") and err.startswith("error: bad assignment 'x777")
+    assert (code, out, err) == (2, "", "error: variable index has 5000 digits, "
+                                       "at most 4300 allowed\n")
 
 
 def test_model_axioms_cutoff_report(capsys):

@@ -195,6 +195,11 @@ def test_n7_requires_x1_by_default():
                 Implies(ForAll(2, Implies(body, substitute(body, 2, succ(Var(2))))),
                         ForAll(2, body)))
     assert recognize_scheme(N, w) is None
+    # induction on x2 whose step substitutes S(x1): only the variable is off
+    w = parse_core("((~(0 = 0) -> (0 = S(x1))) -> ((all x2 ((~(x2 = 0) -> (x2 = S(x1))) -> "
+                   "(~(S(x1) = 0) -> (S(x1) = S(x1))))) -> (all x2 (~(x2 = 0) -> (x2 = S(x1))))))")
+    assert match_scheme(SchemeId.N7, w) is None
+    assert recognize_scheme(N, w) is None
 
 
 def test_n7_requires_induction_variable_free():
@@ -501,6 +506,11 @@ def test_proof_needs_a_line_and_concludes_with_its_last():
     (ProofLine(A0, Scheme(SchemeId.N7)), "scheme N7 is not part of theory K"),
     (ProofLine(ForAll(1, A0), Gen(2, 1)), "GEN cites line 2, which is not an earlier line"),
     (ProofLine(A0, "K1"), "unrecognized justification 'K1'"),
+    # a line that cites itself
+    (ProofLine(ForAll(1, A0), Gen(1, 1)), "GEN cites line 1, which is not an earlier line"),
+    (ProofLine(A0, MP(1, 1)), "MP cites line 1, which is not an earlier line"),
+    # a name that is no str, which only a library caller builds, is shown whole
+    (ProofLine(A0, ProperAxiom(5)), "theory K has no proper axiom 5"),
 ])
 def test_check_proof_reports_a_bad_line(line, reason):
     verdict = check_proof(Proof(K, (line,)))

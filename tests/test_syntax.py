@@ -130,6 +130,23 @@ def test_parse_error_bad_numeral_and_index():
         parse_wff("(x0 = 0)")
 
 
+@pytest.mark.parametrize("text, shown", [
+    ("", "''"),
+    ("foo (", "'foo ('"),
+    (") bar", "') bar'"),
+    ("y" * 64, repr("y" * 64)),
+    ("y" * 65, repr("y" * 64) + "... (65 characters)"),
+    ("\x00" * 100_000, repr("\x00" * 64) + "... (100000 characters)"),
+    ("\U0010ffff" * 100_000, repr("\U0010ffff" * 64) + "... (100000 characters)"),
+], ids=["empty", "ends-in-paren", "starts-with-paren", "64", "65", "nul", "noncharacter"])
+def test_shown_repeats_any_text_in_under_1_kb(text, shown):
+    # the one rule for outside text in a message: whole up to 64 characters,
+    # else the first 64 and the length; a repr escape takes up to 10 each
+    for quote, expected in ((repr, shown), (str, shown.replace(repr(text[:64]), text[:64]))):
+        assert syntax._shown(text, quote) == expected
+        assert len(expected.encode()) < 1024
+
+
 @pytest.mark.parametrize("kind, text, expected", PARSE_EDGE_CASES,
                          ids=[ascii(text[:30]) for _, text, _ in PARSE_EDGE_CASES])
 def test_parse_edge_cases(kind, text, expected):
