@@ -14,7 +14,6 @@ from .syntax import (
     And,
     Exists,
     ForAll,
-    FuncApp,
     Implies,
     Not,
     Or,
@@ -28,6 +27,7 @@ from .syntax import (
     plus,
     succ,
     times,
+    _tower,
 )
 
 __all__ = [
@@ -48,12 +48,9 @@ def numeral(n: int) -> Term:
 
 def decode_numeral(t: Term) -> int:
     """Inverse of :func:`numeral`; rejects anything but a successor tower."""
-    n = 0
-    while isinstance(t, FuncApp) and (t.letter, t.arity) == (1, 1):
-        n += 1
-        t = t.args[0]
-    if t != ZERO:
-        raise ValueError(f"not a numeral: ends in {t!r}")
+    n, base = _tower(t)
+    if base != ZERO:
+        raise ValueError(f"not a numeral: ends in {base!r}")
     return n
 
 

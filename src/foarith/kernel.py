@@ -11,7 +11,9 @@ unchanged under the child.
 The seven schemes are one table of shapes (``_SHAPES``), written as the
 textbook states them, with metavariables for subformulas.  A formula is
 an instance when it matches the shape, every occurrence of a metavariable
-binding the same subformula, and then passes the scheme's side condition:
+binding the same subformula, and then passes the scheme's side condition.
+The matcher is ``syntax._bind``, the one that also reads the shapes of
+the abbreviation table there.  The side conditions are:
 the quantified variable is not free in A (K4, K6), A(t) is A with a term
 free for the variable (K5), and induction is on x1, free in A, with base
 A(0) and step A(S(x1)) (N7).
@@ -47,6 +49,7 @@ from .syntax import (
     substitute,
     succ,
     times,
+    _bind,
     _record,
     _shown,
 )
@@ -219,21 +222,6 @@ _SHAPES = {
     SchemeId.N7: ("->", "A(0)", ("->", ("all", "var", ("->", "A", "A(S(x1))")),
                                  ("all", "var", "A"))),
 }
-
-
-def _bind(shape, w, parts: dict) -> bool:
-    """Match w against shape, binding metavariables in parts."""
-    if isinstance(shape, str):
-        bound = parts.setdefault(shape, w)
-        return bound is w or bound == w
-    connective = shape[0]
-    if connective == "->":
-        return (isinstance(w, Implies) and _bind(shape[1], w.antecedent, parts)
-                and _bind(shape[2], w.consequent, parts))
-    if connective == "~":
-        return isinstance(w, Not) and _bind(shape[1], w.body, parts)
-    return (isinstance(w, ForAll) and _bind(shape[1], w.var, parts)
-            and _bind(shape[2], w.body, parts))
 
 
 def _var_not_free_in_a(parts: dict) -> bool:

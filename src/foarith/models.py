@@ -41,14 +41,18 @@ from .syntax import (
     Const,
     ForAll,
     FuncApp,
+    Iff,
     Implies,
     Not,
     Var,
     Wff,
     free_vars,
     is_core,
+    _EXPANSIONS,
+    _bind,
     _record,
     _shown,
+    _tower,
 )
 
 __all__ = [
@@ -387,14 +391,16 @@ class _Compiler:
     chain of them, is a function of its free variables whose loops
     return (False, witness) at the first counterexample; one that
     ignores the variable of an enclosing quantifier is memoized on its
-    free variables in a table of this call.  ``(A -> B) -> ~(B -> A)``,
-    as lower() writes ``A <-> B`` with A and B shared, is one piece per
-    side and one ``_differ``, so nested biconditionals grow the source
-    linearly; any other repeated node is compiled again.  The source is
-    built from integers and fixed identifiers only; error messages and
-    override functions are entries of ``ns``.  The domain is the name
-    ``_D``, which the run supplies, so the code does not depend on the
-    bound.  ``overrides`` maps "succ", "add" or "mul" to the index
+    free variables in a table of this call.  An implication of the shape
+    under the negation in Iff's entry of syntax's abbreviation table,
+    ``(A -> B) -> ~(B -> A)`` as lower() writes ``A <-> B``, is matched
+    with the table's own matcher, read when it is compiled, and is one
+    piece per side and one ``_differ``, so nested biconditionals grow the
+    source linearly; any other repeated node is compiled again.  The
+    source is built from integers and fixed identifiers only; error
+    messages and override functions are entries of ``ns``.  The domain is
+    the name ``_D``, which the run supplies, so the code does not depend
+    on the bound.  ``overrides`` maps "succ", "add" or "mul" to the index
     function that replaces the default operation.
     """
 
@@ -561,9 +567,7 @@ class _Compiler:
                     out.append(self._raiser(
                         f"function letter f{{{node.letter},{node.arity}}} has no interpretation"))
                 elif sig == (1, 1):
-                    k = 0
-                    while isinstance(node, FuncApp) and (node.letter, node.arity) == sig:
-                        node, k = node.args[0], k + 1
+                    k, node = _tower(node)
                     work.append((self._successors, 1, k))
                     work.append(("visit", node, scope, enclosing))
                 else:
@@ -588,10 +592,9 @@ class _Compiler:
                 work.append(("visit", node, scope, enclosing))
             elif isinstance(node, Implies):
                 x, y = node.antecedent, node.consequent
-                q = y.body if isinstance(y, Not) else None
-                # (A -> B) -> ~(B -> A) with A and B shared, as lower() writes it
-                if isinstance(x, Implies) and isinstance(q, Implies) \
-                        and q.antecedent is x.consequent and q.consequent is x.antecedent:
+                # the implication under the negation of lower()'s A <-> B,
+                # as Iff's shape reads now: one piece for each side of x
+                if _bind(_EXPANSIONS[Iff][1], node, {}):
                     work.append((self._difference, 2))
                     x, y = x.antecedent, x.consequent
                 else:
@@ -668,7 +671,7 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
     returns its first counterexample; one that does not depend on an
     enclosing quantifier's variable is memoized on its free variables
     for the rest of the call.  Each side of a lowered biconditional,
-    which lower() shares between its two places, is compiled and
+    found by Iff's shape in syntax's abbreviation table, is compiled and
     evaluated once, so time and source grow linearly with nested
     ``<->``.  Evaluation order is the formula's, so an
     uninterpretable symbol raises ModelError only when reached.  Code

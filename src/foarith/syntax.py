@@ -437,6 +437,15 @@ def times(left: Term, right: Term) -> FuncApp:
     return FuncApp(2, 2, (left, right))
 
 
+def _tower(t) -> tuple:
+    """``(k, base)`` with t the successor tower ``S^k(base)`` and base no
+    successor application; k is 0 when t is none."""
+    k = 0
+    while type(t) is FuncApp and t.letter == 1 and t.arity == 1:
+        t, k = t._args[0], k + 1
+    return k, t
+
+
 # ---------------------------------------------------------------------------
 # structural queries
 
@@ -528,17 +537,54 @@ def free_vars(w: SurfaceWff) -> frozenset:
     return _fold(w, _free, _atom_vars)
 
 
+# The abbreviation table: each abbreviation as the core shape it stands
+# for, in the notation of the kernel's scheme shapes.  A shape is a tuple
+# ("->", X, Y), ("~", X) or ("all", "var", X), and a string in it is a
+# metavariable: "A" and "B" for the abbreviation's sides, "var" for its
+# variable.  lower() builds each expansion from its shape, the printer
+# folds the shapes back in this order, and the evaluator reads Iff's to
+# evaluate each side once.
 _EXPANSIONS = {
-    Exists: lambda w, body: Not(ForAll(w.var, Not(body))),
-    And: lambda w, left, right: Not(Implies(left, Not(right))),
-    Or: lambda w, left, right: Implies(Not(left), right),
-    Iff: lambda w, left, right: Not(Implies(Implies(left, right), Not(Implies(right, left)))),
+    Exists: ("~", ("all", "var", ("~", "A"))),
+    Iff: ("~", ("->", ("->", "A", "B"), ("~", ("->", "B", "A")))),
+    And: ("~", ("->", "A", ("~", "B"))),
+    Or: ("->", ("~", "A"), "B"),
 }
 
 
+def _bind(shape, w, parts: dict) -> bool:
+    """Match w against shape, binding metavariables in parts."""
+    if isinstance(shape, str):
+        bound = parts.setdefault(shape, w)
+        return bound is w or bound == w
+    connective = shape[0]
+    if connective == "->":
+        return (isinstance(w, Implies) and _bind(shape[1], w.antecedent, parts)
+                and _bind(shape[2], w.consequent, parts))
+    if connective == "~":
+        return isinstance(w, Not) and _bind(shape[1], w.body, parts)
+    return (isinstance(w, ForAll) and _bind(shape[1], w.var, parts)
+            and _bind(shape[2], w.body, parts))
+
+
+def _built(shape, parts: dict):
+    """The formula of shape, each metavariable replaced by its part; a
+    part that occurs twice is one object in both places."""
+    if type(shape) is str:
+        return parts[shape]
+    connective = shape[0]
+    if connective == "->":
+        return Implies(_built(shape[1], parts), _built(shape[2], parts))
+    if connective == "~":
+        return Not(_built(shape[1], parts))
+    return ForAll(parts[shape[1]], _built(shape[2], parts))
+
+
 def _expanded(w, parts):
-    expand = _EXPANSIONS.get(type(w))
-    return _rebuilt(w, parts) if expand is None else expand(w, *parts)
+    shape = _EXPANSIONS.get(type(w))
+    if shape is None:
+        return _rebuilt(w, parts)
+    return _built(shape, dict(zip("AB", parts), var=getattr(w, "var", None)))
 
 
 def _core_itself(w):
@@ -548,12 +594,14 @@ def _core_itself(w):
 def lower(w: SurfaceWff) -> Wff:
     """Expand every abbreviation node into the three core connectives.
 
-    Innermost nodes are expanded first.  The expansions are:
-    ``(ex xi A)`` becomes ``~(all xi ~A)``, ``(A & B)`` becomes
-    ``~(A -> ~B)``, ``(A | B)`` becomes ``(~A -> B)``, and ``(A <-> B)``
-    becomes the conjunction of the two implications, which then expands.
-    A core formula is returned itself at once (lower is idempotent), and
-    so is each core subtree of a surface formula, shared or not.
+    Innermost nodes are expanded first, each built from its shape in
+    the abbreviation table ``_EXPANSIONS``: ``(ex xi A)`` becomes
+    ``~(all xi ~A)``, ``(A <-> B)`` becomes ``~((A -> B) -> ~(B -> A))``,
+    the conjunction of the two implications expanded, ``(A & B)`` becomes
+    ``~(A -> ~B)`` and ``(A | B)`` becomes ``(~A -> B)``.  Each side is one
+    object wherever its shape repeats it.  A core formula is returned
+    itself at once (lower is idempotent), and so is each core subtree of
+    a surface formula, shared or not.
     """
     if isinstance(w, _Formula) and w._core:
         return w
@@ -764,7 +812,7 @@ def _starts_term(text: str) -> bool:
 # parser
 
 
-_BIN_NODES = {"->": Implies, "&": And, "|": Or, "<->": Iff}
+_BIN_NODES = {cls._op.strip(): cls for cls in (Implies, And, Or, Iff)}
 _OPERATIONS = {"+": plus, "*": times}
 _TERM_OPS = tuple(_OPERATIONS)
 # The longest pair text the parse table keys (see _Parser._open); no
@@ -879,6 +927,7 @@ class _Parser:
         # built at the first '(' formula
         self.after = self.joined = self.lengths = None
         self.eq_start = -1      # where the last equality read began
+        self.stopped = ()       # where the last failed equality attempt stopped
         self.stack: list = []
 
     def run(self, descend: Callable):
@@ -896,7 +945,7 @@ class _Parser:
                 if text:
                     raise _Fail(f"unexpected trailing input {_found(text)}", self.i, self.j)
                 return node
-            except _Fail:
+            except _Fail as exc:
                 # Only a bare equality at a '(' is attempted, and it reads
                 # terms alone, so at most one attempt is pending.  When it
                 # fails, the '(' holds a quantifier or a binary formula.
@@ -906,7 +955,7 @@ class _Parser:
                         break
                 else:
                     raise
-                self.i, self.j = i, 0
+                self.i, self.j, self.stopped = i, 0, exc.args[1:]
                 self._grouped(i, None)
                 descend = _Parser._wff
 
@@ -1133,6 +1182,12 @@ class _Parser:
         the '(' has none); when it fails, the pair holds a formula.
         Parentheses are matched at the first '(' formula.
 
+        Reading a term is the same wherever it starts, so a failed attempt
+        that stopped inside this pair (or after a '(' that has none) read
+        a term from this '(' that stopped there too.  Such a '(' is not
+        attempted again, or a run of n '(' would cost n attempts of up to
+        n tokens each.
+
         A pair longer than ``_LONGEST_KEY`` characters is read without the
         table.  The keys of nested pairs overlap, so in a formula nested
         n deep their lengths would add up to about n/2 times the length of
@@ -1159,6 +1214,9 @@ class _Parser:
             if key is not None and self.ending is not None and end >= len(self.joined) - 2:
                 self.ending.append((end, key))
             self._grouped(i, key)
+            return None
+        if (i, 0) <= self.stopped < (after or (len(tokens),)):
+            self._grouped(i, None)      # a term from here fails where one did
             return None
         self.stack.append((_Parser._attempted, i, None, None))
         self.stack.append((_Parser._operator, i, ("=",), None))
@@ -1368,29 +1426,16 @@ def parse_core(text: str) -> Wff:
 
 
 def _resugared(w: SurfaceWff) -> Optional[tuple]:
-    """The pieces of w folded back into ex, &, | or <->, last piece first
-    as :func:`_print` takes them, if w has the shape of their expansion."""
-    t = type(w)
-    if t is Not:
-        body = w.body
-        # ~(all v ~A)  prints as  (ex v A)
-        if type(body) is ForAll and type(body.body) is Not:
-            return ")", body.body.body, f"(ex x{body.var} "
-        if type(body) is Implies:
-            ante, cons = body.antecedent, body.consequent
-            # ~((A -> B) -> ~(B -> A))  prints as  (A <-> B)
-            if (type(ante) is Implies and type(cons) is Not
-                    and type(cons.body) is Implies
-                    and ante.antecedent == cons.body.consequent
-                    and ante.consequent == cons.body.antecedent):
-                return ")", ante.consequent, " <-> ", ante.antecedent, "("
-            # ~(A -> ~B)  prints as  (A & B)
-            if type(cons) is Not:
-                return ")", cons.body, " & ", ante, "("
-    # (~A -> B)  prints as  (A | B)
-    elif t is Implies and type(w.antecedent) is Not:
-        return ")", w.consequent, " | ", w.antecedent.body, "("
-    return None
+    """The pieces of w folded back into the first abbreviation whose shape
+    in ``_EXPANSIONS`` it has, last piece first as :func:`_print` takes
+    them, or None.  ``~(all v ~A)`` prints as ``(ex v A)``, and
+    ``~((A -> B) -> ~(B -> A))``, also of the shape ``~(A -> ~B)``, as
+    ``(A <-> B)``."""
+    for cls, shape in _EXPANSIONS.items():
+        if _bind(shape, w, parts := {}):
+            if "var" in parts:
+                return ")", parts["A"], f"{cls._op}{parts['var']} "
+            return ")", parts["B"], cls._op, parts["A"], "("
 
 
 def _pieces(w) -> tuple:
@@ -1400,9 +1445,7 @@ def _pieces(w) -> tuple:
     t = type(w)
     if t is FuncApp and w.letter == 1 and w.arity == 1:
         # a successor chain is three pieces, at any depth
-        depth = 0
-        while type(w) is FuncApp and w.letter == 1 and w.arity == 1:
-            w, depth = w._args[0], depth + 1
+        depth, w = _tower(w)
         return ")" * depth, w, "S(" * depth
     if t is Atom or t is FuncApp:
         args, op = w._args, w._infix.get((w.letter, w.arity))

@@ -7,8 +7,10 @@ from foarith.models.  ``reference_partitions`` is the trial-division
 oracle for the sieve behind ``goldbach.partitions``.
 """
 
+import importlib.util
 import random
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +324,43 @@ def scan_fails_at_18_and_48(monkeypatch):
 
     monkeypatch.setattr(goldbach, "_pair_counts", without_18_and_48)
     monkeypatch.setattr(goldbach, "_unresolved", unresolved_with_18_and_48)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's own syntax (perfbench/fol.py), an oracle that imports
+# nothing from foarith
+
+
+def benchmark_module(name):
+    """The module perfbench/<name>.py, loaded by path; ``fol`` holds nested
+    tuples for formulas, with its own printer, lowering and scheme matcher."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FOL_FUNCTIONS = {(1, 1): "S", (1, 2): "+", (2, 2): "*"}
+_FOL_CONNECTIVES = {Not: "~", Implies: "->", And: "&", Or: "|", Iff: "<->",
+                    ForAll: "all", Exists: "ex"}
+
+
+def to_fol(x):
+    """A term or formula over the arithmetic letters as fol.py's tuples."""
+    if isinstance(x, Var):
+        return ("v", x.index)
+    if isinstance(x, Const):
+        return ("c", x.index)
+    if isinstance(x, FuncApp):
+        return (_FOL_FUNCTIONS[x.letter, x.arity], *map(to_fol, x.args))
+    if isinstance(x, Atom):
+        assert (x.letter, x.arity) == (1, 2), x
+        return ("=", *map(to_fol, x.terms))
+    tag = _FOL_CONNECTIVES[type(x)]
+    if isinstance(x, (ForAll, Exists)):
+        return (tag, x.var, to_fol(x.body))
+    if isinstance(x, Not):
+        return (tag, to_fol(x.body))
+    first, second = (x.antecedent, x.consequent) if isinstance(x, Implies) else (x.left, x.right)
+    return (tag, to_fol(first), to_fol(second))

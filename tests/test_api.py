@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import itertools
 import pkgutil
 from dataclasses import FrozenInstanceError
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import benchmark_module
 import foarith
 from foarith import syntax
 from foarith.kernel import (
@@ -67,17 +67,9 @@ def test_package_reexports_resolve():
         assert getattr(foarith, name) is getattr(module, name)
 
 
-def _load_benchmark_tracing():
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_span_targets_resolve():
     # A renamed attribute would silently zero the benchmark's per-layer metric.
-    for name, targets, _, _ in _load_benchmark_tracing().SPANS:
+    for name, targets, _, _ in benchmark_module("tracing").SPANS:
         for target in targets:
             module_name, path = target.split(":")
             owner = importlib.import_module(module_name)

@@ -223,6 +223,19 @@ def test_parse_deep_numeral_equation(capsys):
     assert out == f"({numeral} = {numeral})\n"
 
 
+@pytest.mark.parametrize("depth", [1, 600, None], ids=["1", "600", "past-the-recursion-limit"])
+def test_model_eval_of_a_deep_numeral_equation(capsys, depth):
+    depth = depth or sys.getrecursionlimit() + 1000
+    numeral = "S(" * depth + "0" + ")" * depth
+    model = ("model", "eval", "--alpha", "18", "--u", "1", "--bound", "3")
+    assert invoke(capsys, *model, "--wff", f"{numeral} = {numeral}") == (0, "True\n", "")
+    code, out, _ = invoke(capsys, "--json", *model, "--wff", f"{numeral} = {numeral}")
+    assert code == 0
+    assert (json.loads(out)["wff"], json.loads(out)["verdict"]) == (f"({numeral} = {numeral})", "true")
+    off_by_one = f"{numeral} = S({numeral})".replace("0", "x1")
+    assert invoke(capsys, *model, "--env", "x1=2", "--wff", off_by_one) == (0, "False\n", "")
+
+
 def _run_and_main(capsys, monkeypatch, *argv):
     """The exit code, stdout and stderr of ``run`` and of ``main``, which
     must agree."""

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_core_wff, random_proof_corpus, random_scheme_instance, random_term
+from conftest import (
+    benchmark_module,
+    random_core_wff,
+    random_proof_corpus,
+    random_scheme_instance,
+    random_term,
+    to_fol,
+)
 from foarith.kernel import (
     DiscoveryResult,
     Gen,
@@ -295,6 +302,55 @@ GOLDEN_SCHEME_DIGEST = "22ec3effa069a82657f97353ab2e99a0640f252d7cb3a7efb92f6a30
 
 def test_scheme_recognition_golden_digest():
     assert _scheme_digest(250) == GOLDEN_SCHEME_DIGEST
+
+
+def _side_condition_misses(rng):
+    """Formulas that pass a shape of K4, K5, K6 or N7 and break its side
+    condition, each in one way."""
+    x1, x2 = Var(1), Var(2)
+    # N7 on x2, its step on S(x2), or on S(x1) as the induction on x1 has it
+    body = eq(plus(x2, random_term(rng, 1, (2, 3))), random_term(rng, 1, (2, 3)))
+    out = [Implies(substitute(body, 2, ZERO),
+                   Implies(ForAll(2, Implies(body, substitute(body, 2, step))), ForAll(2, body)))
+           for step in (succ(x2), succ(x1))]
+    # K4 and K6 with x1 free in A
+    a = random_core_wff(rng, 2, (1, 2))
+    while 1 not in free_vars(a):
+        a = random_core_wff(rng, 2, (1, 2))
+    b = random_core_wff(rng, 1, (1, 2))
+    out += [Implies(ForAll(1, a), a), Implies(ForAll(1, Implies(a, b)), Implies(a, ForAll(1, b)))]
+    # K5 with A(t) written as if t, which holds x2, were free for x1 under (all x2 ...)
+    inner = eq(plus(x1, x2), random_term(rng, 1, (1, 2)))
+    t = rng.choice((x2, succ(x2), plus(x2, x1)))
+    out.append(Implies(ForAll(1, ForAll(2, inner)), ForAll(2, substitute(inner, 1, t))))
+    # N7 with A(0) or A(S(x1)) one successor off
+    body = eq(plus(x1, random_term(rng, 1, (1, 2))), random_term(rng, 1, (1, 3)))
+    base, step = substitute(body, 1, ZERO), substitute(body, 1, succ(x1))
+    for base, step in ((substitute(body, 1, succ(ZERO)), step),
+                       (base, substitute(body, 1, succ(succ(x1)))), (base, body)):
+        out.append(Implies(base, Implies(ForAll(1, Implies(body, step)), ForAll(1, body))))
+    return out
+
+
+def test_schemes_agree_with_the_benchmark_oracle():
+    # perfbench/fol.py states each scheme by hand on nested tuples and
+    # imports nothing from foarith: the kernel must accept what it accepts,
+    # on scheme instances, their near-misses and broken side conditions
+    fol = benchmark_module("fol")
+    rng = random.Random(41)
+    formulas = []
+    for _ in range(40):
+        for name in _SCHEMES:
+            formulas += _scheme_near_misses(rng, name)
+        formulas += _side_condition_misses(rng)
+    accepted = 0
+    for w in formulas:
+        tuples = to_fol(w)
+        for scheme in SchemeId:
+            found = match_scheme(scheme, w) is not None
+            assert found == fol.is_instance(scheme.value, tuples), (scheme.value, print_wff(w))
+            accepted += found
+    assert accepted > len(formulas) / 3
 
 
 # ---------------------------------------------------------------------------

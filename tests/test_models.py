@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import itertools
 import random
+import sys
 import threading
 import time
 from dataclasses import FrozenInstanceError
@@ -615,6 +616,21 @@ def test_check_axioms_identity_model_matches_standard():
     b = check_axioms(coded_model(24, 1), 100)
     assert [(c.axiom, c.result.truth) for c in a] == \
         [(c.axiom, c.result.truth) for c in b]
+
+
+@pytest.mark.parametrize("depth", [1, 600, None], ids=["1", "600", "past-the-recursion-limit"])
+def test_successor_towers_under_an_overriding_successor(depth):
+    # a tower is read once, then its successors are one "+ k" by default
+    # or k calls of an overriding successor
+    n = depth or sys.getrecursionlimit() + 1000
+    tower = Var(1)
+    for _ in range(n):
+        tower = succ(tower)
+    for model, x1 in ((coded_model(18, 1), n), (coded_model(18, 1, succ_index=lambda i: i + 2), 2 * n)):
+        w = eq(tower, numeral(2 * n))
+        assert eval_bounded(model, w, {1: x1}, bound=3).truth is ThreeValued.TRUE
+        assert eval_bounded(model, w, {1: x1 + 1}, bound=3).truth is ThreeValued.FALSE
+        assert eval_bounded(model, eq(numeral(n), numeral(n)), bound=3).truth is ThreeValued.TRUE
 
 
 def test_check_axioms_detects_corrupted_successor():

@@ -4,6 +4,7 @@ import hashlib
 import pickle
 import random
 import re
+import sys
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    benchmark_module,
     core_wffs,
     in_fresh_thread,
     random_core_wff,
@@ -24,6 +26,7 @@ from conftest import (
 from parse_edge_cases import PARSE_EDGE_CASES, parse_outcome
 from foarith import syntax
 from foarith.arith import decode_numeral, numeral
+from foarith.models import coded_model, eval_bounded
 from foarith.kernel import UNKNOWN, Proof, ProofLine, SchemeId, check_proof, match_scheme
 from foarith.proofio import ProofFileError, builtin_theories, format_proof, parse_proof_file
 from foarith.syntax import (
@@ -153,6 +156,22 @@ def test_parse_edge_cases(kind, text, expected):
     assert parse_outcome(syntax, kind, text) == expected
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(" * 20_000, "expected a formula (at position 20000)"),
+    ("(" * 20_000 + "x1" + " = 0)" * 20_000,
+     "expected a binary connective, found '=' (at position 20008)"),
+], ids=["open-parentheses", "nested-equalities"])
+def test_failed_equality_attempts_are_not_repeated(text, message):
+    # each '(' here could start a bare equality, and an attempt reads every
+    # '(' inside it as a term; an attempt is not made again inside a pair
+    # where one stopped, so these fail in linear time
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_wff(text)
+    assert time.perf_counter() - start < 2
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -177,6 +196,15 @@ def test_resugar_folds_patterns_back():
         core = parse_core(text)
         assert print_wff(core, resugar=True) == text
         assert parse_core(print_wff(core, resugar=True)) == core
+    # a shape that misses <-> or ex by one piece folds as the next one, or not at all
+    for text, folded in [
+        ("~(((0 = 0) -> (x1 = x1)) -> ~((x1 = x1) -> (x2 = x2)))",
+         "(((0 = 0) -> (x1 = x1)) & ((x1 = x1) -> (x2 = x2)))"),
+        ("~(((0 = 0) -> (x1 = x1)) -> ~((x2 = x2) -> (0 = 0)))",
+         "(((0 = 0) -> (x1 = x1)) & ((x2 = x2) -> (0 = 0)))"),
+        ("~(all x1 (x1 = 0))", "~(all x1 (x1 = 0))"),
+    ]:
+        assert print_wff(parse_wff(text), resugar=True) == folded
 
 
 @given(core_wffs)
@@ -603,6 +631,23 @@ def test_successor_chains_through_a_shared_proof_file_table():
     assert [line.wff for line in parse_proof_file(text).lines] == lines
 
 
+@pytest.mark.parametrize("depth", [1, 600, None], ids=["1", "600", "past-the-recursion-limit"])
+def test_successor_towers_at_depth(depth):
+    # one reader walks a tower (printer, evaluator, decode_numeral); the
+    # parser's chains equal the ones FuncApp builds, hashes included
+    n = depth or sys.getrecursionlimit() + 1000
+    for base, text in ((ZERO, "0"), (X1, "x1"), (plus(X1, ZERO), "(x1 + 0)")):
+        built = base
+        for _ in range(n):
+            built = FuncApp(1, 1, (built,))
+        parsed = parse_term(_s(n, text))
+        assert parsed == built and hash(parsed) == hash(built)
+        assert syntax._tower(parsed) == (n, base)
+        assert print_term(parsed) == print_term(built) == _s(n, text)
+    assert decode_numeral(numeral(n)) == n
+    assert syntax._tower(X1) == (0, X1)
+
+
 def _subterm(t, depth):
     for _ in range(depth):
         t = t.args[0]
@@ -843,6 +888,65 @@ def test_lower_or():
 
 def test_lower_iff():
     assert lower(Iff(A, B)) == Not(Implies(Implies(A, B), Not(Implies(B, A))))
+
+
+def _fol_surface(rng, fol, depth):
+    """A random surface formula as perfbench/fol.py's tuples."""
+    if depth == 0 or rng.random() < 0.25:
+        terms = [fol.ZERO, fol.ONE, fol.var(1), fol.var(2), fol.succ(fol.var(3)),
+                 fol.plus(fol.var(1), fol.ONE), fol.times(fol.var(2), fol.succ(fol.ZERO))]
+        return fol.eq(rng.choice(terms), rng.choice(terms))
+    kind = rng.choice(("~", "->", "&", "|", "<->", "all", "ex"))
+    if kind == "~":
+        return fol.neg(_fol_surface(rng, fol, depth - 1))
+    if kind in ("all", "ex"):
+        return (kind, rng.randrange(1, 4), _fol_surface(rng, fol, depth - 1))
+    return (kind, _fol_surface(rng, fol, depth - 1), _fol_surface(rng, fol, depth - 1))
+
+
+def test_lower_agrees_with_the_benchmark_oracle():
+    # perfbench/fol.py writes the four expansions by hand and imports
+    # nothing from foarith
+    fol = benchmark_module("fol")
+    rng = random.Random(43)
+    for _ in range(500):
+        w = _fol_surface(rng, fol, 4)
+        surface = parse_wff(fol.text(w))
+        assert print_wff(surface) == fol.text(w)
+        assert print_wff(lower(surface)) == fol.text(fol.lower(w))
+
+
+_MIRRORED_IFF = ("~", ("->", ("->", "B", "A"), ("~", ("->", "A", "B"))))
+
+
+def test_every_layer_reads_the_abbreviation_table(monkeypatch):
+    # lower, the printer and the evaluator read <-> from the one table, so
+    # an equivalent expansion put there is what all three then follow
+    x1_side = ForAll(3, eq(plus(X1, X3), X2))
+    nested = eq(X1, X2)
+    for k in range(40):
+        nested = Iff(nested, x1_side if k % 2 else eq(X3, X2))
+    env = {1: 1, 2: 2, 3: 2}
+    expected = eval_bounded(coded_model(18, 1), lower(nested), env, bound=4).truth
+    monkeypatch.setitem(syntax._EXPANSIONS, Iff, _MIRRORED_IFF)
+    assert lower(Iff(A, B)) == Not(Implies(Implies(B, A), Not(Implies(A, B))))
+    assert print_wff(lower(Iff(A, B)), resugar=True) == "((x1 = 0) <-> (x2 = 0))"
+    assert lower(Exists(1, A)) == Not(ForAll(1, Not(A)))
+    assert lower(And(A, B)) == Not(Implies(A, Not(B)))
+    assert lower(Or(A, B)) == Implies(Not(A), B)
+    rng = random.Random(47)
+    for _ in range(200):
+        w = random_surface_wff(rng, 4, (1, 2, 3))
+        core = lower(w)
+        assert lower(parse_wff(print_wff(w))) == core
+        assert lower(parse_wff(print_wff(core, resugar=True))) == core
+    core = lower(nested)
+    first, second = _sides(core)        # in the mirrored order
+    assert first is x1_side and _sides(second)[0] == eq(X3, X2)
+    start = time.perf_counter()
+    result = eval_bounded(coded_model(18, 1), core, env, bound=4)
+    assert time.perf_counter() - start < 1
+    assert result.truth is expected
 
 
 @given(surface_wffs)
