@@ -41,15 +41,13 @@ from .syntax import (
     Const,
     ForAll,
     FuncApp,
-    Iff,
     Implies,
     Not,
     Var,
     Wff,
     free_vars,
     is_core,
-    _EXPANSIONS,
-    _bind,
+    _iff_sides,
     _record,
     _shown,
     _tower,
@@ -393,8 +391,8 @@ class _Compiler:
     ignores the variable of an enclosing quantifier is memoized on its
     free variables in a table of this call.  An implication of the shape
     under the negation in Iff's entry of syntax's abbreviation table,
-    ``(A -> B) -> ~(B -> A)`` as lower() writes ``A <-> B``, is matched
-    with the table's own matcher, read when it is compiled, and is one
+    ``(A -> B) -> ~(B -> A)`` as lower() writes ``A <-> B``, with each
+    side one object in both places (``syntax._iff_sides``), is one
     piece per side and one ``_differ``, so nested biconditionals grow the
     source linearly; any other repeated node is compiled again.  The
     source is built from integers and fixed identifiers only; error
@@ -591,14 +589,11 @@ class _Compiler:
                     work.append((self._negation, 1))
                 work.append(("visit", node, scope, enclosing))
             elif isinstance(node, Implies):
-                x, y = node.antecedent, node.consequent
-                # the implication under the negation of lower()'s A <-> B,
-                # as Iff's shape reads now: one piece for each side of x
-                if _bind(_EXPANSIONS[Iff][1], node, {}):
-                    work.append((self._difference, 2))
-                    x, y = x.antecedent, x.consequent
-                else:
-                    work.append((self._implication, 2))
+                # the implication under the negation of lower()'s A <-> B
+                # is one piece for each side
+                sides = _iff_sides(node)
+                work.append((self._difference if sides else self._implication, 2))
+                x, y = sides or (node.antecedent, node.consequent)
                 work.append(("visit", y, scope, enclosing))
                 work.append(("visit", x, scope, enclosing))
             else:
@@ -671,7 +666,8 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
     returns its first counterexample; one that does not depend on an
     enclosing quantifier's variable is memoized on its free variables
     for the rest of the call.  Each side of a lowered biconditional,
-    found by Iff's shape in syntax's abbreviation table, is compiled and
+    found by Iff's shape in syntax's abbreviation table with the side
+    one object in both places, as lower() builds it, is compiled and
     evaluated once, so time and source grow linearly with nested
     ``<->``.  Evaluation order is the formula's, so an
     uninterpretable symbol raises ModelError only when reached.  Code

@@ -542,8 +542,8 @@ def free_vars(w: SurfaceWff) -> frozenset:
 # ("->", X, Y), ("~", X) or ("all", "var", X), and a string in it is a
 # metavariable: "A" and "B" for the abbreviation's sides, "var" for its
 # variable.  lower() builds each expansion from its shape, the printer
-# folds the shapes back in this order, and the evaluator reads Iff's to
-# evaluate each side once.
+# folds the shapes back in this order, and the evaluator asks _iff_sides
+# for Iff's to evaluate each side once.
 _EXPANSIONS = {
     Exists: ("~", ("all", "var", ("~", "A"))),
     Iff: ("~", ("->", ("->", "A", "B"), ("~", ("->", "B", "A")))),
@@ -552,19 +552,30 @@ _EXPANSIONS = {
 }
 
 
-def _bind(shape, w, parts: dict) -> bool:
-    """Match w against shape, binding metavariables in parts."""
+def _bind(shape, w, parts: dict, shared: bool = False) -> bool:
+    """Match w against shape, binding metavariables in parts.  A repeated
+    metavariable must bind an equal formula, or with ``shared`` the same
+    object, which costs one step whatever its size; a repeated variable
+    is compared by value."""
     if isinstance(shape, str):
         bound = parts.setdefault(shape, w)
-        return bound is w or bound == w
+        return bound is w or not shared and bound == w
     connective = shape[0]
     if connective == "->":
-        return (isinstance(w, Implies) and _bind(shape[1], w.antecedent, parts)
-                and _bind(shape[2], w.consequent, parts))
+        return (isinstance(w, Implies) and _bind(shape[1], w.antecedent, parts, shared)
+                and _bind(shape[2], w.consequent, parts, shared))
     if connective == "~":
-        return isinstance(w, Not) and _bind(shape[1], w.body, parts)
+        return isinstance(w, Not) and _bind(shape[1], w.body, parts, shared)
     return (isinstance(w, ForAll) and _bind(shape[1], w.var, parts)
-            and _bind(shape[2], w.body, parts))
+            and _bind(shape[2], w.body, parts, shared))
+
+
+def _iff_sides(w) -> Optional[tuple]:
+    """(A, B) when w is the implication under the negation in Iff's shape
+    with each side one object in both places, as lower() builds it, else
+    None.  That implication holds exactly when A and B differ."""
+    parts = {}
+    return (parts["A"], parts["B"]) if _bind(_EXPANSIONS[Iff][1], w, parts, True) else None
 
 
 def _built(shape, parts: dict):

@@ -7,11 +7,14 @@ indentation.  For each mutant in turn, the runner writes the mutated file
 into a temporary copy of the repository's ``src``, ``tests`` and
 ``perfbench`` and runs ``pytest -x`` on the kernel, syntax, models and
 acceptance tests there, those of the mutated module first.  A mutant is
-killed when a test fails; one that passes them all survives.  The script
-exits 1 when a mutant survives, when pytest stops for another reason
-(such as a collection error), or when a mutant's original line is not
-found once, so a change that moves a mutated line fails the gate instead
-of dropping the mutant.
+killed when a test fails; one that passes them all survives.  A run
+that takes longer than ``TIMEOUT`` seconds, several times the slowest
+run seen, is stopped and reported as TIMEOUT; it counts as killed, since
+the mutant made a test run without end where the original code
+finishes.  The script exits 1 when a mutant survives, when pytest stops
+for another reason (such as a collection error), or when a mutant's
+original line is not found once, so a change that moves a mutated line
+fails the gate instead of dropping the mutant.
 
 It needs the test dependencies (pytest, hypothesis) but nothing else
 beyond the standard library::
@@ -31,12 +34,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ["tests/test_kernel.py", "tests/test_syntax.py", "tests/test_models.py",
          "tests/test_acceptance.py"]
+TIMEOUT = 120
 
 # (file under src/foarith, original line stripped, replacement, what it breaks)
 MUTANTS = [
-    ("syntax.py", "return bound is w or bound == w", "return True",
+    ("syntax.py", "return bound is w or not shared and bound == w", "return True",
      "_bind: a repeated metavariable binds anything"),
-    ("syntax.py", "and _bind(shape[2], w.consequent, parts))", ")",
+    ("syntax.py", "return bound is w or not shared and bound == w",
+     "return bound is w or bound == w", "_bind: shared sides may be equal objects built apart"),
+    ("syntax.py", "and _bind(shape[2], w.consequent, parts, shared))", ")",
      "_bind: an implication's consequent is not matched"),
     ("syntax.py", "return (isinstance(w, ForAll) and _bind(shape[1], w.var, parts)",
      "return (isinstance(w, ForAll)",
@@ -127,12 +133,17 @@ def main(chosen) -> int:
             # the mutated module's own tests first, where a mutant dies soonest
             tests = sorted(TESTS, key=lambda test: test != f"tests/test_{path.stem}.py")
             pytest = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-            done = subprocess.run([*pytest, *tests], cwd=tmp, env=env, capture_output=True,
-                                  text=True)
+            try:
+                done = subprocess.run([*pytest, *tests], cwd=tmp, env=env, capture_output=True,
+                                      text=True, timeout=TIMEOUT)
+            except subprocess.TimeoutExpired:
+                done = None
             path.write_text(text, encoding="utf-8")
             failed = [line.split()[1] for line in done.stdout.splitlines()
-                      if line.startswith(("FAILED ", "ERROR "))]
-            if done.returncode == 1 and failed:
+                      if line.startswith(("FAILED ", "ERROR "))] if done else []
+            if done is None:
+                verdict = "TIMEOUT "
+            elif done.returncode == 1 and failed:
                 verdict = "killed  "
             else:
                 verdict = "SURVIVED" if done.returncode == 0 else f"PYTEST {done.returncode}"

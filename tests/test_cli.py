@@ -236,6 +236,38 @@ def test_model_eval_of_a_deep_numeral_equation(capsys, depth):
     assert invoke(capsys, *model, "--env", "x1=2", "--wff", off_by_one) == (0, "False\n", "")
 
 
+def test_model_eval_of_equal_long_sides_under_the_shape_of_iff():
+    # Q is a nested <-> whose pairs are too long for the parse table, so
+    # its four copies are separate objects; the implication has the shape
+    # of a lowered <-> with equal but unshared sides, and is evaluated as
+    # an implication, each copy in time linear in its nesting.  Comparing
+    # the copies would walk 2^k paths, so the run is timed in a child
+    # process that the test can stop
+    q = "(x1 = x2)"
+    for k in range(250):
+        q = f"({q} <-> {'(x2 = 0)' if k % 2 else '(x1 = S(0))'})"
+    assert len(q) > 4096
+    code = (
+        "import sys, time\n"
+        "from foarith.cli import run\n"
+        "start = time.perf_counter()\n"
+        "code = run(sys.argv[1:])\n"
+        "print(code, time.perf_counter() - start, file=sys.stderr)\n"
+    )
+    argv = ["model", "eval", "--alpha", "18", "--u", "1", "--bound", "3",
+            "--env", "x1=1,x2=2", "--wff", f"(({q} -> {q}) -> ~({q} -> {q}))"]
+    root = Path(__file__).parents[1]
+    try:
+        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=root,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("model eval did not finish in 60 s")
+    exit_code, seconds = done.stderr.split()
+    assert (exit_code, done.stdout) == ("0", "False\n")
+    assert float(seconds) < 1
+
+
 def _run_and_main(capsys, monkeypatch, *argv):
     """The exit code, stdout and stderr of ``run`` and of ``main``, which
     must agree."""

@@ -949,6 +949,21 @@ def test_every_layer_reads_the_abbreviation_table(monkeypatch):
     assert result.truth is expected
 
 
+def test_iff_sides_are_matched_by_identity_only(monkeypatch):
+    # the evaluator takes one piece per side only where lower() shared
+    # them; equal sides built apart are an ordinary implication, so the
+    # test never compares two formulas
+    core = lower(Iff(A, B))
+    assert syntax._iff_sides(core.body) == (A, B)
+    apart = [lower(parse_wff("((x1 = 0) <-> (all x3 (x3 = x2)))")) for _ in range(4)]
+    assert apart[0] == apart[3] and apart[0] is not apart[3]
+    shape = Implies(Implies(apart[0], apart[1]), Not(Implies(apart[2], apart[3])))
+    assert syntax._iff_sides(shape) is None
+    assert syntax._iff_sides(Implies(A, B)) is None
+    monkeypatch.setitem(syntax._EXPANSIONS, Iff, _MIRRORED_IFF)
+    assert syntax._iff_sides(lower(Iff(A, B)).body) == (A, B)
+
+
 @given(surface_wffs)
 def test_lower_idempotent(w):
     core = lower(w)
