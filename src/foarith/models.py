@@ -391,10 +391,10 @@ class _Compiler:
     ignores the variable of an enclosing quantifier is memoized on its
     free variables in a table of this call.  An implication of the shape
     under the negation in Iff's entry of syntax's abbreviation table,
-    ``(A -> B) -> ~(B -> A)`` as lower() writes ``A <-> B``, with each
-    side one object in both places (``syntax._iff_sides``), is one
-    piece per side and one ``_differ``, so nested biconditionals grow the
-    source linearly; any other repeated node is compiled again.  The
+    ``(A -> B) -> ~(B -> A)`` as lower() writes ``A <-> B``, with equal
+    sides in both places (``syntax._iff_sides``), is one piece per side
+    and one ``_differ``, so nested biconditionals grow the source
+    linearly; any other repeated node is compiled again.  The
     source is built from integers and fixed identifiers only; error
     messages and override functions are entries of ``ns``.  The domain is
     the name ``_D``, which the run supplies, so the code does not depend
@@ -666,8 +666,8 @@ def eval_bounded(model: CodedModel, w: Wff, env: Optional[Mapping] = None, *,
     returns its first counterexample; one that does not depend on an
     enclosing quantifier's variable is memoized on its free variables
     for the rest of the call.  Each side of a lowered biconditional,
-    found by Iff's shape in syntax's abbreviation table with the side
-    one object in both places, as lower() builds it, is compiled and
+    found by Iff's shape in syntax's abbreviation table with equal sides
+    in both places (lower() makes each side one object), is compiled and
     evaluated once, so time and source grow linearly with nested
     ``<->``.  Evaluation order is the formula's, so an
     uninterpretable symbol raises ModelError only when reached.  Code

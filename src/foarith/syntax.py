@@ -131,8 +131,8 @@ class _Node:
     of its fields (``_fields`` names them in order), which is the value a
     record (see :func:`_record`) gives.  ``hash`` reads that slot, and
     ``==`` is True on identity, False when the hashes differ, and otherwise
-    compares on an explicit stack that settles identical or differently
-    hashed subtrees at once.  Neither recurses, so both work at any depth.
+    compares on an explicit stack that settles identical, differently
+    hashed or already compared subtrees at once.  Neither recurses, so both work at any depth.
     Assigning or deleting a field raises
     :class:`dataclasses.FrozenInstanceError` through the refusals the
     records use, which import ``dataclasses`` only then; the cached hash
@@ -382,8 +382,14 @@ def _same(u, v) -> bool:
     the nodes of each side in step, so deep nesting costs no recursion.  A
     pair of identical subtrees is settled at once, and so is a pair of
     nodes whose types or hashes differ; otherwise the walk branches on the
-    four shapes, told apart by their classes."""
-    us, vs = [u], [v]
+    four shapes, told apart by their classes.  Each pair of connectives or
+    quantifiers is recorded by identity when it is first met, and settled
+    at once when met again: the walk compared its subtrees, and found them
+    equal, before it could meet the pair again.  So the walk
+    is linear in the distinct pairs of nodes however each side shares its
+    subformulas, as the two places of a side of a lowered ``<->`` do
+    (Downey, Sethi and Tarjan, J. ACM 27(4), 1980)."""
+    us, vs, settled = [u], [v], set()
     push_u, push_v = us.append, vs.append
     while us:
         u, v = us.pop(), vs.pop()
@@ -400,6 +406,8 @@ def _same(u, v) -> bool:
         elif t is Var or t is Const:
             if u.index != v.index:
                 return False
+        elif (pair := (id(u), id(v))) in settled or settled.add(pair):  # add() gives None
+            continue
         elif t is ForAll or t is Exists:
             if u.var != v.var:
                 return False
@@ -552,30 +560,32 @@ _EXPANSIONS = {
 }
 
 
-def _bind(shape, w, parts: dict, shared: bool = False) -> bool:
+def _bind(shape, w, parts: dict) -> bool:
     """Match w against shape, binding metavariables in parts.  A repeated
-    metavariable must bind an equal formula, or with ``shared`` the same
-    object, which costs one step whatever its size; a repeated variable
-    is compared by value."""
+    metavariable must bind an equal formula, and a repeated variable an
+    equal index.  ``==`` settles one object in both places in one step and
+    compares equal formulas built apart in time linear in their distinct
+    nodes (see :func:`_same`), so a repeat costs that much at most."""
     if isinstance(shape, str):
-        bound = parts.setdefault(shape, w)
-        return bound is w or not shared and bound == w
+        return parts.setdefault(shape, w) == w
     connective = shape[0]
     if connective == "->":
-        return (isinstance(w, Implies) and _bind(shape[1], w.antecedent, parts, shared)
-                and _bind(shape[2], w.consequent, parts, shared))
+        return (isinstance(w, Implies) and _bind(shape[1], w.antecedent, parts)
+                and _bind(shape[2], w.consequent, parts))
     if connective == "~":
-        return isinstance(w, Not) and _bind(shape[1], w.body, parts, shared)
+        return isinstance(w, Not) and _bind(shape[1], w.body, parts)
     return (isinstance(w, ForAll) and _bind(shape[1], w.var, parts)
-            and _bind(shape[2], w.body, parts, shared))
+            and _bind(shape[2], w.body, parts))
 
 
 def _iff_sides(w) -> Optional[tuple]:
-    """(A, B) when w is the implication under the negation in Iff's shape
-    with each side one object in both places, as lower() builds it, else
-    None.  That implication holds exactly when A and B differ."""
+    """(A, B) when w is the implication under the negation in Iff's shape,
+    with equal sides in both places, else None.  lower() builds it with
+    each side one object in both places, which costs one step to match;
+    sides built apart cost one linear ``==``.  That implication holds
+    exactly when A and B differ."""
     parts = {}
-    return (parts["A"], parts["B"]) if _bind(_EXPANSIONS[Iff][1], w, parts, True) else None
+    return (parts["A"], parts["B"]) if _bind(_EXPANSIONS[Iff][1], w, parts) else None
 
 
 def _built(shape, parts: dict):
@@ -697,16 +707,22 @@ def _facing(a: Wff, a_prime: Wff, x: int) -> Optional[Term]:
     """The subterm of A' facing the first free x of A, or None.
 
     The walk keeps an explicit stack and pairs the children of two nodes
-    only where A and A' have the same type.
+    only where A and A' have the same type.  Each pair of nodes it goes
+    below is recorded by identity and skipped when met again: its
+    subtrees, searched in full before the walk met it again, hold no free
+    x.  So the walk is linear in the distinct pairs of nodes, also where A
+    and A' share subformulas, as lowered ``<->`` do.
     """
-    stack = [(a, a_prime)]
+    stack, settled = [(a, a_prime)], set()
     while stack:
         s, s2 = stack.pop()
         if type(s) is Var:
             if s.index == x:
                 return s2
         elif (type(s) is type(s2) and isinstance(s, _Node)
-              and not (isinstance(s, _Quantifier) and s.var == x)):
+              and not (isinstance(s, _Quantifier) and s.var == x)
+              and (pair := (id(s), id(s2))) not in settled):
+            settled.add(pair)
             stack.extend(reversed(tuple(zip(_parts(s), _parts(s2)))))
     return None
 

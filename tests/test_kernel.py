@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -16,6 +17,8 @@ from conftest import (
     random_term,
     to_fol,
 )
+from foarith import kernel, syntax
+from foarith.arith import numeral
 from foarith.kernel import (
     DiscoveryResult,
     Gen,
@@ -44,6 +47,7 @@ from foarith.proofio import format_proof
 from foarith.syntax import (
     And,
     ForAll,
+    Iff,
     Implies,
     Not,
     Var,
@@ -51,6 +55,7 @@ from foarith.syntax import (
     eq,
     free_vars,
     is_core,
+    lower,
     parse_core,
     plus,
     print_wff,
@@ -332,10 +337,33 @@ def _side_condition_misses(rng):
     return out
 
 
+def _nested_iff(rng, vars_):
+    """1 to 4 nested <-> over random core formulas, lowered: a DAG in which
+    each side of a <-> is one object in both its places."""
+    w = random_core_wff(rng, 1, vars_)
+    for _ in range(rng.randint(1, 4)):
+        other = random_core_wff(rng, 1, vars_)
+        w = Iff(w, other) if rng.random() < 0.5 else Iff(other, w)
+    return lower(w)
+
+
+def _dag_near_misses(rng, scheme):
+    """An instance of scheme whose A, B and C are lowered nested <->, built
+    from the kernel's shape, then formulas that miss it by a little."""
+    a = _nested_iff(rng, (1, 2) if scheme in (SchemeId.K5, SchemeId.N7) else (2, 3))
+    parts = {"A": a, "B": _nested_iff(rng, (1, 2)), "C": _nested_iff(rng, (2, 3)), "var": 1,
+             "A(t)": substitute(a, 1, numeral(rng.randrange(3))),
+             "A(0)": substitute(a, 1, ZERO), "A(S(x1))": substitute(a, 1, succ(Var(1)))}
+    w = syntax._built(kernel._SHAPES[scheme], parts)
+    return [w, Implies(w.consequent, w.antecedent), _rebind(rng, w), _perturb(rng, w)]
+
+
 def test_schemes_agree_with_the_benchmark_oracle():
     # perfbench/fol.py states each scheme by hand on nested tuples and
     # imports nothing from foarith: the kernel must accept what it accepts,
-    # on scheme instances, their near-misses and broken side conditions
+    # on scheme instances, their near-misses and broken side conditions,
+    # and on instances and near-misses whose parts are lowered nested <->,
+    # which reach match_scheme as DAGs (fol.py sees them as trees)
     fol = benchmark_module("fol")
     rng = random.Random(41)
     formulas = []
@@ -343,14 +371,16 @@ def test_schemes_agree_with_the_benchmark_oracle():
         for name in _SCHEMES:
             formulas += _scheme_near_misses(rng, name)
         formulas += _side_condition_misses(rng)
-    accepted = 0
-    for w in formulas:
-        tuples = to_fol(w)
-        for scheme in SchemeId:
-            found = match_scheme(scheme, w) is not None
-            assert found == fol.is_instance(scheme.value, tuples), (scheme.value, print_wff(w))
-            accepted += found
-    assert accepted > len(formulas) / 3
+    dags = [w for _ in range(40) for scheme in SchemeId for w in _dag_near_misses(rng, scheme)]
+    accepted = collections.Counter()
+    for family, corpus in (("trees", formulas), ("dags", dags)):
+        for w in corpus:
+            tuples = to_fol(w)
+            for scheme in SchemeId:
+                found = match_scheme(scheme, w) is not None
+                assert found == fol.is_instance(scheme.value, tuples), (scheme.value, print_wff(w))
+                accepted[family] += found
+    assert accepted["trees"] > len(formulas) / 3 and accepted["dags"] > len(dags) / 4
 
 
 # ---------------------------------------------------------------------------

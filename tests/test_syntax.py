@@ -3,11 +3,14 @@ import copy
 import hashlib
 import pickle
 import random
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -784,6 +787,97 @@ def test_deep_formulas_round_trip_through_every_walker():
     in_fresh_thread(check)
 
 
+# Every entry point that walks a formula, on inputs whose lowering is a DAG
+# with 2^n paths: Q_40, which is 40 nested <-> over (x1 = 0) and (x2 = 0),
+# and the K1 instance (Q_300 -> ((0 = 0) -> Q_300)), whose copies of Q_300
+# are too long for the parse table to make one object.  A walk that
+# compared a pair of nodes once per path would not finish.  Each line of
+# the table is a label, the expected result and a call.  Left out, as
+# ROADMAP item 4's work, are the outputs that are themselves 2^n long:
+# `parse` (the core text), the proof that `discover` prints (22 KB at
+# n = 8, 360 KB at n = 12) and `--json model eval` (the core text in its
+# "wff" field).
+_DAG_WALKS = """
+import sys, time
+from foarith.kernel import (SchemeId, UNKNOWN, Proof, ProofLine, check_proof, match_scheme,
+                            resolve_unknowns)
+from foarith.models import ThreeValued, coded_model, eval_bounded
+from foarith.proofio import parse_proof_file
+from foarith.syntax import free_vars, lower, match_substitution_result, parse_wff, substitute
+from foarith.syntax import ANY_TERM, ZERO, succ
+
+def nested(n):
+    q = "(x1 = 0)"
+    for _ in range(n):
+        q = f"({q} <-> (x2 = 0))"
+    return q
+
+Q = nested(40)
+instances = {
+    "K1": f"({Q} -> ((0 = 0) -> {Q}))",
+    "K2": f"(({Q} -> ({Q} -> {Q})) -> (({Q} -> {Q}) -> ({Q} -> {Q})))",
+    "K3": f"((~{Q} -> ~{Q}) -> ({Q} -> {Q}))",
+    "K4": f"((all x3 {Q}) -> {Q})",
+    "K5": f"((all x1 {Q}) -> {Q.replace('x1', 'S(0)')})",
+    "K6": f"((all x3 ({Q} -> {Q})) -> ({Q} -> (all x3 {Q})))",
+    "N7": f"({Q.replace('x1', '0')} -> ((all x1 ({Q} -> {Q.replace('x1', 'S(x1)')}))"
+          f" -> (all x1 {Q})))",
+}
+inputs = {"Q_40": Q, "K1 at n = 300": "({0} -> ((0 = 0) -> {0}))".format(nested(300))}
+proofs = {"K5 over Q_40": ("K", "K5", f"((all x3 {Q}) -> {Q})"),
+          "N7 over Q_40": ("N", "N7", instances["N7"]),
+          "K1 at n = 300": ("K", "K1", inputs["K1 at n = 300"])}
+model = coded_model(18, 1)
+table = []
+for name, text in inputs.items():
+    surface = parse_wff(text)
+    w = lower(surface)
+    table += [
+        (f"== of two lowerings of {name}", True, w.__eq__, lower(parse_wff(text))),
+        (f"free_vars of {name}", frozenset({1, 2}), free_vars, w),
+        (f"substitute in {name}", lower(parse_wff(text.replace("x1", "S(0)"))),
+         substitute, w, 1, succ(ZERO)),
+        (f"match_substitution_result of {name}", ANY_TERM, match_substitution_result, w, 3, w),
+        (f"lower of {name}", w, lower, surface),
+        (f"eval_bounded of {name}", ThreeValued.TRUE,
+         lambda w: eval_bounded(model, w, {1: 0, 2: 1}, bound=3).truth, w),
+    ]
+for scheme, text in instances.items():
+    table.append((f"match_scheme {scheme} over Q_40", True,
+                  lambda w, s=SchemeId[scheme]: match_scheme(s, w) is not None,
+                  lower(parse_wff(text))))
+for name, (theory, scheme, text) in proofs.items():
+    proof = parse_proof_file(f"theory: {theory}\\n1. {text} ; {scheme}\\n")
+    unknown = Proof(proof.theory, [ProofLine(proof.lines[0].wff, UNKNOWN)])
+    table += [(f"check_proof of {name}", True, lambda p: check_proof(p).accepted, proof),
+              (f"resolve_unknowns of {name}", True, lambda p: resolve_unknowns(p).ok, unknown)]
+for label, expected, call, *args in table:
+    print(label, end="\\t", flush=True)
+    start = time.perf_counter()
+    got = call(*args)
+    print(time.perf_counter() - start, got == expected, flush=True)
+"""
+
+
+def test_every_formula_walk_on_dag_input_under_1_s():
+    # run in a child process, which the test stops if a walk does not end
+    root = Path(__file__).parents[1]
+    try:
+        done = subprocess.run([sys.executable, "-c", _DAG_WALKS], cwd=root, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              timeout=10)
+    except subprocess.TimeoutExpired as stopped:
+        ran = (stopped.stdout or b"").decode().splitlines()
+        label = ran[-1].split("\t")[0] if ran else "setup"
+        pytest.fail(f"stopped after 10 s in {label}")
+    assert done.returncode == 0, done.stderr[-2000:]
+    rows = [line.split("\t") for line in done.stdout.splitlines()]
+    assert len(rows) == 25
+    slow = [(label, result) for label, result in rows if float(result.split()[0]) >= 1]
+    wrong = [label for label, result in rows if result.split()[1] != "True"]
+    assert (slow, wrong) == ([], [])
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Var(0), "variable index must be >= 1"),
     (lambda: Const(0), "constant index must be >= 1"),
@@ -949,16 +1043,17 @@ def test_every_layer_reads_the_abbreviation_table(monkeypatch):
     assert result.truth is expected
 
 
-def test_iff_sides_are_matched_by_identity_only(monkeypatch):
-    # the evaluator takes one piece per side only where lower() shared
-    # them; equal sides built apart are an ordinary implication, so the
-    # test never compares two formulas
+def test_iff_sides_are_matched_by_equality(monkeypatch):
+    # lower() makes each side one object in both places; equal sides built
+    # apart match too, and unequal ones do not
     core = lower(Iff(A, B))
     assert syntax._iff_sides(core.body) == (A, B)
     apart = [lower(parse_wff("((x1 = 0) <-> (all x3 (x3 = x2)))")) for _ in range(4)]
     assert apart[0] == apart[3] and apart[0] is not apart[3]
     shape = Implies(Implies(apart[0], apart[1]), Not(Implies(apart[2], apart[3])))
-    assert syntax._iff_sides(shape) is None
+    sides = syntax._iff_sides(shape)
+    assert sides[0] is apart[0] and sides[1] is apart[1]
+    assert syntax._iff_sides(Implies(Implies(A, B), Not(Implies(B, eq(X3, X2))))) is None
     assert syntax._iff_sides(Implies(A, B)) is None
     monkeypatch.setitem(syntax._EXPANSIONS, Iff, _MIRRORED_IFF)
     assert syntax._iff_sides(lower(Iff(A, B)).body) == (A, B)
